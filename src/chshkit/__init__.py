@@ -23,7 +23,6 @@ from .core import (
     SettingsQuad,
     SubRunDataset,
     SubRunPairs,
-    SubRunTrial,
     correlation,
     sequences_identical,
     switch_pattern,
@@ -78,7 +77,6 @@ __all__ = [
     "Angle",
     "SettingsQuad",
     "OutcomeSequence",
-    "SubRunTrial",
     "SubRunPairs",
     "CounterfactualDataset",
     "SubRunDataset",

@@ -19,57 +19,41 @@ a failed closure) are report content, never process errors.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
-from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .core import SettingsQuad
-from .estimators import gamma_pooled, gamma_subruns, termwise_bound_check, theory_gamma
+from .estimators import (
+    gamma_pooled,
+    gamma_subruns,
+    split_random,
+    termwise_bound_check,
+    theory_gamma,
+)
 from .resort import ResortPolicy, STABLE, closure_probability, resort_cascade, trim_to_shortest
 from .rng import RngSpec
 from .sources import (
     CorrelationLaw,
     CsvFormatError,
     PHOTON_OPTIMAL_QUAD,
+    SIGN_MALUS,
     SPIN_OPTIMAL_QUAD,
+    _output,
     generate_subruns,
     ingest_counterfactual_csv,
     ingest_csv,
     lhv_generate,
-    lhv_model,
     write_counterfactual_csv,
     write_subrun_csv,
 )
-from .estimators import split_random
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 RESORTABLE = "re-sortable; Bell bound applies"
 NOT_RESORTABLE = "not re-sortable; Bell bound inapplicable"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One parsed invocation: which command, on what data, with what knobs."""
-
-    command: str
-    settings: SettingsQuad | None = None
-    n: int | None = None
-    n_per: int | None = None
-    seed: int | None = None
-    mode: str | None = None
-    law: CorrelationLaw = CorrelationLaw.PHOTON_MALUS
-    model: str = "sign-malus"
-    policy: str = "stable"
-    trim: bool = False
-    steps: int | None = None
-    offset_min: float = 0.0
-    offset_max: float = 90.0
-    in_path: str | None = None
-    out_path: str | None = None
 
 
 def _positive_int(text: str) -> int:
@@ -109,10 +93,8 @@ def _round6(x: float | None) -> float | None:
 
 
 def _emit(text: str, out_path: str | None) -> None:
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        Path(out_path).write_text(text, encoding="utf-8")
+    with _output(sys.stdout if out_path is None else out_path) as stream:
+        stream.write(text)
 
 
 def _emit_json(obj: dict, out_path: str | None) -> None:
@@ -123,10 +105,8 @@ def _default_quad(law: CorrelationLaw) -> SettingsQuad:
     return PHOTON_OPTIMAL_QUAD if law is CorrelationLaw.PHOTON_MALUS else SPIN_OPTIMAL_QUAD
 
 
-def _detect_csv_kind(path: str) -> str:
-    with open(path, "r", encoding="utf-8", newline="") as stream:
-        header = stream.readline()
-    fields = {f.strip() for f in header.strip().split(",")}
+def _csv_kind(header: str) -> str:
+    fields = {f.strip() for f in next(csv.reader([header]), [])}
     if "pair" in fields:
         return "subruns"
     if "j" in fields:
@@ -134,31 +114,30 @@ def _detect_csv_kind(path: str) -> str:
     raise CsvFormatError(f"unrecognized trial CSV header: {header.strip()!r}")
 
 
-def cmd_simulate(config: RunConfig) -> int:
-    settings = config.settings or _default_quad(config.law)
-    rng = RngSpec(config.seed)
-    if config.mode == "lhv":
-        dataset = lhv_generate(lhv_model(config.model), settings, config.n, rng)
-        write_counterfactual_csv(dataset, config.out_path)
+def cmd_simulate(args: argparse.Namespace) -> int:
+    settings = args.angles or _default_quad(args.law)
+    rng = RngSpec(args.seed)
+    if args.mode == "lhv":
+        dataset = lhv_generate(SIGN_MALUS, settings, args.n, rng)
+        write_counterfactual_csv(dataset, args.out_path)
     else:
-        dataset = generate_subruns(settings, config.law, config.n_per, rng)
-        write_subrun_csv(dataset, config.out_path)
+        dataset = generate_subruns(settings, args.law, args.n_per, rng)
+        write_subrun_csv(dataset, args.out_path)
     return 0
 
 
-def cmd_split(config: RunConfig) -> int:
-    dataset = ingest_counterfactual_csv(config.in_path)
-    subruns = split_random(dataset, RngSpec(config.seed))
-    write_subrun_csv(subruns, config.out_path)
+def cmd_split(args: argparse.Namespace) -> int:
+    dataset = ingest_counterfactual_csv(args.in_path)
+    subruns = split_random(dataset, RngSpec(args.seed))
+    write_subrun_csv(subruns, args.out_path)
     return 0
 
 
-def _estimate_dict(kind: str, path: str) -> dict:
+def _estimate_dict(kind: str, dataset) -> dict:
     if kind == "subruns":
-        result = gamma_subruns(ingest_csv(path))
+        result = gamma_subruns(dataset)
         extra: dict = {}
     else:
-        dataset = ingest_counterfactual_csv(path)
         result = gamma_pooled(dataset)
         extra = {"per_trial_max_abs": termwise_bound_check(dataset).max_abs}
     return {
@@ -166,27 +145,30 @@ def _estimate_dict(kind: str, path: str) -> dict:
         "gamma": _round6(result.value),
         "per_term": [_round6(t) for t in result.per_term],
         "n_used": list(result.n_used),
-        "bound_satisfied": bool(abs(result.value) <= 2.0),
+        "bound_satisfied": abs(result.exact) <= 2,
         **extra,
     }
 
 
-def cmd_estimate(config: RunConfig) -> int:
-    kind = _detect_csv_kind(config.in_path)
-    _emit_json(_estimate_dict(kind, config.in_path), config.out_path)
+def cmd_estimate(args: argparse.Namespace) -> int:
+    with open(args.in_path, "r", encoding="utf-8", newline="") as stream:
+        kind = _csv_kind(stream.readline())
+        stream.seek(0)
+        ingest = ingest_csv if kind == "subruns" else ingest_counterfactual_csv
+        dataset = ingest(stream)
+    _emit_json(_estimate_dict(kind, dataset), args.out_path)
     return 0
 
 
-def _build_policy(config: RunConfig) -> ResortPolicy:
-    if config.policy == "uniform-random":
-        return ResortPolicy.uniform_random(RngSpec(config.seed))
+def _build_policy(args: argparse.Namespace) -> ResortPolicy:
+    if args.policy == "uniform-random":
+        return ResortPolicy.uniform_random(RngSpec(args.seed))
     return STABLE
 
 
-def _load_equal_subruns(config: RunConfig):
-    dataset = ingest_csv(config.in_path)
+def _equal_subruns(dataset, trim: bool):
     if len(set(dataset.counts)) != 1:
-        if not config.trim:
+        if not trim:
             raise ValueError(
                 f"cascade requires equal sub-run lengths, got {dataset.counts} "
                 "(pass --trim to truncate all lists to the shortest; lossy)"
@@ -206,18 +188,18 @@ def _report_dict(report) -> dict:
     return out
 
 
-def cmd_resort(config: RunConfig) -> int:
-    dataset = _load_equal_subruns(config)
-    report = resort_cascade(dataset, _build_policy(config))
+def cmd_resort(args: argparse.Namespace) -> int:
+    dataset = _equal_subruns(ingest_csv(args.in_path), args.trim)
+    report = resort_cascade(dataset, _build_policy(args))
     # Closure (or its absence) is a finding, not an error: always exit 0.
-    _emit_json(_report_dict(report), config.out_path)
+    _emit_json(_report_dict(report), args.out_path)
     return 0
 
 
-def cmd_sweep(config: RunConfig) -> int:
-    base = config.settings or _default_quad(config.law)
-    rng = RngSpec(config.seed)
-    offsets = np.linspace(config.offset_min, config.offset_max, config.steps + 1)
+def cmd_sweep(args: argparse.Namespace) -> int:
+    base = args.angles or _default_quad(args.law)
+    rng = RngSpec(args.seed)
+    offsets = np.linspace(args.offset_min, args.offset_max, args.steps + 1)
     lines = ["offset_deg,gamma_theory,gamma_empirical"]
     for i, offset in enumerate(offsets):
         # The offset rotates both arm-B analyzers; arm A stays put, so
@@ -225,19 +207,21 @@ def cmd_sweep(config: RunConfig) -> int:
         quad = SettingsQuad.from_degrees(
             base.a.degrees, base.d.degrees, base.b.degrees + offset, base.c.degrees + offset
         )
-        theory = theory_gamma(quad, config.law)
+        theory = theory_gamma(quad, args.law)
         empirical = gamma_subruns(
-            generate_subruns(quad, config.law, config.n_per, rng.derive(i))
+            generate_subruns(quad, args.law, args.n_per, rng.derive(i))
         ).value
         lines.append(f"{offset:.2f},{theory:.6f},{empirical:.6f}")
-    _emit("\n".join(lines) + "\n", config.out_path)
+    _emit("\n".join(lines) + "\n", args.out_path)
     return 0
 
 
-def cmd_audit(config: RunConfig) -> int:
-    dataset = _load_equal_subruns(config)
-    estimate = _estimate_dict("subruns", config.in_path)
-    report = resort_cascade(dataset, _build_policy(config))
+def cmd_audit(args: argparse.Namespace) -> int:
+    loaded = ingest_csv(args.in_path)
+    dataset = _equal_subruns(loaded, args.trim)
+    # The estimate covers every loaded trial, before any trimming.
+    estimate = _estimate_dict("subruns", loaded)
+    report = resort_cascade(dataset, _build_policy(args))
 
     n = len(dataset.ab)
     k_b1 = dataset.ab.b.plus_count()
@@ -258,7 +242,7 @@ def cmd_audit(config: RunConfig) -> int:
             },
             "verdict": verdict,
         },
-        config.out_path,
+        args.out_path,
     )
     return 0
 
@@ -279,6 +263,13 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Simulate and analyze CHSH trial data: estimators, bounds, re-sorting.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    cascade = argparse.ArgumentParser(add_help=False)  # options of resort and audit
+    cascade.add_argument("--in", required=True, dest="in_path")
+    cascade.add_argument("--trim", action="store_true",
+                         help="truncate unequal sub-run lists to the shortest (lossy)")
+    cascade.add_argument("--policy", choices=("stable", "uniform-random"), default="stable")
+    cascade.add_argument("--seed", type=int, help="required with --policy uniform-random")
+    cascade.add_argument("--out", dest="out_path", help="report path (default: stdout)")
 
     sim = sub.add_parser("simulate", help="generate a trial CSV")
     sim.add_argument("--mode", choices=("lhv", "qm"), required=True)
@@ -289,7 +280,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="analyzer angles in degrees (default: optimal quad for the law)")
     sim.add_argument("--law", type=_law, default=CorrelationLaw.PHOTON_MALUS,
                      help="pair-correlation law for qm mode (photon-malus | spin-half)")
-    sim.add_argument("--model", default="sign-malus", help="LHV response rule for lhv mode")
     sim.add_argument("--out", required=True, dest="out_path")
 
     spl = sub.add_parser("split", help="split a counterfactual CSV into random sub-runs")
@@ -301,13 +291,7 @@ def _build_parser() -> argparse.ArgumentParser:
     est.add_argument("--in", required=True, dest="in_path")
     est.add_argument("--out", dest="out_path", help="report path (default: stdout)")
 
-    res = sub.add_parser("resort", help="run the re-sorting cascade")
-    res.add_argument("--in", required=True, dest="in_path")
-    res.add_argument("--trim", action="store_true",
-                     help="truncate unequal sub-run lists to the shortest (lossy)")
-    res.add_argument("--policy", choices=("stable", "uniform-random"), default="stable")
-    res.add_argument("--seed", type=int, help="required with --policy uniform-random")
-    res.add_argument("--out", dest="out_path", help="report path (default: stdout)")
+    sub.add_parser("resort", parents=[cascade], help="run the re-sorting cascade")
 
     swp = sub.add_parser("sweep", help="angle-offset curve of theory vs empirical gamma")
     swp.add_argument("--steps", type=_positive_int, default=16,
@@ -321,17 +305,15 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="base quad in degrees (default: optimal quad for the law)")
     swp.add_argument("--out", required=True, dest="out_path")
 
-    aud = sub.add_parser("audit", help="estimate + cascade + closure odds, one JSON verdict")
-    aud.add_argument("--in", required=True, dest="in_path")
-    aud.add_argument("--trim", action="store_true")
-    aud.add_argument("--policy", choices=("stable", "uniform-random"), default="stable")
-    aud.add_argument("--seed", type=int, help="required with --policy uniform-random")
-    aud.add_argument("--out", dest="out_path", help="report path (default: stdout)")
+    sub.add_parser("audit", parents=[cascade],
+                   help="estimate + cascade + closure odds, one JSON verdict")
 
     return parser
 
 
-def _to_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> RunConfig:
+def main(argv: list[str] | None = None) -> int:
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     if args.command == "simulate":
         if args.mode == "lhv" and args.n is None:
             parser.error("--mode lhv requires --n")
@@ -339,22 +321,8 @@ def _to_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Run
             parser.error("--mode qm requires --n-per")
     if getattr(args, "policy", "stable") == "uniform-random" and args.seed is None:
         parser.error("--seed is required with --policy uniform-random")
-    fields = {
-        key: value
-        for key, value in vars(args).items()
-        if key in RunConfig.__dataclass_fields__ and value is not None
-    }
-    if "angles" in vars(args) and args.angles is not None:
-        fields["settings"] = args.angles
-    return RunConfig(**fields)
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    config = _to_config(args, parser)
     try:
-        return _HANDLERS[config.command](config)
+        return _HANDLERS[args.command](args)
     except (CsvFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 
@@ -25,7 +25,6 @@ __all__ = [
     "Angle",
     "SettingsQuad",
     "OutcomeSequence",
-    "SubRunTrial",
     "SubRunPairs",
     "CounterfactualDataset",
     "SubRunDataset",
@@ -69,7 +68,9 @@ class Angle:
         r = float(self.radians)
         if not math.isfinite(r):
             raise ValueError(f"angle must be finite, got {self.radians!r}")
-        object.__setattr__(self, "radians", r % math.pi)
+        r %= math.pi
+        # A tiny negative angle rounds up to exactly pi, which is 0 again.
+        object.__setattr__(self, "radians", 0.0 if r == math.pi else r)
 
     @classmethod
     def from_degrees(cls, degrees: float) -> Angle:
@@ -148,13 +149,6 @@ class OutcomeSequence:
         return tuple(int(v) for v in self.values)
 
 
-class SubRunTrial(NamedTuple):
-    """One (arm A, arm B) outcome pair from a fixed-setting experiment."""
-
-    outcome_a: int
-    outcome_b: int
-
-
 @dataclass(frozen=True)
 class SubRunPairs:
     """Ordered outcome pairs from one fixed-setting sub-run.
@@ -173,25 +167,8 @@ class SubRunPairs:
                 f"paired sequences must have equal length: {len(self.a)} != {len(self.b)}"
             )
 
-    @classmethod
-    def from_trials(cls, trials) -> SubRunPairs:
-        """Build from an iterable of (outcome_a, outcome_b) pairs."""
-        rows = list(trials)
-        if not rows:
-            return cls(OutcomeSequence(np.empty(0, np.int8)), OutcomeSequence(np.empty(0, np.int8)))
-        arr = np.asarray(rows)
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise ValueError("trials must be (outcome_a, outcome_b) pairs")
-        return cls(OutcomeSequence(arr[:, 0]), OutcomeSequence(arr[:, 1]))
-
     def __len__(self) -> int:
         return len(self.a)
-
-    def __getitem__(self, index: int) -> SubRunTrial:
-        return SubRunTrial(self.a[index], self.b[index])
-
-    def __iter__(self) -> Iterator[SubRunTrial]:
-        return (SubRunTrial(int(x), int(y)) for x, y in zip(self.a.values, self.b.values))
 
     def product_sum(self) -> int:
         """Exact integer sum of per-trial products a(j)*b(j)."""

@@ -21,6 +21,7 @@ All sums are accumulated in integer arithmetic and divided once, so the
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -52,12 +53,16 @@ class GammaResult:
     ``per_term`` holds the raw correlations (<ab>, <ac>, <db>, <dc>);
     the fixed sign convention puts the minus on the dc term, so
     ``value = per_term[0] + per_term[1] + per_term[2] - per_term[3]``.
-    ``n_used`` is the trial count behind each term.
+    ``n_used`` is the trial count behind each term.  ``exact`` is the
+    same Gamma as a rational number; bound checks compare it, because
+    summing four separately rounded terms can put ``value`` an ulp past
+    a bound the exact value meets.
     """
 
     value: float
     per_term: tuple[float, float, float, float]
     n_used: tuple[int, int, int, int]
+    exact: Fraction
 
 
 @dataclass(frozen=True)
@@ -93,6 +98,7 @@ def gamma_pooled(data: CounterfactualDataset) -> GammaResult:
         value=(s_ab + s_ac + s_db - s_dc) / n,
         per_term=(s_ab / n, s_ac / n, s_db / n, s_dc / n),
         n_used=(n, n, n, n),
+        exact=Fraction(s_ab + s_ac + s_db - s_dc, n),
     )
 
 
@@ -117,7 +123,9 @@ def gamma_subruns(data: SubRunDataset) -> GammaResult:
         value = (sums[0] + sums[1] + sums[2] - sums[3]) / counts[0]
     else:
         value = terms[0] + terms[1] + terms[2] - terms[3]
-    return GammaResult(value=value, per_term=terms, n_used=tuple(counts))
+    e = [Fraction(s, m) for s, m in zip(sums, counts)]
+    exact = e[0] + e[1] + e[2] - e[3]
+    return GammaResult(value=value, per_term=terms, n_used=tuple(counts), exact=exact)
 
 
 def split_random(

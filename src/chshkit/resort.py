@@ -318,6 +318,12 @@ def closure_probability(
     if n < 0 or k < 0 or k > n:
         raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
     if mode == "exact":
+        # 1/C(n, k) rounds to 0.0 below half the smallest subnormal,
+        # 2**-1075.  Past that, with a margin for lgamma's rounding, the
+        # answer is 0.0 and building C(n, k) would only cost time.
+        log_comb = math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+        if log_comb > 1075 * math.log(2) + 1.0 + 1e-12 * math.lgamma(n + 1):
+            return 0.0
         # int/int true division: correctly rounds (underflows to 0.0 for
         # huge C(n, k)) where float(comb) would overflow and raise.
         return 1 / math.comb(n, k)

@@ -24,11 +24,14 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, IO
+from typing import IO, Callable, Iterator
 
 import numpy as np
 
@@ -212,6 +215,11 @@ class CsvFormatError(ValueError):
     """A trial CSV violates its format contract."""
 
 
+#: Rows read, checked or written per step.  It bounds the Python row
+#: objects alive at once; larger chunks were no faster and used more memory.
+_CHUNK_ROWS = 4_096
+
+
 def _open_text(source) -> tuple[IO[str], bool]:
     """Return (text stream, owns_handle) for a path, text or byte stream."""
     if isinstance(source, (str, Path)):
@@ -235,18 +243,84 @@ def _check_header(fieldnames, expected: tuple[str, ...]) -> None:
         raise CsvFormatError(f"unexpected column(s): {', '.join(extra)}")
 
 
-def _parse_outcome(text: str, column: str, row: int) -> int:
+def _parse_outcome(text: str, column: str) -> int:
     try:
         value = int(text.strip())
-    except (TypeError, ValueError, AttributeError):
-        raise CsvFormatError(
-            f"invalid outcome {text!r} in column {column!r} at row {row}"
-        ) from None
+    except ValueError:
+        raise CsvFormatError(f"invalid outcome {text!r} in column {column!r}") from None
     if value not in (1, -1):
-        raise CsvFormatError(
-            f"outcome outside {{+1, -1}}: {text!r} in column {column!r} at row {row}"
-        )
+        raise CsvFormatError(f"outcome outside {{+1, -1}}: {text!r} in column {column!r}")
     return value
+
+
+def _parse_label(text: str, column: str) -> int:
+    label = text.strip()
+    if label not in PAIR_LABELS:
+        raise CsvFormatError(f"unknown setting pair {label!r}")
+    return PAIR_LABELS.index(label)
+
+
+def _parse_index(text: str, column: str) -> int:
+    try:
+        return int(text.strip())
+    except ValueError:
+        raise CsvFormatError(f"invalid trial index {text!r}") from None
+
+
+def _ingest(
+    source, rules: dict[str, Callable[[str, str], int]], kept: tuple[str, ...]
+) -> list[np.ndarray]:
+    """Validate a trial CSV and return its ``kept`` columns as int8 arrays.
+
+    ``rules`` maps each expected column, in the order a row's cells are
+    checked, to a rule that parses one cell text or raises CsvFormatError.
+    Rows go through in chunks of ``_CHUNK_ROWS``; blank lines are skipped.
+    Each distinct text of a kept column is parsed once.  The first bad
+    row raises the error of its first failing check, with its 1-based
+    data row number.
+    """
+    stream, owned = _open_text(source)
+    try:
+        reader = csv.reader(stream)
+        header = next(reader, None)
+        _check_header(header, tuple(rules))
+        # A repeated column name resolves to its last position, as in a
+        # dict built from the row.
+        where = {name: i for i, name in enumerate(header)}
+        tables: dict[str, dict[str, int]] = {name: {} for name in kept}
+        parts: dict[str, list[np.ndarray]] = {name: [] for name in kept}
+        nonblank = filter(None, reader)  # a blank line reads as []
+        done = 0
+        while rows := list(itertools.islice(nonblank, _CHUNK_ROWS)):
+            widths = [len(row) != len(header) for row in rows]
+            stop = widths.index(True) if True in widths else len(rows)
+            error = "wrong number of fields"
+            columns = {}
+            for name, rule in rules.items():
+                columns[name] = column = [row[where[name]] for row in rows[:stop]]
+                # The trial index has distinct texts: its table lasts one chunk.
+                table = tables.get(name, {})
+                rejected = {}
+                for text in set(column).difference(table):
+                    try:
+                        table[text] = rule(text, name)
+                    except CsvFormatError as exc:
+                        rejected[text] = str(exc)
+                if rejected:
+                    stop = [text in rejected for text in column].index(True)
+                    error = rejected[column[stop]]
+            if stop < len(rows):
+                raise CsvFormatError(f"{error} at row {done + stop + 1}")
+            for name in kept:
+                codes = list(map(tables[name].__getitem__, columns[name]))
+                parts[name].append(np.array(codes, dtype=np.int8))
+            done += len(rows)
+        if done == 0:
+            raise CsvFormatError("no trials")
+        return [np.concatenate(parts[name]) for name in kept]
+    finally:
+        if owned:
+            stream.close()
 
 
 def ingest_csv(source) -> SubRunDataset:
@@ -256,101 +330,69 @@ def ingest_csv(source) -> SubRunDataset:
     with row order preserved within each list.  Data rows are numbered
     from 1 in error messages.
     """
-    stream, owned = _open_text(source)
-    try:
-        reader = csv.DictReader(stream)
-        _check_header(reader.fieldnames, ("pair", "outcome_a", "outcome_b"))
-        buckets: dict[str, list[tuple[int, int]]] = {label: [] for label in PAIR_LABELS}
-        row_num = 0
-        for record in reader:
-            row_num += 1
-            if None in record or None in record.values():
-                raise CsvFormatError(f"wrong number of fields at row {row_num}")
-            label = (record["pair"] or "").strip()
-            if label not in buckets:
-                raise CsvFormatError(f"unknown setting pair {label!r} at row {row_num}")
-            buckets[label].append(
-                (
-                    _parse_outcome(record["outcome_a"], "outcome_a", row_num),
-                    _parse_outcome(record["outcome_b"], "outcome_b", row_num),
-                )
-            )
-        if row_num == 0:
-            raise CsvFormatError("no trials")
-        return SubRunDataset(*(SubRunPairs.from_trials(buckets[label]) for label in PAIR_LABELS))
-    finally:
-        if owned:
-            stream.close()
+    rules = {"pair": _parse_label, "outcome_a": _parse_outcome, "outcome_b": _parse_outcome}
+    pair, a, b = _ingest(source, rules, kept=tuple(rules))
+    masks = [pair == code for code in range(len(PAIR_LABELS))]
+    return SubRunDataset(*(SubRunPairs(OutcomeSequence(a[m]), OutcomeSequence(b[m])) for m in masks))
 
 
 def ingest_counterfactual_csv(source) -> CounterfactualDataset:
     """Read counterfactual trials (``j,a,d,b,c``), row order preserved."""
-    stream, owned = _open_text(source)
+    rules = {"j": _parse_index, **{name: _parse_outcome for name in "adbc"}}
+    columns = _ingest(source, rules, kept=tuple("adbc"))
+    return CounterfactualDataset(*map(OutcomeSequence, columns))
+
+
+@contextmanager
+def _output(dest) -> Iterator[IO[str]]:
+    """A text stream to ``dest``, a path or an open stream.
+
+    A path is written as a temporary file beside it that replaces it only
+    once complete: a failed write leaves any earlier file untouched.
+    """
+    if not isinstance(dest, (str, Path)):
+        yield dest
+        return
+    path = Path(dest)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        reader = csv.DictReader(stream)
-        _check_header(reader.fieldnames, ("j", "a", "d", "b", "c"))
-        columns: dict[str, list[int]] = {name: [] for name in "adbc"}
-        row_num = 0
-        for record in reader:
-            row_num += 1
-            if None in record or None in record.values():
-                raise CsvFormatError(f"wrong number of fields at row {row_num}")
-            try:
-                int((record["j"] or "").strip())
-            except ValueError:
-                raise CsvFormatError(
-                    f"invalid trial index {record['j']!r} at row {row_num}"
-                ) from None
-            for name in "adbc":
-                columns[name].append(_parse_outcome(record[name], name, row_num))
-        if row_num == 0:
-            raise CsvFormatError("no trials")
-        return CounterfactualDataset(
-            a_seq=OutcomeSequence(columns["a"]),
-            d_seq=OutcomeSequence(columns["d"]),
-            b_seq=OutcomeSequence(columns["b"]),
-            c_seq=OutcomeSequence(columns["c"]),
-        )
+        with open(tmp, "w", encoding="utf-8", newline="") as stream:
+            yield stream
+        os.replace(tmp, path)
     finally:
-        if owned:
-            stream.close()
+        tmp.unlink(missing_ok=True)
 
 
-def _fmt(outcome: int) -> str:
-    return f"{outcome:+d}"
+#: Sub-run row text by code 4*label + 2a + b, each outcome read as a bit
+#: (+1 -> 1, -1 -> 0).
+_SUBRUN_ROWS = tuple(
+    f"{label},{a:+d},{b:+d}\n" for label in PAIR_LABELS for a in (-1, 1) for b in (-1, 1)
+)
+#: Counterfactual row text after the index, by code 8a + 4d + 2b + c.
+_COUNTERFACTUAL_CELLS = tuple(
+    "".join(f",{v:+d}" for v in outcomes) + "\n"
+    for outcomes in itertools.product((-1, 1), repeat=4)
+)
 
 
 def write_subrun_csv(dataset: SubRunDataset, dest) -> None:
     """Write sub-run trials, lists in canonical order ab, ac, db, dc."""
-    stream, owned = (
-        (open(dest, "w", encoding="utf-8", newline=""), True)
-        if isinstance(dest, (str, Path))
-        else (dest, False)
-    )
-    try:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(("pair", "outcome_a", "outcome_b"))
-        for label, pairs in dataset.items():
-            for trial in pairs:
-                writer.writerow((label, _fmt(trial.outcome_a), _fmt(trial.outcome_b)))
-    finally:
-        if owned:
-            stream.close()
+    with _output(dest) as stream:
+        stream.write("pair,outcome_a,outcome_b\n")
+        for label, (_, pairs) in enumerate(dataset.items()):
+            for start in range(0, len(pairs), _CHUNK_ROWS):
+                a, b = (s.values[start : start + _CHUNK_ROWS] > 0 for s in (pairs.a, pairs.b))
+                codes = 4 * label + 2 * a + b
+                stream.write("".join(map(_SUBRUN_ROWS.__getitem__, codes.tolist())))
 
 
 def write_counterfactual_csv(dataset: CounterfactualDataset, dest) -> None:
     """Write counterfactual trials with 1-based trial indices."""
-    stream, owned = (
-        (open(dest, "w", encoding="utf-8", newline=""), True)
-        if isinstance(dest, (str, Path))
-        else (dest, False)
-    )
-    try:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(("j", "a", "d", "b", "c"))
-        seqs = (dataset.a_seq, dataset.d_seq, dataset.b_seq, dataset.c_seq)
-        for j in range(dataset.n):
-            writer.writerow((j + 1, *(_fmt(int(s.values[j])) for s in seqs)))
-    finally:
-        if owned:
-            stream.close()
+    seqs = (dataset.a_seq, dataset.d_seq, dataset.b_seq, dataset.c_seq)
+    with _output(dest) as stream:
+        stream.write("j,a,d,b,c\n")
+        for start in range(0, dataset.n, _CHUNK_ROWS):
+            a, d, b, c = (s.values[start : start + _CHUNK_ROWS] > 0 for s in seqs)
+            cells = map(_COUNTERFACTUAL_CELLS.__getitem__, (8 * a + 4 * d + 2 * b + c).tolist())
+            indices = map(str, itertools.count(start + 1))
+            stream.write("".join(map(str.__add__, indices, cells)))

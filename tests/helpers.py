@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import csv
+import io
+
 import numpy as np
 
 from chshkit import (
+    PAIR_LABELS,
     CounterfactualDataset,
+    CsvFormatError,
     OutcomeSequence,
     RngSpec,
     SubRunDataset,
@@ -22,6 +27,20 @@ def pairs(a_side, b_side) -> SubRunPairs:
         OutcomeSequence(np.asarray(a_side, dtype=np.int8)),
         OutcomeSequence(np.asarray(b_side, dtype=np.int8)),
     )
+
+
+def exact_two_dataset() -> SubRunDataset:
+    """Sub-runs whose Gamma is exactly 2 but sums to 2.0000000000000004 in floats.
+
+    Counts (24, 20, 10, 24), product sums (22, 14, 8, 10): 11/12 + 7/10
+    + 4/5 - 5/12 = 2.
+    """
+
+    def agreeing(n: int, product_sum: int) -> SubRunPairs:
+        disagree = (n - product_sum) // 2
+        return pairs([1] * n, [1] * (n - disagree) + [-1] * disagree)
+
+    return SubRunDataset(agreeing(24, 22), agreeing(20, 14), agreeing(10, 8), agreeing(24, 10))
 
 
 def random_signs(g: np.random.Generator, n: int) -> np.ndarray:
@@ -89,3 +108,75 @@ def all_sign_rows(n: int) -> np.ndarray:
     m = np.arange(2**n, dtype=np.int64)
     bits = (m[:, None] >> np.arange(n)) & 1
     return (bits * 2 - 1).astype(np.int8)
+
+
+# Reference row parsers: one csv.DictReader pass, one row at a time, as
+# the package read trial CSVs before its chunked columnar ingest.  They
+# take the CSV text and return the columns as lists (sub-run: a and b
+# per label in canonical order; counterfactual: a, d, b, c), raising
+# the CsvFormatError the package must raise.
+
+
+def _reference_header(fieldnames, expected):
+    got = list(fieldnames or [])
+    missing = [c for c in expected if c not in got]
+    if missing:
+        raise CsvFormatError(f"missing column(s): {', '.join(missing)}")
+    extra = [c for c in got if c not in expected]
+    if extra:
+        raise CsvFormatError(f"unexpected column(s): {', '.join(extra)}")
+
+
+def _reference_outcome(text, column, row):
+    try:
+        value = int(text.strip())
+    except (TypeError, ValueError, AttributeError):
+        raise CsvFormatError(
+            f"invalid outcome {text!r} in column {column!r} at row {row}"
+        ) from None
+    if value not in (1, -1):
+        raise CsvFormatError(
+            f"outcome outside {{+1, -1}}: {text!r} in column {column!r} at row {row}"
+        )
+    return value
+
+
+def reference_ingest_subruns(text: str) -> list[list[int]]:
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    _reference_header(reader.fieldnames, ("pair", "outcome_a", "outcome_b"))
+    buckets = {label: ([], []) for label in PAIR_LABELS}
+    row_num = 0
+    for record in reader:
+        row_num += 1
+        if None in record or None in record.values():
+            raise CsvFormatError(f"wrong number of fields at row {row_num}")
+        label = (record["pair"] or "").strip()
+        if label not in buckets:
+            raise CsvFormatError(f"unknown setting pair {label!r} at row {row_num}")
+        a = _reference_outcome(record["outcome_a"], "outcome_a", row_num)
+        b = _reference_outcome(record["outcome_b"], "outcome_b", row_num)
+        buckets[label][0].append(a)
+        buckets[label][1].append(b)
+    if row_num == 0:
+        raise CsvFormatError("no trials")
+    return [side for label in PAIR_LABELS for side in buckets[label]]
+
+
+def reference_ingest_counterfactual(text: str) -> list[list[int]]:
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    _reference_header(reader.fieldnames, ("j", "a", "d", "b", "c"))
+    columns = {name: [] for name in "adbc"}
+    row_num = 0
+    for record in reader:
+        row_num += 1
+        if None in record or None in record.values():
+            raise CsvFormatError(f"wrong number of fields at row {row_num}")
+        try:
+            int((record["j"] or "").strip())
+        except ValueError:
+            raise CsvFormatError(f"invalid trial index {record['j']!r} at row {row_num}") from None
+        for name in "adbc":
+            columns[name].append(_reference_outcome(record[name], name, row_num))
+    if row_num == 0:
+        raise CsvFormatError("no trials")
+    return [columns[name] for name in "adbc"]

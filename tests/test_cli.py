@@ -8,8 +8,8 @@ import sys
 import pytest
 
 from chshkit import RngSpec, write_subrun_csv
-from chshkit.cli import main
-from helpers import random_counterfactual, shared_run_dataset
+from chshkit.cli import _emit, main
+from helpers import exact_two_dataset, random_counterfactual, shared_run_dataset
 
 
 def run_proc(*args: str):
@@ -113,6 +113,23 @@ class TestEstimate:
         assert main(["estimate", "--in", str(cf_csv), "--out", str(out)]) == 0
         assert json.loads(out.read_text())["kind"] == "counterfactual"
 
+    def test_bound_flag_is_exact(self, tmp_path, capsys):
+        # Exact gamma is 2; the float sum of the four terms is an ulp above.
+        path = tmp_path / "exact2.csv"
+        write_subrun_csv(exact_two_dataset(), path)
+        assert main(["estimate", "--in", str(path)]) == 0
+        report = read_json(capsys)
+        assert report["gamma"] == 2.0
+        assert report["bound_satisfied"] is True
+
+    def test_failed_report_write_keeps_the_earlier_file(self, tmp_path):
+        out = tmp_path / "report.json"
+        out.write_bytes(b"earlier report\n")
+        with pytest.raises(UnicodeEncodeError):
+            _emit("{\n  \"unencodable\": \"\ud800\"\n}\n", str(out))
+        assert out.read_bytes() == b"earlier report\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
     def test_missing_file_is_data_error(self, tmp_path, capsys):
         assert main(["estimate", "--in", str(tmp_path / "absent.csv")]) == 1
         assert "error:" in capsys.readouterr().err
@@ -122,6 +139,12 @@ class TestEstimate:
         path.write_text("pair,outcome_a,outcome_b\n")
         assert main(["estimate", "--in", str(path)]) == 1
         assert "no trials" in capsys.readouterr().err
+
+    def test_quoted_header_is_recognized(self, tmp_path, capsys):
+        path = tmp_path / "quoted.csv"
+        path.write_text('"pair","outcome_a","outcome_b"\nab,+1,+1\nac,+1,+1\ndb,+1,+1\ndc,+1,-1\n')
+        assert main(["estimate", "--in", str(path)]) == 0
+        assert read_json(capsys)["gamma"] == 4.0
 
     def test_unrecognized_header(self, tmp_path, capsys):
         path = tmp_path / "odd.csv"

@@ -14,7 +14,6 @@ from chshkit import (
     SettingsQuad,
     SubRunDataset,
     SubRunPairs,
-    SubRunTrial,
     correlation,
     sequences_identical,
     switch_pattern,
@@ -41,6 +40,16 @@ class TestAngle:
 
     def test_value_equality(self):
         assert Angle.from_degrees(45.0) == Angle(math.pi / 4)
+
+    def test_tiny_negative_angle_is_zero(self):
+        # -1e-20 % pi rounds to pi itself; the angle is 0.
+        assert Angle(-1e-20).radians == 0.0
+        with pytest.raises(ValueError, match="a == d"):
+            SettingsQuad(Angle(0.0), Angle(-1e-20), Angle(0.1), Angle(0.2))
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_radians_stay_in_half_open_range(self, x):
+        assert 0.0 <= Angle(x).radians < math.pi
 
 
 class TestSettingsQuad:
@@ -102,14 +111,11 @@ class TestSubRunPairs:
         with pytest.raises(ValueError, match="equal length"):
             pairs([1, 1], [1])
 
-    def test_from_trials_and_indexing(self):
-        p = SubRunPairs.from_trials([(1, -1), (-1, -1)])
+    def test_sides_hold_the_pairs(self):
+        p = SubRunPairs(seq(1, -1), seq(-1, -1))
         assert len(p) == 2
-        assert p[0] == SubRunTrial(1, -1)
-        assert list(p) == [SubRunTrial(1, -1), SubRunTrial(-1, -1)]
-
-    def test_from_trials_empty(self):
-        assert len(SubRunPairs.from_trials([])) == 0
+        assert p.a.values.tolist() == [1, -1]
+        assert p.b.values.tolist() == [-1, -1]
 
     def test_product_sum_is_exact_integer(self):
         p = pairs([1, 1, -1], [1, -1, -1])

@@ -22,7 +22,7 @@ from chshkit import (
     termwise_bound_check,
     theory_gamma,
 )
-from helpers import pairs, random_counterfactual, seq
+from helpers import exact_two_dataset, pairs, random_counterfactual, seq
 
 ROOT8 = 2.0 * math.sqrt(2.0)
 
@@ -126,6 +126,12 @@ class TestGammaSubruns:
         assert r.per_term == (1.0, -1 / 3, 1.0, 0.0)
         assert r.n_used == (2, 3, 1, 4)
         assert r.value == pytest.approx(1 - 1 / 3 + 1 - 0)
+
+    def test_exact_value_decides_the_bound(self):
+        r = gamma_subruns(exact_two_dataset())
+        assert r.n_used == (24, 20, 10, 24)
+        assert r.value == 2.0000000000000004  # four rounded terms
+        assert r.exact == 2
 
     def test_empty_list_error_names_pair(self):
         data = SubRunDataset(

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -53,9 +54,8 @@ class TestTrialPermutation:
         p = TrialPermutation(np.array([1, 2, 0]))
         src = pairs([1, -1, 1], [1, 1, -1])
         moved = p.apply_pairs(src)
-        original = {(trial.outcome_a, trial.outcome_b) for trial in src}
-        assert [(t.outcome_a, t.outcome_b) for t in moved] == [(-1, 1), (1, -1), (1, 1)]
-        assert {(t.outcome_a, t.outcome_b) for t in moved} <= original
+        assert moved.a.values.tolist() == [-1, 1, 1]
+        assert moved.b.values.tolist() == [1, -1, 1]
 
     def test_value_equality(self):
         assert TrialPermutation(np.array([1, 0])) == TrialPermutation(np.array([1, 0]))
@@ -340,6 +340,19 @@ class TestClosureProbability:
 
     def test_huge_inputs_underflow_to_zero(self):
         assert closure_probability(2000, 1000) == 0.0
+
+    @pytest.mark.parametrize("n", range(1060, 1101))
+    def test_exact_where_underflow_begins(self, n):
+        # 1/C(1080, 540) is the smallest subnormal; 1/C(1100, 550) is 0.0.
+        assert [closure_probability(n, k) for k in range(n + 1)] == [
+            1 / math.comb(n, k) for k in range(n + 1)
+        ]
+
+    def test_underflow_costs_no_big_binomial(self):
+        start = time.perf_counter()
+        assert closure_probability(10**6, 5 * 10**5) == 0.0
+        assert closure_probability(10**6, 1) == 1e-6
+        assert time.perf_counter() - start < 0.5
 
     def test_argument_validation(self):
         with pytest.raises(ValueError, match="0 <= k <= n"):

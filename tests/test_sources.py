@@ -2,9 +2,11 @@
 
 import io
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hyp_settings, strategies as st
 
 from chshkit import (
     Angle,
@@ -29,7 +31,13 @@ from chshkit import (
     write_counterfactual_csv,
     write_subrun_csv,
 )
-from helpers import pairs, random_counterfactual
+from chshkit import sources
+from helpers import (
+    pairs,
+    random_counterfactual,
+    reference_ingest_counterfactual,
+    reference_ingest_subruns,
+)
 
 deg = Angle.from_degrees
 
@@ -227,8 +235,8 @@ class TestSubrunCsv:
         text = f"{SUBRUN_HEADER}\nab,+1,+1\nac,+1,-1\ndb,-1,+1\ndc,-1,-1\n"
         data = ingest_csv(io.StringIO(text))
         assert data.counts == (1, 1, 1, 1)
-        assert data.ab[0] == (1, 1)
-        assert data.dc[0] == (-1, -1)
+        assert (data.ab.a.values.tolist(), data.ab.b.values.tolist()) == ([1], [1])
+        assert (data.dc.a.values.tolist(), data.dc.b.values.tolist()) == ([-1], [-1])
 
     def test_round_trip_exact(self):
         src = generate_subruns(PHOTON_OPTIMAL_QUAD, CorrelationLaw.PHOTON_MALUS, 50, RngSpec(4))
@@ -291,9 +299,29 @@ class TestSubrunCsv:
         with pytest.raises(CsvFormatError, match="row 1"):
             ingest_csv(text.encode())
 
+    def test_first_of_several_bad_rows_is_reported(self):
+        text = f"{SUBRUN_HEADER}\nab,+1,+1\nac,+1,x\nxy,+1,+1\ndb,0,+1\n"
+        with pytest.raises(CsvFormatError, match="invalid outcome 'x' in column 'outcome_b' at row 2"):
+            ingest_csv(text.encode())
+
     def test_wrong_field_count(self):
         with pytest.raises(CsvFormatError, match="wrong number of fields at row 2"):
             ingest_csv(f"{SUBRUN_HEADER}\nab,+1,+1\nac,+1\n".encode())
+
+    def test_failed_write_keeps_the_earlier_file(self, tmp_path):
+        target = tmp_path / "trials.csv"
+        target.write_bytes(b"earlier,file\n")
+        first_list = ("ab", pairs([1, -1, 1], [1, 1, -1]))
+
+        class FailsAfterOneList:
+            def items(self):
+                yield first_list
+                raise RuntimeError("generator failed")
+
+        with pytest.raises(RuntimeError):
+            write_subrun_csv(FailsAfterOneList(), target)
+        assert target.read_bytes() == b"earlier,file\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["trials.csv"]
 
     def test_empty_list_for_absent_label_is_allowed(self):
         data = ingest_csv(f"{SUBRUN_HEADER}\nab,+1,+1\n".encode())
@@ -333,6 +361,25 @@ class TestCounterfactualCsv:
         with pytest.raises(CsvFormatError, match="invalid trial index"):
             ingest_counterfactual_csv(text.encode())
 
+    def test_failed_write_keeps_the_earlier_file(self, tmp_path):
+        target = tmp_path / "cf.csv"
+        target.write_bytes(b"earlier,file\n")
+        src = random_counterfactual(RngSpec(8), 6)
+        # A c column shorter than the others makes the write fail part way.
+        short_c = SimpleNamespace(values=src.c_seq.values[:3])
+        broken = SimpleNamespace(
+            n=6, a_seq=src.a_seq, d_seq=src.d_seq, b_seq=src.b_seq, c_seq=short_c
+        )
+        with pytest.raises((ValueError, IndexError)):
+            write_counterfactual_csv(broken, target)
+        assert target.read_bytes() == b"earlier,file\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["cf.csv"]
+
+    def test_first_of_several_bad_rows_is_reported(self):
+        text = f"{CF_HEADER}\n1,+1,+1,+1,+1\nx,+1,+1,+1,+1\ny,+1,0,+1,+1\n"
+        with pytest.raises(CsvFormatError, match="invalid trial index 'x' at row 2"):
+            ingest_counterfactual_csv(text.encode())
+
     def test_header_and_field_errors(self):
         with pytest.raises(CsvFormatError, match="missing column"):
             ingest_counterfactual_csv(b"j,a,d,b\n1,+1,+1,+1\n")
@@ -340,3 +387,90 @@ class TestCounterfactualCsv:
             ingest_counterfactual_csv(f"{CF_HEADER}\n".encode())
         with pytest.raises(CsvFormatError, match="outcome outside"):
             ingest_counterfactual_csv(f"{CF_HEADER}\n1,+1,+3,+1,+1\n".encode())
+
+
+OUTCOME_TEXTS = st.sampled_from(["+1", "-1", "1", " -1", "+01"])
+GOOD_TEXTS = {
+    "pair": st.sampled_from(["ab", "ac", "db", "dc", " db", "ac "]),
+    "j": st.integers(0, 10**6).map(str) | st.just(" 7"),
+}
+BAD_TEXTS = st.sampled_from(["0", "2", "x", "", " ", "1.0", "+-1", "ba", "AB"])
+
+
+@st.composite
+def trial_csv_text(draw, columns: tuple[str, ...]) -> str:
+    """CSV text near the format: mostly valid rows, a few edits that may break it."""
+    header = list(draw(st.permutations(columns)))
+    change = draw(st.sampled_from(["none"] * 6 + ["missing", "extra", "repeat"]))
+    if change == "missing":
+        header.pop(draw(st.integers(0, len(header) - 1)))
+    elif change == "extra":
+        header.insert(draw(st.integers(0, len(header))), "extra")
+    elif change == "repeat":
+        header.append(draw(st.sampled_from(columns)))
+    rows = [
+        [draw(GOOD_TEXTS.get(name, OUTCOME_TEXTS)) for name in header]
+        for _ in range(draw(st.integers(0, 9)))
+    ]
+    for _ in range(draw(st.integers(0, 4)) if rows else 0):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        edit = draw(st.sampled_from(["cell"] * 3 + ["short", "long", "blank", "blank"]))
+        if edit == "cell" and row:
+            row[draw(st.integers(0, len(row) - 1))] = draw(BAD_TEXTS)
+        elif edit == "short" and row:
+            row.pop()
+        elif edit == "long":
+            row.append(draw(OUTCOME_TEXTS))
+        elif edit == "blank":
+            rows.insert(rows.index(row), [])
+    quote = draw(st.booleans())
+
+    def line(cells):
+        return ",".join(f'"{c}"' if quote and draw(st.booleans()) else c for c in cells)
+
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    tail = newline if draw(st.booleans()) else ""
+    return newline.join(line(cells) for cells in [header, *rows]) + tail
+
+
+def _columns_or_error(parse, text):
+    try:
+        return parse(text)
+    except CsvFormatError as exc:
+        return str(exc)
+
+
+def _subrun_columns(text):
+    data = ingest_csv(text.encode())
+    return [side.values.tolist() for _, p in data.items() for side in (p.a, p.b)]
+
+
+def _counterfactual_columns(text):
+    data = ingest_counterfactual_csv(text.encode())
+    return [s.values.tolist() for s in (data.a_seq, data.d_seq, data.b_seq, data.c_seq)]
+
+
+class TestIngestMatchesRowParser:
+    """Chunked ingest against the one-row-at-a-time reference parser.
+
+    Each input must give the same columns or the same error message;
+    with two rows per chunk, bad rows also fall on chunk boundaries.
+    """
+
+    @pytest.mark.parametrize("chunk_rows", [2, sources._CHUNK_ROWS])
+    @hyp_settings(max_examples=200, deadline=None)
+    @given(text=trial_csv_text(("pair", "outcome_a", "outcome_b")))
+    def test_subrun_csv(self, chunk_rows, text):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sources, "_CHUNK_ROWS", chunk_rows)
+            got = _columns_or_error(_subrun_columns, text)
+        assert got == _columns_or_error(reference_ingest_subruns, text)
+
+    @pytest.mark.parametrize("chunk_rows", [2, sources._CHUNK_ROWS])
+    @hyp_settings(max_examples=200, deadline=None)
+    @given(text=trial_csv_text(("j", "a", "d", "b", "c")))
+    def test_counterfactual_csv(self, chunk_rows, text):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sources, "_CHUNK_ROWS", chunk_rows)
+            got = _columns_or_error(_counterfactual_columns, text)
+        assert got == _columns_or_error(reference_ingest_counterfactual, text)
