@@ -48,21 +48,39 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GammaResult:
-    """A Gamma estimate with its four correlation terms.
+    """A Gamma estimate from the integer sum of products behind each term.
 
-    ``per_term`` holds the raw correlations (<ab>, <ac>, <db>, <dc>);
-    the fixed sign convention puts the minus on the dc term, so
-    ``value = per_term[0] + per_term[1] + per_term[2] - per_term[3]``.
-    ``n_used`` is the trial count behind each term.  ``exact`` is the
-    same Gamma as a rational number; bound checks compare it, because
-    summing four separately rounded terms can put ``value`` an ulp past
-    a bound the exact value meets.
+    ``n_used`` is the trial count and ``product_sums`` the sum of a(j)b(j)
+    behind each of the four correlation terms (ab, ac, db, dc).
     """
 
-    value: float
-    per_term: tuple[float, float, float, float]
     n_used: tuple[int, int, int, int]
-    exact: Fraction
+    product_sums: tuple[int, int, int, int]
+
+    @property
+    def per_term(self) -> tuple[float, ...]:
+        """The raw correlations (<ab>, <ac>, <db>, <dc>)."""
+        return tuple(s / m for s, m in zip(self.product_sums, self.n_used))
+
+    @property
+    def value(self) -> float:
+        """Gamma with the minus on the dc term, as a float for display."""
+        s = self.product_sums
+        if len(set(self.n_used)) == 1:
+            # Shared divisor: divide the signed integer total once.
+            return (s[0] + s[1] + s[2] - s[3]) / self.n_used[0]
+        t = self.per_term
+        return t[0] + t[1] + t[2] - t[3]
+
+    @property
+    def exact(self) -> Fraction:
+        """Gamma as a rational number, which bound checks compare.
+
+        Summing four separately rounded terms can put ``value`` an ulp
+        past a bound the exact value meets.
+        """
+        e = [Fraction(s, m) for s, m in zip(self.product_sums, self.n_used)]
+        return e[0] + e[1] + e[2] - e[3]
 
 
 @dataclass(frozen=True)
@@ -90,16 +108,8 @@ def gamma_pooled(data: CounterfactualDataset) -> GammaResult:
         raise ValueError("empty dataset")
     a, d = data.a_seq.values, data.d_seq.values
     b, c = data.b_seq.values, data.c_seq.values
-    s_ab = int(np.sum(a * b, dtype=np.int64))
-    s_ac = int(np.sum(a * c, dtype=np.int64))
-    s_db = int(np.sum(d * b, dtype=np.int64))
-    s_dc = int(np.sum(d * c, dtype=np.int64))
-    return GammaResult(
-        value=(s_ab + s_ac + s_db - s_dc) / n,
-        per_term=(s_ab / n, s_ac / n, s_db / n, s_dc / n),
-        n_used=(n, n, n, n),
-        exact=Fraction(s_ab + s_ac + s_db - s_dc, n),
-    )
+    arms = ((a, b), (a, c), (d, b), (d, c))
+    return GammaResult((n,) * 4, tuple(int(np.sum(x * y, dtype=np.int64)) for x, y in arms))
 
 
 def gamma_subruns(data: SubRunDataset) -> GammaResult:
@@ -108,24 +118,10 @@ def gamma_subruns(data: SubRunDataset) -> GammaResult:
     The per-term bounds are the only constraint: |value| <= 4, and the
     extremes are attainable (no Bell bound holds for disjoint sub-runs).
     """
-    sums: list[int] = []
-    counts: list[int] = []
     for label, pairs in data.items():
         if len(pairs) == 0:
             raise ValueError(f"empty sub-run list: {label}")
-        sums.append(pairs.product_sum())
-        counts.append(len(pairs))
-    terms = tuple(s / m for s, m in zip(sums, counts))
-    if len(set(counts)) == 1:
-        # Shared divisor: divide the signed integer total once, so bound
-        # comparisons against 2 and 4 stay exact instead of accruing a
-        # rounding ulp per term.
-        value = (sums[0] + sums[1] + sums[2] - sums[3]) / counts[0]
-    else:
-        value = terms[0] + terms[1] + terms[2] - terms[3]
-    e = [Fraction(s, m) for s, m in zip(sums, counts)]
-    exact = e[0] + e[1] + e[2] - e[3]
-    return GammaResult(value=value, per_term=terms, n_used=tuple(counts), exact=exact)
+    return GammaResult(data.counts, tuple(pairs.product_sum() for _, pairs in data.items()))
 
 
 def split_random(

@@ -215,13 +215,6 @@ class ResortReport:
         }
 
 
-def _step_generator(policy: ResortPolicy, step: int) -> np.random.Generator | None:
-    if policy.kind != "uniform-random":
-        return None
-    assert policy.rng is not None
-    return policy.rng.derive(step).generator()
-
-
 def _factored_gamma(
     a1: OutcomeSequence,
     b1: OutcomeSequence,
@@ -253,7 +246,8 @@ def resort_cascade(data: SubRunDataset, policy: ResortPolicy = STABLE) -> Resort
 
     def step(index: int, target: OutcomeSequence, source_pairs: SubRunPairs, source_side: str):
         source = source_pairs.a if source_side == "a" else source_pairs.b
-        g = _step_generator(policy, index)
+        random = policy.kind == "uniform-random"
+        g = policy.rng.derive(index).generator() if random else None
         perm = TrialPermutation(_class_matching(target.values, source.values, g))
         deficit = target.plus_count() - source.plus_count()
         return perm, deficit == 0, deficit, perm.apply_pairs(source_pairs)

@@ -347,13 +347,20 @@ def ingest_counterfactual_csv(source) -> CounterfactualDataset:
 def _output(dest) -> Iterator[IO[str]]:
     """A text stream to ``dest``, a path or an open stream.
 
-    A path is written as a temporary file beside it that replaces it only
-    once complete: a failed write leaves any earlier file untouched.
+    A new path or a regular file (after following symlinks) is written as
+    a temporary file beside it that replaces it only once complete: a
+    failed write leaves any earlier file untouched.  Any other existing
+    target, such as a FIFO or ``/dev/stdout``, is written in place.
     """
     if not isinstance(dest, (str, Path)):
         yield dest
         return
     path = Path(dest)
+    if path.exists() and not path.is_file():
+        with open(path, "w", encoding="utf-8", newline="") as stream:
+            yield stream
+        return
+    path = path.resolve()
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as stream:

@@ -130,6 +130,15 @@ class TestEstimate:
         assert out.read_bytes() == b"earlier report\n"
         assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
+    def test_out_dev_stdout_writes_to_the_pipe(self):
+        proc = run_proc(
+            "simulate", "--mode", "qm", "--n-per", "2", "--seed", "3", "--out", "/dev/stdout"
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[0] == "pair,outcome_a,outcome_b"
+        assert len(lines) == 9
+
     def test_missing_file_is_data_error(self, tmp_path, capsys):
         assert main(["estimate", "--in", str(tmp_path / "absent.csv")]) == 1
         assert "error:" in capsys.readouterr().err

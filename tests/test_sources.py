@@ -2,6 +2,9 @@
 
 import io
 import math
+import os
+import stat
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -387,6 +390,51 @@ class TestCounterfactualCsv:
             ingest_counterfactual_csv(f"{CF_HEADER}\n".encode())
         with pytest.raises(CsvFormatError, match="outcome outside"):
             ingest_counterfactual_csv(f"{CF_HEADER}\n1,+1,+3,+1,+1\n".encode())
+
+
+class TestOutputTargets:
+    """Path destinations: regular files are replaced, anything else is written."""
+
+    @staticmethod
+    def _dataset_and_bytes():
+        data = SubRunDataset(*(pairs([1, -1], [-1, 1]) for _ in range(4)))
+        buf = io.StringIO()
+        write_subrun_csv(data, buf)
+        return data, buf.getvalue().encode()
+
+    def test_symlink_target_is_followed(self, tmp_path):
+        data, expected = self._dataset_and_bytes()
+        real = tmp_path / "real.csv"
+        real.write_bytes(b"earlier,file\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(real)
+        write_subrun_csv(data, link)
+        assert link.is_symlink()
+        assert real.read_bytes() == expected
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "real.csv"]
+
+    def test_fifo_is_written_in_place(self, tmp_path):
+        data, expected = self._dataset_and_bytes()
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        # A non-blocking read end lets the writer open the FIFO at once;
+        # the output is far smaller than the pipe buffer.
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            write_subrun_csv(data, fifo)
+            received = os.read(reader, 1 << 16)
+        finally:
+            os.close(reader)
+        assert received == expected
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
+
+    def test_character_device_is_written_in_place(self):
+        data, _ = self._dataset_and_bytes()
+        write_subrun_csv(data, os.devnull)
+        null = Path(os.devnull)
+        assert stat.S_ISCHR(null.stat().st_mode)
+        assert list(null.parent.glob(f".{null.name}.*.tmp")) == []
 
 
 OUTCOME_TEXTS = st.sampled_from(["+1", "-1", "1", " -1", "+01"])
