@@ -66,6 +66,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if not 0 <= value < 2**64:
+        raise argparse.ArgumentTypeError(f"must be in [0, 2**64), got {value}")
+    return value
+
+
 def _angles(text: str) -> SettingsQuad:
     parts = text.split(",")
     if len(parts) != 4:
@@ -105,13 +115,28 @@ def _default_quad(law: CorrelationLaw) -> SettingsQuad:
     return PHOTON_OPTIMAL_QUAD if law is CorrelationLaw.PHOTON_MALUS else SPIN_OPTIMAL_QUAD
 
 
-def _csv_kind(header: str) -> str:
-    fields = {f.strip() for f in next(csv.reader([header]), [])}
+def _csv_kind(header: bytes) -> str:
+    text = header.decode("utf-8", "replace")
+    try:
+        fields = {f.strip() for f in next(csv.reader([text]), [])}
+    except csv.Error:  # the ingest names what is wrong with this header
+        fields = set()
     if "pair" in fields:
         return "subruns"
     if "j" in fields:
         return "counterfactual"
-    raise CsvFormatError(f"unrecognized trial CSV header: {header.strip()!r}")
+    raise CsvFormatError(f"unrecognized trial CSV header: {text.strip()!r}")
+
+
+class _Replay:
+    """A binary stream that returns ``head`` before reading on from ``stream``."""
+
+    def __init__(self, head: bytes, stream) -> None:
+        self._head, self._stream = head, stream
+
+    def read(self, size: int = -1) -> bytes:
+        head, self._head = self._head, b""
+        return head or self._stream.read(size)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -151,11 +176,13 @@ def _estimate_dict(kind: str, dataset) -> dict:
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
-    with open(args.in_path, "r", encoding="utf-8", newline="") as stream:
-        kind = _csv_kind(stream.readline())
-        stream.seek(0)
+    # The input is read once and never sought, so it may be a pipe.  A
+    # header over 1 MiB is malformed; its kind is taken from its start.
+    with open(args.in_path, "rb") as stream:
+        head = stream.readline(1 << 20)
+        kind = _csv_kind(head.splitlines()[0] if head else b"")
         ingest = ingest_csv if kind == "subruns" else ingest_counterfactual_csv
-        dataset = ingest(stream)
+        dataset = ingest(_Replay(head, stream))
     _emit_json(_estimate_dict(kind, dataset), args.out_path)
     return 0
 
@@ -268,14 +295,14 @@ def _build_parser() -> argparse.ArgumentParser:
     cascade.add_argument("--trim", action="store_true",
                          help="truncate unequal sub-run lists to the shortest (lossy)")
     cascade.add_argument("--policy", choices=("stable", "uniform-random"), default="stable")
-    cascade.add_argument("--seed", type=int, help="required with --policy uniform-random")
+    cascade.add_argument("--seed", type=_seed, help="required with --policy uniform-random")
     cascade.add_argument("--out", dest="out_path", help="report path (default: stdout)")
 
     sim = sub.add_parser("simulate", help="generate a trial CSV")
     sim.add_argument("--mode", choices=("lhv", "qm"), required=True)
     sim.add_argument("--n", type=_positive_int, help="trial count (lhv mode)")
     sim.add_argument("--n-per", type=_positive_int, help="trials per sub-run (qm mode)")
-    sim.add_argument("--seed", type=int, required=True)
+    sim.add_argument("--seed", type=_seed, required=True)
     sim.add_argument("--angles", type=_angles, metavar="A,D,B,C",
                      help="analyzer angles in degrees (default: optimal quad for the law)")
     sim.add_argument("--law", type=_law, default=CorrelationLaw.PHOTON_MALUS,
@@ -284,7 +311,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     spl = sub.add_parser("split", help="split a counterfactual CSV into random sub-runs")
     spl.add_argument("--in", required=True, dest="in_path")
-    spl.add_argument("--seed", type=int, required=True)
+    spl.add_argument("--seed", type=_seed, required=True)
     spl.add_argument("--out", required=True, dest="out_path")
 
     est = sub.add_parser("estimate", help="gamma report from a trial CSV")
@@ -299,7 +326,7 @@ def _build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--offset-min", type=float, default=0.0, dest="offset_min")
     swp.add_argument("--offset-max", type=float, default=90.0, dest="offset_max")
     swp.add_argument("--n-per", type=_positive_int, default=10000)
-    swp.add_argument("--seed", type=int, required=True)
+    swp.add_argument("--seed", type=_seed, required=True)
     swp.add_argument("--law", type=_law, default=CorrelationLaw.PHOTON_MALUS)
     swp.add_argument("--angles", type=_angles, metavar="A,D,B,C",
                      help="base quad in degrees (default: optimal quad for the law)")

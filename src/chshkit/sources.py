@@ -31,7 +31,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import IO, Callable, Iterator
+from typing import IO, Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -215,22 +215,217 @@ class CsvFormatError(ValueError):
     """A trial CSV violates its format contract."""
 
 
-#: Rows read, checked or written per step.  It bounds the Python row
-#: objects alive at once; larger chunks were no faster and used more memory.
-_CHUNK_ROWS = 4_096
+#: Bytes read per step of an ingest.  The numpy temporaries of a block are
+#: a few times its size, so it bounds the memory an ingest adds to its
+#: result; 64 KiB to 256 KiB read fastest, 1 MiB and 4 MiB more slowly.
+_BLOCK_BYTES = 1 << 17
+#: Rows formatted per write in the writers.
+_WRITE_ROWS = 4_096
 
 
-def _open_text(source) -> tuple[IO[str], bool]:
-    """Return (text stream, owns_handle) for a path, text or byte stream."""
+@contextmanager
+def _reader(source) -> Iterator[Callable[[int], bytes]]:
+    """A ``read(size) -> bytes`` for a path, bytes, or a text or binary stream."""
     if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8", newline=""), True
-    if isinstance(source, (bytes, bytearray)):
-        return io.StringIO(source.decode("utf-8")), True
-    if isinstance(source, io.TextIOBase):
-        return source, False
-    if hasattr(source, "read"):  # binary file-like
-        return io.TextIOWrapper(source, encoding="utf-8", newline=""), False
-    raise TypeError(f"cannot read CSV from {type(source).__name__}")
+        with open(source, "rb") as stream:
+            yield stream.read
+    elif isinstance(source, (bytes, bytearray)):
+        yield io.BytesIO(source).read
+    elif isinstance(source, io.TextIOBase):
+        yield lambda size: source.read(size).encode("utf-8")
+    elif hasattr(source, "read"):  # binary file-like
+        yield source.read
+    else:
+        raise TypeError(f"cannot read CSV from {type(source).__name__}")
+
+
+def _blocks(read: Callable[[int], bytes]) -> Iterator[bytes]:
+    """The input in blocks that end after their last line break.
+
+    Only the last block may lack one.  A line longer than a read is
+    gathered over several reads.
+    """
+    pieces: list[bytes] = []
+    while chunk := read(_BLOCK_BYTES):
+        cut = max(chunk.rfind(b"\n"), chunk.rfind(b"\r")) + 1
+        if cut == 0:  # no line break in this window
+            pieces.append(chunk)
+            continue
+        pieces.append(chunk[:cut])
+        yield b"".join(pieces)
+        pieces = [chunk[cut:]]
+    if rest := b"".join(pieces):
+        yield rest
+
+
+class _Fields(NamedTuple):
+    """Rows of one block as field offsets into ``buf``.
+
+    Field ``i`` is ``buf[starts[i]:ends[i]]``; row ``r`` has ``width[r]``
+    fields from field ``first[r]`` on, and a blank line has width 0.
+    A delimiter byte follows each field, and ``buf`` ends in 8 spare bytes
+    so that 8 bytes can be read at any field start.
+    """
+
+    buf: np.ndarray
+    starts: np.ndarray
+    ends: np.ndarray
+    first: np.ndarray
+    width: np.ndarray
+
+    def text(self, i) -> str:
+        return self.buf[self.starts[i] : self.ends[i]].tobytes().decode("utf-8")
+
+
+def _split_block(block: bytes) -> tuple[_Fields, str | None]:
+    """Split a block that holds no quote at every comma and line break.
+
+    This is what csv.reader does with such text.  It cuts the rows short
+    before the first line csv.reader would not accept (bad UTF-8, a field
+    over ``csv.field_size_limit()``) and returns that line's error.
+    """
+    if not block.endswith((b"\n", b"\r")):
+        block += b"\n"
+    buf = np.frombuffer(block + bytes(8), np.uint8)
+    data = buf[:-8]
+    breaks = (data == ord("\n")) | (data == ord("\r"))
+    ends = np.flatnonzero(breaks | (data == ord(",")))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    last = np.flatnonzero(breaks[ends])  # each line's last field
+    first = np.concatenate(([0], last[:-1] + 1))
+    width = last - first + 1
+    width[(width == 1) & (starts[last] == ends[last])] = 0  # a blank line
+    lines, error = len(last), None
+    if not block.isascii():
+        try:
+            block.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            field = np.searchsorted(ends, exc.start)
+            lines, error = int(np.searchsorted(last, field)), "invalid UTF-8"
+    limit = csv.field_size_limit()
+    for field in np.flatnonzero(ends - starts > limit):
+        line = int(np.searchsorted(last, field))
+        if line >= lines:
+            break
+        if len(block[starts[field] : ends[field]].decode("utf-8")) > limit:
+            lines, error = line, f"field larger than field limit ({limit})"
+            break
+    return _Fields(buf, starts, ends, first[:lines], width[:lines]), error
+
+
+def _rows_to_fields(rows: list[list[str]]) -> _Fields:
+    cells = [cell.encode("utf-8") for row in rows for cell in row]
+    lengths = np.fromiter(map(len, cells), np.intp, len(cells))
+    ends = np.cumsum(lengths + 1) - 1
+    width = np.fromiter(map(len, rows), np.intp, len(rows))
+    buf = np.frombuffer(b"".join(cell + b"," for cell in cells) + bytes(8), np.uint8)
+    return _Fields(buf, ends - lengths, ends, np.cumsum(width) - width, width)
+
+
+def _quoted_fields(blocks: Iterator[bytes]) -> Iterator[tuple[_Fields, str | None]]:
+    """Tokenize blocks with csv.reader, one batch of rows per block read.
+
+    A quoted field may span lines and blocks.  A line that is not UTF-8,
+    or a csv error, ends the last batch with the message for its row.
+    """
+    totals: list[int] = []  # lines handed to the reader up to each block's end
+
+    def lines() -> Iterator[str]:
+        for block in blocks:
+            block_lines = block.splitlines(keepends=True)
+            totals.append((totals[-1] if totals else 0) + len(block_lines))
+            for line in block_lines:
+                yield line.decode("utf-8")
+
+    reader = csv.reader(lines())
+    rows: list[list[str]] = []
+    error = None
+    try:
+        for row in reader:
+            rows.append(row)
+            if reader.line_num == totals[-1]:
+                yield _rows_to_fields(rows), None
+                rows = []
+    except UnicodeDecodeError:
+        error = "invalid UTF-8"
+    except csv.Error as exc:
+        error = str(exc)
+    if rows or error:
+        yield _rows_to_fields(rows), error
+
+
+def _tokenize(blocks: Iterator[bytes]) -> Iterator[tuple[_Fields, str | None]]:
+    """Each block's rows, split in bulk until a block holds a quote.
+
+    Quoted fields cannot be split by byte (``a"b`` is a literal quote and
+    ``"ab"x`` reads ``abx``), so csv.reader reads from that block on.
+    """
+    for block in blocks:
+        if b'"' in block:
+            yield from _quoted_fields(itertools.chain([block], blocks))
+            return
+        yield _split_block(block)
+
+
+#: Code of a text its column's rule rejects, and of a text too long for a key.
+_REJECTED, _LONG = -128, -127
+#: Masks that keep the first n bytes of a little-endian word, n = 0..8; a
+#: text of 8 bytes or more keeps none, so all such texts share one key.
+_BYTE_MASKS = np.array([(1 << 8 * n) - 1 for n in range(8)] + [0], dtype=np.uint64)
+_LONG_KEY = np.uint64(8 << 56)
+
+
+class _Table:
+    """One column's codes by text; each distinct text is parsed once.
+
+    A text of up to 7 bytes is found by a packed key (its bytes, with its
+    length in the top byte), in bulk; a longer one by its text.
+    """
+
+    def __init__(self, name: str, rule: Callable[[str, str], int]) -> None:
+        self.name, self.rule = name, rule
+        self.keys = np.array([_LONG_KEY])
+        self.codes = np.array([_LONG], dtype=np.int8)
+        self.long: dict[str, int] = {}
+
+    def _parse(self, text: str) -> int:
+        try:
+            return self.rule(text, self.name)
+        except CsvFormatError:
+            return _REJECTED
+
+    def codes_of(self, fields: _Fields, idx: np.ndarray) -> np.ndarray:
+        starts = fields.starts[idx]
+        lengths = np.minimum(fields.ends[idx] - starts, 8).astype(np.uint64)
+        words = np.ndarray(len(fields.buf) - 7, "<u8", fields.buf, strides=(1,))
+        keys = (words[starts] & _BYTE_MASKS[lengths]) | (lengths << np.uint64(56))
+        at = np.searchsorted(self.keys, keys)
+        new = self.keys[at] != keys
+        if new.any():
+            fresh, where = np.unique(keys[new], return_index=True)
+            texts = map(fields.text, idx[np.flatnonzero(new)[where]])
+            keys_all = np.concatenate((self.keys, fresh))
+            codes_all = np.concatenate((self.codes, [self._parse(t) for t in texts]))
+            order = np.argsort(keys_all)
+            self.keys, self.codes = keys_all[order], codes_all[order].astype(np.int8)
+            at = np.searchsorted(self.keys, keys)
+        codes = self.codes[at]
+        for i in np.flatnonzero(codes == _LONG):
+            text = fields.text(idx[i])
+            if text not in self.long:
+                self.long[text] = self._parse(text)
+            codes[i] = self.long[text]
+        return codes
+
+
+def _not_plain_digits(fields: _Fields, idx: np.ndarray) -> np.ndarray:
+    """Positions in ``idx`` of texts other than 1 to 18 ASCII digits."""
+    # A delimiter follows every field, so the search never runs off the end.
+    nondigit = np.flatnonzero(fields.buf[:-8] - np.uint8(ord("0")) > 9)
+    starts, ends = fields.starts[idx], fields.ends[idx]
+    lengths = ends - starts
+    digits = nondigit[np.searchsorted(nondigit, starts)] == ends
+    return np.flatnonzero(~(digits & (lengths >= 1) & (lengths <= 18)))
 
 
 def _check_header(fieldnames, expected: tuple[str, ...]) -> None:
@@ -274,53 +469,60 @@ def _ingest(
 
     ``rules`` maps each expected column, in the order a row's cells are
     checked, to a rule that parses one cell text or raises CsvFormatError.
-    Rows go through in chunks of ``_CHUNK_ROWS``; blank lines are skipped.
-    Each distinct text of a kept column is parsed once.  The first bad
-    row raises the error of its first failing check, with its 1-based
+    The input is read in blocks; blank lines are skipped.  The first bad
+    row raises the error of its first failing check (a line csv.reader
+    rejects, then the field count, then each column), with its 1-based
     data row number.
     """
-    stream, owned = _open_text(source)
-    try:
-        reader = csv.reader(stream)
-        header = next(reader, None)
-        _check_header(header, tuple(rules))
-        # A repeated column name resolves to its last position, as in a
-        # dict built from the row.
-        where = {name: i for i, name in enumerate(header)}
-        tables: dict[str, dict[str, int]] = {name: {} for name in kept}
-        parts: dict[str, list[np.ndarray]] = {name: [] for name in kept}
-        nonblank = filter(None, reader)  # a blank line reads as []
-        done = 0
-        while rows := list(itertools.islice(nonblank, _CHUNK_ROWS)):
-            widths = [len(row) != len(header) for row in rows]
-            stop = widths.index(True) if True in widths else len(rows)
-            error = "wrong number of fields"
-            columns = {}
+    # A trial index has one distinct text per row: no table, and plain
+    # digit strings, valid for int(), are accepted in bulk.
+    tables = {name: _Table(name, rule) for name, rule in rules.items() if rule is not _parse_index}
+    parts: dict[str, list[np.ndarray]] = {name: [] for name in kept}
+    header = None
+    done = 0
+    with _reader(source) as read:
+        for fields, error in _tokenize(_blocks(read)):
+            if header is None:
+                if not len(fields.width):
+                    raise CsvFormatError(f"{error} in the header")
+                start = fields.first[0]
+                header = [fields.text(i) for i in range(start, start + fields.width[0])]
+                _check_header(header, tuple(rules))
+                # A repeated column name resolves to its last position, as in
+                # a dict built from the row.
+                where = {name: i for i, name in enumerate(header)}
+                fields = fields._replace(first=fields.first[1:], width=fields.width[1:])
+            nonblank = fields.width > 0
+            first = fields.first[nonblank]
+            wrong = np.flatnonzero(fields.width[nonblank] != len(header))
+            stop = int(wrong[0]) if len(wrong) else len(first)
+            failure = "wrong number of fields"
+            codes = {}
             for name, rule in rules.items():
-                columns[name] = column = [row[where[name]] for row in rows[:stop]]
-                # The trial index has distinct texts: its table lasts one chunk.
-                table = tables.get(name, {})
-                rejected = {}
-                for text in set(column).difference(table):
+                idx = first[:stop] + where[name]
+                if name in tables:
+                    codes[name] = column = tables[name].codes_of(fields, idx)
+                    suspects = np.flatnonzero(column == _REJECTED)
+                else:
+                    suspects = _not_plain_digits(fields, idx)
+                for i in suspects:
                     try:
-                        table[text] = rule(text, name)
+                        rule(fields.text(idx[i]), name)
                     except CsvFormatError as exc:
-                        rejected[text] = str(exc)
-                if rejected:
-                    stop = [text in rejected for text in column].index(True)
-                    error = rejected[column[stop]]
-            if stop < len(rows):
-                raise CsvFormatError(f"{error} at row {done + stop + 1}")
+                        stop, failure = int(i), str(exc)
+                        break
+            if stop < len(first):
+                raise CsvFormatError(f"{failure} at row {done + stop + 1}")
             for name in kept:
-                codes = list(map(tables[name].__getitem__, columns[name]))
-                parts[name].append(np.array(codes, dtype=np.int8))
-            done += len(rows)
-        if done == 0:
-            raise CsvFormatError("no trials")
-        return [np.concatenate(parts[name]) for name in kept]
-    finally:
-        if owned:
-            stream.close()
+                parts[name].append(codes[name])
+            done += len(first)
+            if error:
+                raise CsvFormatError(f"{error} at row {done + 1}")
+    if header is None:
+        _check_header(header, tuple(rules))
+    if done == 0:
+        raise CsvFormatError("no trials")
+    return [np.concatenate(parts[name]) for name in kept]
 
 
 def ingest_csv(source) -> SubRunDataset:
@@ -387,8 +589,8 @@ def write_subrun_csv(dataset: SubRunDataset, dest) -> None:
     with _output(dest) as stream:
         stream.write("pair,outcome_a,outcome_b\n")
         for label, (_, pairs) in enumerate(dataset.items()):
-            for start in range(0, len(pairs), _CHUNK_ROWS):
-                a, b = (s.values[start : start + _CHUNK_ROWS] > 0 for s in (pairs.a, pairs.b))
+            for start in range(0, len(pairs), _WRITE_ROWS):
+                a, b = (s.values[start : start + _WRITE_ROWS] > 0 for s in (pairs.a, pairs.b))
                 codes = 4 * label + 2 * a + b
                 stream.write("".join(map(_SUBRUN_ROWS.__getitem__, codes.tolist())))
 
@@ -398,8 +600,8 @@ def write_counterfactual_csv(dataset: CounterfactualDataset, dest) -> None:
     seqs = (dataset.a_seq, dataset.d_seq, dataset.b_seq, dataset.c_seq)
     with _output(dest) as stream:
         stream.write("j,a,d,b,c\n")
-        for start in range(0, dataset.n, _CHUNK_ROWS):
-            a, d, b, c = (s.values[start : start + _CHUNK_ROWS] > 0 for s in seqs)
+        for start in range(0, dataset.n, _WRITE_ROWS):
+            a, d, b, c = (s.values[start : start + _WRITE_ROWS] > 0 for s in seqs)
             cells = map(_COUNTERFACTUAL_CELLS.__getitem__, (8 * a + 4 * d + 2 * b + c).tolist())
             indices = map(str, itertools.count(start + 1))
             stream.write("".join(map(str.__add__, indices, cells)))

@@ -139,6 +139,14 @@ class TestEstimate:
         assert lines[0] == "pair,outcome_a,outcome_b"
         assert len(lines) == 9
 
+    def test_in_dev_stdin_reads_the_pipe(self, qm_csv):
+        piped = subprocess.run(
+            [sys.executable, "-m", "chshkit", "estimate", "--in", "/dev/stdin"],
+            input=qm_csv.read_bytes(), capture_output=True,
+        )
+        assert piped.returncode == 0, piped.stderr
+        assert piped.stdout.decode() == run_proc("estimate", "--in", str(qm_csv)).stdout
+
     def test_missing_file_is_data_error(self, tmp_path, capsys):
         assert main(["estimate", "--in", str(tmp_path / "absent.csv")]) == 1
         assert "error:" in capsys.readouterr().err
@@ -281,6 +289,55 @@ class TestAudit:
         assert report["verdict"] == "not re-sortable; Bell bound inapplicable"
         assert report["resort"]["count_deficits"] == [0, -1, -1]
         assert report["resort"]["gamma_resorted"] is None
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("quoted", [False, True])
+    @pytest.mark.parametrize("command", ["estimate", "resort", "audit", "split"])
+    def test_oversized_cell_is_a_one_line_error(self, tmp_path, capsys, command, quoted):
+        # csv's field size limit is 131,072 characters.
+        cell = "1" * 200_000
+        if quoted:
+            cell = f'"{cell}"'
+        path = tmp_path / "huge.csv"
+        if command == "split":
+            path.write_text(f"j,a,d,b,c\n1,{cell},+1,+1,+1\n")
+        else:
+            path.write_text(f"pair,outcome_a,outcome_b\nab,{cell},+1\n")
+        argv = [command, "--in", str(path)]
+        if command == "split":
+            argv += ["--seed", "1", "--out", str(tmp_path / "out.csv")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith(" at row 1\n")
+        assert err.count("\n") == 1
+
+
+class TestSeedRange:
+    COMMANDS = {
+        "simulate": ["simulate", "--mode", "qm", "--n-per", "2", "--out", "{out}"],
+        "split": ["split", "--in", "{cf}", "--out", "{out}"],
+        "sweep": ["sweep", "--steps", "1", "--n-per", "10", "--out", "{out}"],
+        "resort": ["resort", "--in", "{qm}", "--policy", "uniform-random"],
+    }
+
+    def _argv(self, command, seed, tmp_path, cf_csv, qm_csv):
+        paths = {"out": tmp_path / "out.csv", "cf": cf_csv, "qm": qm_csv}
+        return [a.format(**paths) for a in self.COMMANDS[command]] + ["--seed", seed]
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_seed_outside_64_bits_is_usage_error(
+        self, tmp_path, cf_csv, qm_csv, capsys, command, seed
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(self._argv(command, seed, tmp_path, cf_csv, qm_csv))
+        assert exc.value.code == 2
+        assert "2**64" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_largest_seed_is_accepted(self, tmp_path, cf_csv, qm_csv, command):
+        assert main(self._argv(command, str(2**64 - 1), tmp_path, cf_csv, qm_csv)) == 0
 
 
 class TestUsage:

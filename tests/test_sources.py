@@ -4,6 +4,7 @@ import io
 import math
 import os
 import stat
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -311,6 +312,15 @@ class TestSubrunCsv:
         with pytest.raises(CsvFormatError, match="wrong number of fields at row 2"):
             ingest_csv(f"{SUBRUN_HEADER}\nab,+1,+1\nac,+1\n".encode())
 
+    @pytest.mark.parametrize("quote", ["", '"'])
+    def test_invalid_utf8_names_its_row(self, quote):
+        rows = f"ab,+1,{quote}+1{quote}\nac,+1,\xff1\nxy,+1,+1\n".encode("latin-1")
+        with pytest.raises(CsvFormatError, match="^invalid UTF-8 at row 2$"):
+            ingest_csv(f"{SUBRUN_HEADER}\n".encode() + rows)
+        # An earlier bad row is reported first.
+        with pytest.raises(CsvFormatError, match="unknown setting pair 'xy' at row 1"):
+            ingest_csv(f"{SUBRUN_HEADER}\n".encode() + rows.replace(b"ab", b"xy"))
+
     def test_failed_write_keeps_the_earlier_file(self, tmp_path):
         target = tmp_path / "trials.csv"
         target.write_bytes(b"earlier,file\n")
@@ -437,12 +447,19 @@ class TestOutputTargets:
         assert list(null.parent.glob(f".{null.name}.*.tmp")) == []
 
 
-OUTCOME_TEXTS = st.sampled_from(["+1", "-1", "1", " -1", "+01"])
+OUTCOME_TEXTS = st.sampled_from(["+1", "-1", "1", " -1", "+01", "\t+1", "-1\xa0", "0_1", "\u0661"])
 GOOD_TEXTS = {
-    "pair": st.sampled_from(["ab", "ac", "db", "dc", " db", "ac "]),
-    "j": st.integers(0, 10**6).map(str) | st.just(" 7"),
+    "pair": st.sampled_from(["ab", "ac", "db", "dc", " db", "ac ", "\tdc", "ab\xa0"]),
+    # int() reads at most 4,300 digits.
+    "j": st.integers(0, 10**6).map(str)
+    | st.sampled_from([" 7", "+01", "0_1", "\u0661", "1" * 19, "1" * 4300, "1" * 4301]),
 }
-BAD_TEXTS = st.sampled_from(["0", "2", "x", "", " ", "1.0", "+-1", "ba", "AB"])
+# Python 3.10's csv module rejects a NUL with csv.Error, which the
+# reference parsers do not turn into a CsvFormatError.
+NUL_TEXTS = ["1\x00"] if sys.version_info >= (3, 11) else []
+BAD_TEXTS = st.sampled_from(
+    ["0", "2", "x", "", " ", "1.0", "+-1", "ba", "AB", '+"1', "1" * 4301, *NUL_TEXTS]
+)
 
 
 @st.composite
@@ -471,14 +488,18 @@ def trial_csv_text(draw, columns: tuple[str, ...]) -> str:
             row.append(draw(OUTCOME_TEXTS))
         elif edit == "blank":
             rows.insert(rows.index(row), [])
-    quote = draw(st.booleans())
+    # Quoting may start only some rows in, so that the reader switches
+    # from splitting bytes to csv.reader part way through the input.
+    quote_from = draw(st.none() | st.integers(0, 10))
 
-    def line(cells):
+    def line(number, cells):
+        quote = quote_from is not None and number >= quote_from
         return ",".join(f'"{c}"' if quote and draw(st.booleans()) else c for c in cells)
 
-    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    lead = newline if draw(st.integers(0, 9)) == 0 else ""  # a blank first line
     tail = newline if draw(st.booleans()) else ""
-    return newline.join(line(cells) for cells in [header, *rows]) + tail
+    return lead + newline.join(line(i, cells) for i, cells in enumerate([header, *rows])) + tail
 
 
 def _columns_or_error(parse, text):
@@ -499,26 +520,27 @@ def _counterfactual_columns(text):
 
 
 class TestIngestMatchesRowParser:
-    """Chunked ingest against the one-row-at-a-time reference parser.
+    """Block ingest against the one-row-at-a-time reference parser.
 
     Each input must give the same columns or the same error message;
-    with two rows per chunk, bad rows also fall on chunk boundaries.
+    with 7-byte reads, blocks cut through rows and bad rows fall on
+    block boundaries.
     """
 
-    @pytest.mark.parametrize("chunk_rows", [2, sources._CHUNK_ROWS])
+    @pytest.mark.parametrize("block_bytes", [7, sources._BLOCK_BYTES])
     @hyp_settings(max_examples=200, deadline=None)
     @given(text=trial_csv_text(("pair", "outcome_a", "outcome_b")))
-    def test_subrun_csv(self, chunk_rows, text):
+    def test_subrun_csv(self, block_bytes, text):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sources, "_CHUNK_ROWS", chunk_rows)
+            mp.setattr(sources, "_BLOCK_BYTES", block_bytes)
             got = _columns_or_error(_subrun_columns, text)
         assert got == _columns_or_error(reference_ingest_subruns, text)
 
-    @pytest.mark.parametrize("chunk_rows", [2, sources._CHUNK_ROWS])
+    @pytest.mark.parametrize("block_bytes", [7, sources._BLOCK_BYTES])
     @hyp_settings(max_examples=200, deadline=None)
     @given(text=trial_csv_text(("j", "a", "d", "b", "c")))
-    def test_counterfactual_csv(self, chunk_rows, text):
+    def test_counterfactual_csv(self, block_bytes, text):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sources, "_CHUNK_ROWS", chunk_rows)
+            mp.setattr(sources, "_BLOCK_BYTES", block_bytes)
             got = _columns_or_error(_counterfactual_columns, text)
         assert got == _columns_or_error(reference_ingest_counterfactual, text)
