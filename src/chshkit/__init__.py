@@ -43,13 +43,11 @@ from .resort import (
     TrialPermutation,
     align_permutation,
     closure_probability,
-    gamma_resorted,
     resort_cascade,
     trim_to_shortest,
 )
 from .rng import RngSpec
 from .sources import (
-    LHV_MODELS,
     PHOTON_OPTIMAL_QUAD,
     SIGN_MALUS,
     SPIN_OPTIMAL_QUAD,
@@ -61,7 +59,6 @@ from .sources import (
     ingest_csv,
     lhv_generate,
     lhv_malus_correlation,
-    lhv_model,
     lhv_outcomes,
     qm_generate,
     write_counterfactual_csv,
@@ -91,8 +88,6 @@ __all__ = [
     "SPIN_OPTIMAL_QUAD",
     "LhvModel",
     "SIGN_MALUS",
-    "LHV_MODELS",
-    "lhv_model",
     "lhv_outcomes",
     "lhv_generate",
     "lhv_malus_correlation",
@@ -118,7 +113,6 @@ __all__ = [
     "align_permutation",
     "ResortReport",
     "resort_cascade",
-    "gamma_resorted",
     "closure_probability",
     "trim_to_shortest",
 ]

@@ -44,7 +44,7 @@ def _as_outcome_array(values) -> np.ndarray:
     if arr.ndim != 1:
         raise ValueError("outcome sequence must be one-dimensional")
     try:
-        ok = bool(np.all(np.abs(arr) == 1)) if arr.size else True
+        ok = bool(np.all((arr == 1) | (arr == -1))) if arr.size else True
     except TypeError:
         raise ValueError("outcomes must be +1 or -1") from None
     if not ok:
@@ -144,9 +144,6 @@ class OutcomeSequence:
     def plus_count(self) -> int:
         """Number of +1 entries."""
         return int(np.count_nonzero(self.values == 1))
-
-    def to_tuple(self) -> tuple[int, ...]:
-        return tuple(int(v) for v in self.values)
 
 
 @dataclass(frozen=True)

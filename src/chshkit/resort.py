@@ -38,12 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    OutcomeSequence,
-    SubRunDataset,
-    SubRunPairs,
-    sequences_identical,
-)
+from .core import OutcomeSequence, SubRunDataset, SubRunPairs
 from .estimators import gamma_subruns
 from .rng import RngSpec
 
@@ -54,7 +49,6 @@ __all__ = [
     "ResortReport",
     "align_permutation",
     "resort_cascade",
-    "gamma_resorted",
     "closure_probability",
     "trim_to_shortest",
 ]
@@ -215,20 +209,6 @@ class ResortReport:
         }
 
 
-def _factored_gamma(
-    a1: OutcomeSequence,
-    b1: OutcomeSequence,
-    c2: OutcomeSequence,
-    d4: OutcomeSequence,
-    b3: OutcomeSequence,
-) -> float:
-    """The factorized grouping <a1*(b1 + c2)> + <d4*(b3 - c2)>."""
-    n = len(a1)
-    first = int(np.sum(a1.values * (b1.values + c2.values), dtype=np.int64))
-    second = int(np.sum(d4.values * (b3.values - c2.values), dtype=np.int64))
-    return (first + second) / n
-
-
 def resort_cascade(data: SubRunDataset, policy: ResortPolicy = STABLE) -> ResortReport:
     """Run the full re-sorting cascade over equal-length sub-runs.
 
@@ -242,56 +222,41 @@ def resort_cascade(data: SubRunDataset, policy: ResortPolicy = STABLE) -> Resort
         raise ValueError(f"cascade requires equal sub-run lengths, got {counts}")
     gamma_plain = gamma_subruns(data).value  # also rejects empty lists
 
-    a1, b1 = data.ab.a, data.ab.b
-
-    def step(index: int, target: OutcomeSequence, source_pairs: SubRunPairs, source_side: str):
-        source = source_pairs.a if source_side == "a" else source_pairs.b
-        random = policy.kind == "uniform-random"
+    a1, b1 = data.ab.a.values, data.ab.b.values
+    # Each step as (aligned side, dragged side), in cascade order: ac on
+    # its a-side, dc on its c-side (to the dragged-along c), db on its
+    # d-side (to the dragged-along d).  The dragged side, moved with its
+    # pairs, is the next step's target.
+    steps = ((data.ac.a, data.ac.b), (data.dc.b, data.dc.a), (data.db.a, data.db.b))
+    random = policy.kind == "uniform-random"
+    target = a1
+    perms, deficits, dragged = [], [], []
+    for index, (aligned, drag) in enumerate(steps):
         g = policy.rng.derive(index).generator() if random else None
-        perm = TrialPermutation(_class_matching(target.values, source.values, g))
-        deficit = target.plus_count() - source.plus_count()
-        return perm, deficit == 0, deficit, perm.apply_pairs(source_pairs)
+        perm = TrialPermutation(_class_matching(target, aligned.values, g))
+        perms.append(perm)
+        deficits.append(int(np.count_nonzero(target == 1)) - aligned.plus_count())
+        target = drag.values[perm.indices]
+        dragged.append(target)
+    c2, d4, b3 = dragged
 
-    # Terms re-sorted in cascade order: ac on its a-side, dc on its
-    # c-side (to the dragged-along c), db on its d-side (to the
-    # dragged-along d).
-    perm2, ok2, deficit2, ac_rs = step(0, a1, data.ac, "a")
-    perm4, ok4, deficit4, dc_rs = step(1, ac_rs.b, data.dc, "b")
-    perm3, ok3, deficit3, db_rs = step(2, dc_rs.a, data.db, "a")
-
-    b3_rs = db_rs.b
-    closure = sequences_identical(b1, b3_rs)
-    hamming = int(np.count_nonzero(b1.values != b3_rs.values))
-
-    feasible = (ok2, ok4, ok3)
-    factored = (
-        _factored_gamma(a1, b1, ac_rs.b, dc_rs.a, b3_rs) if all(feasible) else None
-    )
+    hamming = int(np.count_nonzero(b1 != b3))
+    feasible = tuple(deficit == 0 for deficit in deficits)
+    factored = None
+    if all(feasible):
+        # The factorized grouping <a1*(b1 + c2)> + <d4*(b3 - c2)>.
+        first = int(np.sum(a1 * (b1 + c2), dtype=np.int64))
+        second = int(np.sum(d4 * (b3 - c2), dtype=np.int64))
+        factored = (first + second) / len(a1)
     return ResortReport(
         feasible=feasible,
-        perms=(perm2, perm4, perm3),
-        count_deficits=(deficit2, deficit4, deficit3),
-        closure=closure,
+        perms=tuple(perms),
+        count_deficits=tuple(deficits),
+        closure=hamming == 0,
         hamming_b=hamming,
         gamma_subruns=gamma_plain,
         gamma_resorted=factored,
     )
-
-
-def gamma_resorted(data: SubRunDataset, report: ResortReport) -> float:
-    """Evaluate the factorized grouping on the re-sorted lists.
-
-    Equals the plain sub-run Gamma whenever the cascade was feasible:
-    permutations reorder each term's trials without changing its sum.
-    Raises if any step was infeasible.
-    """
-    if not report.all_feasible:
-        raise ValueError("cascade infeasible; factorized gamma undefined")
-    perm2, perm4, perm3 = report.perms
-    ac_rs = perm2.apply_pairs(data.ac)
-    dc_rs = perm4.apply_pairs(data.dc)
-    db_rs = perm3.apply_pairs(data.db)
-    return _factored_gamma(data.ab.a, data.ab.b, ac_rs.b, dc_rs.a, db_rs.b)
 
 
 def closure_probability(

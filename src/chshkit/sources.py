@@ -50,8 +50,6 @@ __all__ = [
     "CorrelationLaw",
     "LhvModel",
     "SIGN_MALUS",
-    "LHV_MODELS",
-    "lhv_model",
     "PHOTON_OPTIMAL_QUAD",
     "SPIN_OPTIMAL_QUAD",
     "lhv_outcomes",
@@ -115,17 +113,6 @@ def _sign_malus_response(theta: float, lam: np.ndarray) -> np.ndarray:
 
 
 SIGN_MALUS = LhvModel("sign-malus", _sign_malus_response)
-
-LHV_MODELS: dict[str, LhvModel] = {SIGN_MALUS.name: SIGN_MALUS}
-
-
-def lhv_model(name: str) -> LhvModel:
-    """Look up a built-in hidden-variable model by name."""
-    try:
-        return LHV_MODELS[name]
-    except KeyError:
-        known = ", ".join(sorted(LHV_MODELS))
-        raise ValueError(f"unknown LHV model {name!r} (known: {known})") from None
 
 
 def lhv_outcomes(
@@ -232,7 +219,7 @@ def _reader(source) -> Iterator[Callable[[int], bytes]]:
     elif isinstance(source, (bytes, bytearray)):
         yield io.BytesIO(source).read
     elif isinstance(source, io.TextIOBase):
-        yield lambda size: source.read(size).encode("utf-8")
+        yield lambda size: source.read(size).encode("utf-8", "surrogatepass")
     elif hasattr(source, "read"):  # binary file-like
         yield source.read
     else:

@@ -9,12 +9,18 @@ import numpy as np
 
 from chshkit import (
     PAIR_LABELS,
+    STABLE,
     CounterfactualDataset,
     CsvFormatError,
     OutcomeSequence,
+    ResortPolicy,
+    ResortReport,
     RngSpec,
     SubRunDataset,
     SubRunPairs,
+    TrialPermutation,
+    gamma_subruns,
+    sequences_identical,
 )
 
 
@@ -180,3 +186,80 @@ def reference_ingest_counterfactual(text: str) -> list[list[int]]:
     if row_num == 0:
         raise CsvFormatError("no trials")
     return [columns[name] for name in "adbc"]
+
+
+# Reference cascade: the re-sorting cascade as the package ran it before
+# its single loop over int8 arrays, one step closure per term and every
+# intermediate list rebuilt as validated pairs.  Its class matching is
+# copied too, so a report it returns fixes the permutations, leftover
+# pairings and RNG draws the package must reproduce.
+
+
+def _reference_class_matching(target, source, g):
+    n = target.size
+    t_plus = np.flatnonzero(target == 1)
+    t_minus = np.flatnonzero(target == -1)
+    s_plus = np.flatnonzero(source == 1)
+    s_minus = np.flatnonzero(source == -1)
+    if g is not None:
+        s_plus = g.permutation(s_plus)
+        s_minus = g.permutation(s_minus)
+    m_plus = min(t_plus.size, s_plus.size)
+    m_minus = min(t_minus.size, s_minus.size)
+    perm = np.empty(n, dtype=np.int64)
+    perm[t_plus[:m_plus]] = s_plus[:m_plus]
+    perm[t_minus[:m_minus]] = s_minus[:m_minus]
+    leftover_t = np.concatenate([t_plus[m_plus:], t_minus[m_minus:]])
+    leftover_s = np.concatenate([s_plus[m_plus:], s_minus[m_minus:]])
+    perm[leftover_t] = leftover_s
+    return perm
+
+
+def _reference_factored_gamma(a1, b1, c2, d4, b3):
+    n = len(a1)
+    first = int(np.sum(a1.values * (b1.values + c2.values), dtype=np.int64))
+    second = int(np.sum(d4.values * (b3.values - c2.values), dtype=np.int64))
+    return (first + second) / n
+
+
+def reference_resort_cascade(data: SubRunDataset, policy: ResortPolicy = STABLE) -> ResortReport:
+    counts = data.counts
+    if len(set(counts)) != 1:
+        raise ValueError(f"cascade requires equal sub-run lengths, got {counts}")
+    gamma_plain = gamma_subruns(data).value
+
+    a1, b1 = data.ab.a, data.ab.b
+
+    def step(index, target, source_pairs, source_side):
+        source = source_pairs.a if source_side == "a" else source_pairs.b
+        random = policy.kind == "uniform-random"
+        g = policy.rng.derive(index).generator() if random else None
+        perm = TrialPermutation(_reference_class_matching(target.values, source.values, g))
+        deficit = target.plus_count() - source.plus_count()
+        moved = SubRunPairs(
+            OutcomeSequence(source_pairs.a.values[perm.indices]),
+            OutcomeSequence(source_pairs.b.values[perm.indices]),
+        )
+        return perm, deficit == 0, deficit, moved
+
+    perm2, ok2, deficit2, ac_rs = step(0, a1, data.ac, "a")
+    perm4, ok4, deficit4, dc_rs = step(1, ac_rs.b, data.dc, "b")
+    perm3, ok3, deficit3, db_rs = step(2, dc_rs.a, data.db, "a")
+
+    b3_rs = db_rs.b
+    closure = sequences_identical(b1, b3_rs)
+    hamming = int(np.count_nonzero(b1.values != b3_rs.values))
+
+    feasible = (ok2, ok4, ok3)
+    factored = (
+        _reference_factored_gamma(a1, b1, ac_rs.b, dc_rs.a, b3_rs) if all(feasible) else None
+    )
+    return ResortReport(
+        feasible=feasible,
+        perms=(perm2, perm4, perm3),
+        count_deficits=(deficit2, deficit4, deficit3),
+        closure=closure,
+        hamming_b=hamming,
+        gamma_subruns=gamma_plain,
+        gamma_resorted=factored,
+    )

@@ -72,7 +72,7 @@ class TestSettingsQuad:
 
 class TestOutcomeSequence:
     def test_accepts_only_plus_minus_one(self):
-        for bad in ([0], [2], [1, -1, 3], ["x"]):
+        for bad in ([0], [2], [1, -1, 3], ["x"], [1j, -1], [0.6 + 0.8j]):
             with pytest.raises(ValueError):
                 OutcomeSequence(np.asarray(bad))
 
@@ -97,10 +97,10 @@ class TestOutcomeSequence:
         assert hash(seq(1, -1, 1)) == hash(seq(1, -1, 1))
         assert {seq(1, 1): "x"}[seq(1, 1)] == "x"
 
-    def test_plus_count_and_to_tuple(self):
+    def test_plus_count_and_tuple(self):
         s = seq(1, -1, 1, 1)
         assert s.plus_count() == 3
-        assert s.to_tuple() == (1, -1, 1, 1)
+        assert tuple(s) == (1, -1, 1, 1)
 
     def test_empty_sequence_allowed(self):
         assert len(OutcomeSequence(np.empty(0, dtype=np.int8))) == 0

@@ -11,13 +11,13 @@ from chshkit import (
     CounterfactualDataset,
     PHOTON_OPTIMAL_QUAD,
     RngSpec,
+    SIGN_MALUS,
     SPIN_OPTIMAL_QUAD,
     SettingsQuad,
     SubRunDataset,
     gamma_pooled,
     gamma_subruns,
     lhv_generate,
-    lhv_model,
     split_random,
     termwise_bound_check,
     theory_gamma,
@@ -197,15 +197,14 @@ class TestSplitRandom:
             assert px.a == py.a and px.b == py.b
 
     def test_settings_carried_over(self):
-        data = lhv_generate(lhv_model("sign-malus"), PHOTON_OPTIMAL_QUAD, 100, RngSpec(11))
+        data = lhv_generate(SIGN_MALUS, PHOTON_OPTIMAL_QUAD, 100, RngSpec(11))
         assert split_random(data, RngSpec(12)).settings is PHOTON_OPTIMAL_QUAD
 
 
 class TestEstimatorAgreement:
     def test_split_tracks_pooled_on_lhv_data(self):
-        model = lhv_model("sign-malus")
         for s in range(5):
-            data = lhv_generate(model, PHOTON_OPTIMAL_QUAD, 100_000, RngSpec(100 + s))
+            data = lhv_generate(SIGN_MALUS, PHOTON_OPTIMAL_QUAD, 100_000, RngSpec(100 + s))
             pooled = gamma_pooled(data).value
             split = gamma_subruns(split_random(data, RngSpec(200 + s))).value
             assert abs(split - pooled) <= 0.05

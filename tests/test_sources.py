@@ -28,7 +28,6 @@ from chshkit import (
     ingest_csv,
     lhv_generate,
     lhv_malus_correlation,
-    lhv_model,
     lhv_outcomes,
     qm_generate,
     sequences_identical,
@@ -86,11 +85,6 @@ class TestCorrelationLaw:
 
 
 class TestLhvModel:
-    def test_lookup(self):
-        assert lhv_model("sign-malus") is SIGN_MALUS
-        with pytest.raises(ValueError, match="unknown LHV model"):
-            lhv_model("nope")
-
     def test_sign_malus_hand_values(self):
         lam = np.array([0.0, math.pi / 3, math.pi / 2])
         # cos(0)=1, cos(-2pi/3)=-1/2, cos(-pi)=-1 at theta=0.
@@ -320,6 +314,12 @@ class TestSubrunCsv:
         # An earlier bad row is reported first.
         with pytest.raises(CsvFormatError, match="unknown setting pair 'xy' at row 1"):
             ingest_csv(f"{SUBRUN_HEADER}\n".encode() + rows.replace(b"ab", b"xy"))
+        # A text stream holding a lone surrogate cannot be UTF-8 either.
+        text = f"{SUBRUN_HEADER}\nab,+1,{quote}-1{quote}\ndc,\ud800,1\n"
+        with pytest.raises(CsvFormatError, match="^invalid UTF-8 at row 2$"):
+            ingest_csv(io.StringIO(text))
+        with pytest.raises(CsvFormatError, match="^invalid UTF-8 in the header$"):
+            ingest_csv(io.StringIO(f"{SUBRUN_HEADER}\ud800\nab,+1,-1\n"))
 
     def test_failed_write_keeps_the_earlier_file(self, tmp_path):
         target = tmp_path / "trials.csv"
@@ -367,7 +367,7 @@ class TestCounterfactualCsv:
     def test_non_contiguous_indices_accepted(self):
         text = f"{CF_HEADER}\n10,+1,+1,+1,+1\n3,-1,-1,-1,-1\n"
         data = ingest_counterfactual_csv(text.encode())
-        assert data.n == 2 and data.a_seq.to_tuple() == (1, -1)
+        assert data.n == 2 and tuple(data.a_seq) == (1, -1)
 
     def test_invalid_index_rejected(self):
         text = f"{CF_HEADER}\nfirst,+1,+1,+1,+1\n"
