@@ -34,6 +34,7 @@ factorized Gamma is withheld (its grouping identity no longer holds).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,7 +66,10 @@ class TrialPermutation:
     indices: np.ndarray
 
     def __post_init__(self) -> None:
-        idx = np.asarray(self.indices, dtype=np.int64)
+        idx = np.asarray(self.indices)
+        if idx.size and idx.dtype.kind not in "iu":
+            raise ValueError("permutation indices must be integers")
+        idx = idx.astype(np.int64, copy=False)
         if idx.ndim != 1:
             raise ValueError("permutation indices must be one-dimensional")
         n = idx.size
@@ -123,6 +127,13 @@ class ResortPolicy:
 
 
 STABLE = ResortPolicy("stable")
+
+# Uniform draws per piece of a Monte-Carlo chunk: while n <= 2**15 a
+# piece's doubles and their argsort take at most 512 KiB, so the working
+# set is that plus one chunk's side-1 rows as bools (1 MB), whatever
+# ``trials`` is.  2**14 to 2**16 were equally fast; 2**18 and up raised
+# the peak again.
+_PIECE_DRAWS = 1 << 15
 
 
 def _class_matching(
@@ -288,22 +299,33 @@ def closure_probability(
         return 1 / math.comb(n, k)
     if mode != "monte-carlo":
         raise ValueError(f"unknown mode {mode!r}")
-    if trials is None or trials < 1:
-        raise ValueError("monte-carlo mode requires trials >= 1")
+    if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or trials < 1:
+        raise ValueError("monte-carlo mode requires an integer trials >= 1")
     if rng is None:
         raise ValueError("monte-carlo mode requires an rng")
     g = rng.generator()
-    hits = 0
-    done = 0
-    chunk = max(1, 1_000_000 // max(n, 1))
-    while done < trials:
-        m = min(chunk, trials - done)
+
+    def arrangements(rows: int) -> np.ndarray:
         # argsort of uniforms = uniform random permutation; a sequence
         # arrangement is determined by which permuted slots hold ones.
-        ones_1 = g.random((m, n)).argsort(axis=1) < k
-        ones_2 = g.random((m, n)).argsort(axis=1) < k
-        hits += int(np.sum(np.all(ones_1 == ones_2, axis=1)))
-        done += m
+        return g.random((rows, n)).argsort(axis=1) < k
+
+    # Each chunk draws all of side 1, then all of side 2, a piece of
+    # ``rows`` rows at a time.  Philox doubles come in order, so the
+    # pieces hold the values one (m, n) draw would, and a seed's estimate
+    # depends on the chunk size but not on the piece size.
+    chunk = max(1, 1_000_000 // max(n, 1))
+    rows = max(1, _PIECE_DRAWS // max(n, 1))
+    ones_1 = np.empty((min(chunk, trials), n), dtype=bool)
+    hits = 0
+    for done in range(0, trials, chunk):
+        m = min(chunk, trials - done)
+        pieces = [slice(start, min(start + rows, m)) for start in range(0, m, rows)]
+        for piece in pieces:
+            ones_1[piece] = arrangements(piece.stop - piece.start)
+        for piece in pieces:
+            same = arrangements(piece.stop - piece.start) == ones_1[piece]
+            hits += int(np.count_nonzero(same.all(axis=1)))
     return hits / trials
 
 

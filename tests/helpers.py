@@ -263,3 +263,23 @@ def reference_resort_cascade(data: SubRunDataset, policy: ResortPolicy = STABLE)
         gamma_subruns=gamma_plain,
         gamma_resorted=factored,
     )
+
+
+# Reference Monte-Carlo closure odds: the loop closure_probability ran
+# before it drew its chunks in pieces, each side of a chunk as one
+# (m, n) draw.  Its chunk size and draw order fix the estimate the
+# package must return for a seed.
+
+
+def reference_closure_mc(n: int, k: int, trials: int, rng: RngSpec) -> float:
+    g = rng.generator()
+    hits = 0
+    done = 0
+    chunk = max(1, 1_000_000 // max(n, 1))
+    while done < trials:
+        m = min(chunk, trials - done)
+        ones_1 = g.random((m, n)).argsort(axis=1) < k
+        ones_2 = g.random((m, n)).argsort(axis=1) < k
+        hits += int(np.sum(np.all(ones_1 == ones_2, axis=1)))
+        done += m
+    return hits / trials

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,10 +29,12 @@ from chshkit import (
     sequences_identical,
     trim_to_shortest,
 )
+from chshkit import resort
 from helpers import (
     feasible_dataset,
     pairs,
     random_counterfactual,
+    reference_closure_mc,
     reference_resort_cascade,
     seq,
     shared_run_dataset,
@@ -50,6 +53,15 @@ class TestTrialPermutation:
             TrialPermutation(np.array([0, 3]))
         with pytest.raises(ValueError, match="one-dimensional"):
             TrialPermutation(np.zeros((2, 2), dtype=np.int64))
+
+    @pytest.mark.parametrize("indices", [np.array([0.7, 1.2]), [True, False]])
+    def test_rejects_non_integer_indices(self, indices):
+        with pytest.raises(ValueError, match="must be integers"):
+            TrialPermutation(indices)
+
+    def test_empty_input_is_the_empty_permutation(self):
+        assert TrialPermutation([]) == TrialPermutation.identity(0)
+        assert TrialPermutation(np.array([], dtype=np.uint8)).indices.dtype == np.int64
 
     def test_apply_reorders(self):
         p = TrialPermutation(np.array([2, 0, 1]))
@@ -408,6 +420,67 @@ class TestClosureProbability:
         a = closure_probability(6, 3, mode="monte-carlo", trials=5000, rng=RngSpec(19))
         b = closure_probability(6, 3, mode="monte-carlo", trials=5000, rng=RngSpec(19))
         assert a == b
+
+    @pytest.mark.parametrize("trials", [2.5, True])
+    def test_monte_carlo_trials_must_be_an_integer(self, trials):
+        with pytest.raises(ValueError, match="integer trials"):
+            closure_probability(4, 2, mode="monte-carlo", trials=trials, rng=RngSpec(1))
+
+    def test_monte_carlo_accepts_numpy_integer_trials(self):
+        estimate = closure_probability(4, 2, mode="monte-carlo", trials=np.int64(10), rng=RngSpec(1))
+        assert estimate == closure_probability(4, 2, mode="monte-carlo", trials=10, rng=RngSpec(1))
+
+    def test_monte_carlo_working_set_is_bounded(self):
+        # Two chunks of 10^5 rows at n = 10: drawn whole, each side of a
+        # chunk held 17 MB of doubles and argsort indices.
+        tracemalloc.start()
+        try:
+            closure_probability(10, 5, mode="monte-carlo", trials=200_000, rng=RngSpec(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
+
+
+@st.composite
+def monte_carlo_cases(draw):
+    """(n, k, trials): one or two whole chunks, then a partial chunk
+    that ends part-way through one of its pieces."""
+    n = draw(st.integers(0, 40))
+    k = draw(st.integers(0, n))
+    chunk = max(1, 1_000_000 // max(n, 1))
+    rows = max(1, resort._PIECE_DRAWS // max(n, 1))
+    whole = draw(st.integers(1, 2))
+    pieces = draw(st.integers(0, chunk // rows - 1))
+    return n, k, whole * chunk + pieces * rows + draw(st.integers(1, rows - 1))
+
+
+class TestClosureMonteCarloMatchesReference:
+    """The piecewise draws give the float the whole-chunk loop gave."""
+
+    @hyp_settings(max_examples=25, deadline=None)
+    @given(case=monte_carlo_cases(), seed=st.integers(0, 2**64 - 1))
+    def test_small_n(self, case, seed):
+        n, k, trials = case
+        got = closure_probability(n, k, mode="monte-carlo", trials=trials, rng=RngSpec(seed))
+        assert got == reference_closure_mc(n, k, trials, RngSpec(seed))
+
+    @pytest.mark.parametrize(
+        "n,k,trials",
+        [
+            (1000, 0, 2500),
+            (1000, 1, 2500),
+            (1000, 500, 2500),
+            (1000, 1000, 2500),
+            (40_000, 0, 3),
+            (40_000, 1, 2),
+            (40_000, 20_000, 3),
+            (40_000, 40_000, 1),
+        ],
+    )
+    def test_large_n(self, n, k, trials):
+        got = closure_probability(n, k, mode="monte-carlo", trials=trials, rng=RngSpec(7))
+        assert got == reference_closure_mc(n, k, trials, RngSpec(7))
 
 
 class TestTrimToShortest:
