@@ -168,8 +168,8 @@ class SubRunPairs:
         return len(self.a)
 
     def product_sum(self) -> int:
-        """Exact integer sum of per-trial products a(j)*b(j)."""
-        return int(np.sum(self.a.values * self.b.values, dtype=np.int64))
+        """Exact integer sum of per-trial products a(j)*b(j), -1 where a, b differ."""
+        return len(self) - 2 * int(np.count_nonzero(self.a.values != self.b.values))
 
 
 @dataclass(frozen=True)

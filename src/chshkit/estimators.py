@@ -28,6 +28,7 @@ import numpy as np
 from .core import (
     CounterfactualDataset,
     OutcomeSequence,
+    PAIR_LABELS,
     SettingsQuad,
     SubRunDataset,
     SubRunPairs,
@@ -118,10 +119,10 @@ def gamma_subruns(data: SubRunDataset) -> GammaResult:
     The per-term bounds are the only constraint: |value| <= 4, and the
     extremes are attainable (no Bell bound holds for disjoint sub-runs).
     """
-    for label, pairs in data.items():
-        if len(pairs) == 0:
-            raise ValueError(f"empty sub-run list: {label}")
-    return GammaResult(data.counts, tuple(pairs.product_sum() for _, pairs in data.items()))
+    counts = data.counts
+    if 0 in counts:
+        raise ValueError(f"empty sub-run list: {PAIR_LABELS[counts.index(0)]}")
+    return GammaResult(counts, tuple(pairs.product_sum() for _, pairs in data.items()))
 
 
 def split_random(

@@ -22,13 +22,9 @@ ones coincide with probability 1/C(n, k).
 Re-sorting can never change the value of Gamma (each term's sum is
 permutation-invariant); what it changes is factorizability.  The
 cascade therefore reports the permutations, per-step feasibility
-(+1-count matches), the closure verdict with its Hamming distance, and
+(+1-count matches), the closure verdict with its Hamming distance
+(a step whose counts mismatch takes a maximum-agreement matching), and
 the factorized Gamma when every step was feasible.
-
-When a step's +1-counts mismatch, exact alignment is impossible; the
-cascade still completes with a best-effort maximum-agreement matching
-so closure and Hamming distance are always reported, and only the
-factorized Gamma is withheld (its grouping identity no longer holds).
 """
 
 from __future__ import annotations
@@ -69,21 +65,27 @@ class TrialPermutation:
         idx = np.asarray(self.indices)
         if idx.size and idx.dtype.kind not in "iu":
             raise ValueError("permutation indices must be integers")
-        idx = idx.astype(np.int64, copy=False)
+        idx = idx.astype(np.int64)  # a copy: the caller's array stays writable
         if idx.ndim != 1:
             raise ValueError("permutation indices must be one-dimensional")
-        n = idx.size
-        if n:
-            if idx.min() < 0 or idx.max() >= n:
-                raise ValueError("permutation indices out of range")
-            if np.any(np.bincount(idx, minlength=n) != 1):
-                raise ValueError("indices do not form a bijection")
+        if idx.size and (idx.min() < 0 or idx.max() >= idx.size):
+            raise ValueError("permutation indices out of range")
+        if np.any(np.bincount(idx, minlength=idx.size) != 1):
+            raise ValueError("indices do not form a bijection")
         idx.setflags(write=False)
         object.__setattr__(self, "indices", idx)
 
     @classmethod
     def identity(cls, n: int) -> TrialPermutation:
         return cls(np.arange(n, dtype=np.int64))
+
+    @classmethod
+    def _trusted(cls, indices: np.ndarray) -> TrialPermutation:
+        """Wrap a fresh int64 bijection built in this module, unchecked."""
+        indices.setflags(write=False)
+        perm = object.__new__(cls)
+        object.__setattr__(perm, "indices", indices)
+        return perm
 
     def __len__(self) -> int:
         return int(self.indices.size)
@@ -138,7 +140,7 @@ _PIECE_DRAWS = 1 << 15
 
 def _class_matching(
     target: np.ndarray, source: np.ndarray, g: np.random.Generator | None
-) -> np.ndarray:
+) -> tuple[np.ndarray, int]:
     """Permutation carrying source onto target, classwise, best effort.
 
     +1 source positions fill +1 target slots and likewise for -1; when
@@ -146,24 +148,27 @@ def _class_matching(
     agreement is maximal (n - |count deficit|).  With ``g`` given, the
     within-class assignment is drawn uniformly; otherwise both sides are
     taken in ascending position order (the unique stable matching).
+    Returns it with the deficit, target's +1 count minus source's.
     """
-    n = target.size
-    t_plus = np.flatnonzero(target == 1)
-    t_minus = np.flatnonzero(target == -1)
-    s_plus = np.flatnonzero(source == 1)
-    s_minus = np.flatnonzero(source == -1)
+    t_minus, s_minus = target != 1, source != 1
+    t_plus = target.size - int(np.count_nonzero(t_minus))
+    s_plus = source.size - int(np.count_nonzero(s_minus))
+    # Rank key: +1 positions first, each class in position order.
+    t_order = np.argsort(t_minus, kind="stable")
+    s_order = np.argsort(s_minus, kind="stable")
     if g is not None:
-        s_plus = g.permutation(s_plus)
-        s_minus = g.permutation(s_minus)
-    m_plus = min(t_plus.size, s_plus.size)
-    m_minus = min(t_minus.size, s_minus.size)
-    perm = np.empty(n, dtype=np.int64)
-    perm[t_plus[:m_plus]] = s_plus[:m_plus]
-    perm[t_minus[:m_minus]] = s_minus[:m_minus]
-    leftover_t = np.concatenate([t_plus[m_plus:], t_minus[m_minus:]])
-    leftover_s = np.concatenate([s_plus[m_plus:], s_minus[m_minus:]])
-    perm[leftover_t] = leftover_s
-    return perm
+        # In place, drawing exactly what g.permutation of each class would.
+        g.shuffle(s_order[:s_plus])
+        g.shuffle(s_order[s_plus:])
+    if t_plus != s_plus:
+        # The side with more +1s moves its unmatched +1s behind its -1s,
+        # which pairs them with the other side's unmatched -1s.
+        lo, hi = sorted((t_plus, s_plus))
+        order = t_order if t_plus > s_plus else s_order
+        order[lo:] = np.concatenate((order[hi:], order[lo:hi]))
+    perm = np.empty(target.size, dtype=np.int64)
+    perm[t_order] = s_order
+    return perm, t_plus - s_plus
 
 
 def align_permutation(
@@ -178,10 +183,9 @@ def align_permutation(
     """
     if len(target) != len(source):
         raise ValueError(f"length mismatch: {len(target)} != {len(source)}")
-    if target.plus_count() != source.plus_count():
-        return None
     g = policy.rng.generator() if policy.kind == "uniform-random" else None
-    return TrialPermutation(_class_matching(target.values, source.values, g))
+    perm, deficit = _class_matching(target.values, source.values, g)
+    return None if deficit else TrialPermutation._trusted(perm)
 
 
 @dataclass(frozen=True)
@@ -232,22 +236,19 @@ def resort_cascade(data: SubRunDataset, policy: ResortPolicy = STABLE) -> Resort
     if len(set(counts)) != 1:
         raise ValueError(f"cascade requires equal sub-run lengths, got {counts}")
     gamma_plain = gamma_subruns(data).value  # also rejects empty lists
+    (a1, b1), ac, db, dc = ((p.a.values, p.b.values) for p in (data.ab, data.ac, data.db, data.dc))
 
-    a1, b1 = data.ab.a.values, data.ab.b.values
     # Each step as (aligned side, dragged side), in cascade order: ac on
     # its a-side, dc on its c-side (to the dragged-along c), db on its
     # d-side (to the dragged-along d).  The dragged side, moved with its
     # pairs, is the next step's target.
-    steps = ((data.ac.a, data.ac.b), (data.dc.b, data.dc.a), (data.db.a, data.db.b))
-    random = policy.kind == "uniform-random"
-    target = a1
-    perms, deficits, dragged = [], [], []
-    for index, (aligned, drag) in enumerate(steps):
-        g = policy.rng.derive(index).generator() if random else None
-        perm = TrialPermutation(_class_matching(target, aligned.values, g))
-        perms.append(perm)
-        deficits.append(int(np.count_nonzero(target == 1)) - aligned.plus_count())
-        target = drag.values[perm.indices]
+    target, perms, deficits, dragged = a1, [], [], []
+    for index, (aligned, drag) in enumerate((ac, dc[::-1], db)):
+        g = policy.rng.derive(index).generator() if policy.kind == "uniform-random" else None
+        perm, deficit = _class_matching(target, aligned, g)
+        perms.append(TrialPermutation._trusted(perm))
+        deficits.append(deficit)
+        target = drag[perm]
         dragged.append(target)
     c2, d4, b3 = dragged
 
@@ -255,10 +256,8 @@ def resort_cascade(data: SubRunDataset, policy: ResortPolicy = STABLE) -> Resort
     feasible = tuple(deficit == 0 for deficit in deficits)
     factored = None
     if all(feasible):
-        # The factorized grouping <a1*(b1 + c2)> + <d4*(b3 - c2)>.
-        first = int(np.sum(a1 * (b1 + c2), dtype=np.int64))
-        second = int(np.sum(d4 * (b3 - c2), dtype=np.int64))
-        factored = (first + second) / len(a1)
+        # The factorized grouping <a1*(b1 + c2) + d4*(b3 - c2)>.
+        factored = int(np.sum(a1 * (b1 + c2) + d4 * (b3 - c2), dtype=np.int64)) / len(a1)
     return ResortReport(
         feasible=feasible,
         perms=tuple(perms),
@@ -268,6 +267,11 @@ def resort_cascade(data: SubRunDataset, policy: ResortPolicy = STABLE) -> Resort
         gamma_subruns=gamma_plain,
         gamma_resorted=factored,
     )
+
+
+def _is_count(x) -> bool:
+    """An integer, numpy's included, and not a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 def closure_probability(
@@ -285,8 +289,8 @@ def closure_probability(
     is 1 / C(n, k).  Monte-Carlo mode estimates the same quantity by
     simulating both shuffles (``trials`` and ``rng`` required).
     """
-    if n < 0 or k < 0 or k > n:
-        raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
+    if not (_is_count(n) and _is_count(k)) or n < 0 or k < 0 or k > n:
+        raise ValueError(f"need integers 0 <= k <= n, got n={n}, k={k}")
     if mode == "exact":
         # 1/C(n, k) rounds to 0.0 below half the smallest subnormal,
         # 2**-1075.  Past that, with a margin for lgamma's rounding, the
@@ -299,7 +303,7 @@ def closure_probability(
         return 1 / math.comb(n, k)
     if mode != "monte-carlo":
         raise ValueError(f"unknown mode {mode!r}")
-    if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or trials < 1:
+    if not _is_count(trials) or trials < 1:
         raise ValueError("monte-carlo mode requires an integer trials >= 1")
     if rng is None:
         raise ValueError("monte-carlo mode requires an rng")
@@ -332,12 +336,6 @@ def closure_probability(
 def trim_to_shortest(data: SubRunDataset) -> SubRunDataset:
     """Truncate all four lists to the shortest length.  Lossy."""
     m = min(data.counts)
-
-    def cut(pairs: SubRunPairs) -> SubRunPairs:
-        return SubRunPairs(
-            OutcomeSequence(pairs.a.values[:m]), OutcomeSequence(pairs.b.values[:m])
-        )
-
-    return SubRunDataset(
-        cut(data.ab), cut(data.ac), cut(data.db), cut(data.dc), settings=data.settings
-    )
+    lists = (SubRunPairs(OutcomeSequence(p.a.values[:m]), OutcomeSequence(p.b.values[:m]))
+             for _, p in data.items())
+    return SubRunDataset(*lists, settings=data.settings)

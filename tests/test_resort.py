@@ -59,6 +59,13 @@ class TestTrialPermutation:
         with pytest.raises(ValueError, match="must be integers"):
             TrialPermutation(indices)
 
+    def test_leaves_the_callers_array_writable(self):
+        a = np.array([1, 0])
+        p = TrialPermutation(a)
+        a[0] = 0
+        assert p.indices.tolist() == [1, 0]
+        assert not p.indices.flags.writeable
+
     def test_empty_input_is_the_empty_permutation(self):
         assert TrialPermutation([]) == TrialPermutation.identity(0)
         assert TrialPermutation(np.array([], dtype=np.uint8)).indices.dtype == np.int64
@@ -278,6 +285,37 @@ class TestCascadeMatchesReference:
         assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
 
 
+@st.composite
+def matching_cases(draw):
+    """A target and a source of equal length, their +1 counts independent."""
+    n = draw(st.integers(1, 300))
+    g = RngSpec(draw(st.integers(0, 2**32))).generator()
+    target, source = (
+        np.where(g.random(n) < draw(st.floats(0, 1)), 1, -1).astype(np.int8) for _ in range(2)
+    )
+    if draw(st.booleans()):
+        source = g.permutation(target)  # a feasible step
+    return target, source
+
+
+class TestClassMatching:
+    """The cascade trusts ``_class_matching`` to return bijections."""
+
+    @given(matching_cases(), st.one_of(st.none(), st.integers(0, 2**64 - 1)))
+    @hyp_settings(max_examples=200, deadline=None)
+    def test_bijection_deficit_and_alignment(self, case, seed):
+        target, source = case
+        g = None if seed is None else RngSpec(seed).generator()
+        perm, deficit = resort._class_matching(target, source, g)
+        assert perm.dtype == np.int64
+        assert np.array_equal(np.bincount(perm, minlength=target.size), np.ones(target.size))
+        assert deficit == np.count_nonzero(target == 1) - np.count_nonzero(source == 1)
+        agree = np.count_nonzero(source[perm] == target)
+        assert agree == target.size - abs(deficit)
+        if deficit == 0:
+            assert np.array_equal(source[perm], target)
+
+
 class TestGammaResorted:
     def test_adversarial_four_when_feasible(self):
         # A gamma = 4 dataset built to be count-feasible at every step:
@@ -400,6 +438,15 @@ class TestClosureProbability:
             closure_probability(4, 2, mode="monte-carlo", rng=RngSpec(1))
         with pytest.raises(ValueError, match="rng"):
             closure_probability(4, 2, mode="monte-carlo", trials=10)
+
+    @pytest.mark.parametrize("n,k", [(5.0, 2), (5, 2.0), (True, True), (2, False), (np.bool_(1), 0)])
+    @pytest.mark.parametrize("mode", ["exact", "monte-carlo"])
+    def test_n_and_k_must_be_integers(self, n, k, mode):
+        with pytest.raises(ValueError, match="need integers 0 <= k <= n"):
+            closure_probability(n, k, mode, trials=10, rng=RngSpec(1))
+
+    def test_accepts_numpy_integer_n_and_k(self):
+        assert closure_probability(np.int64(5), np.int32(2)) == closure_probability(5, 2)
 
     @pytest.mark.parametrize("n,k", [(4, 2), (6, 3)])
     def test_monte_carlo_tracks_exact(self, n, k):
