@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 import numpy as np
@@ -73,6 +74,16 @@ def _seed(text: str) -> int:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
     if not 0 <= value < 2**64:
         raise argparse.ArgumentTypeError(f"must be in [0, 2**64), got {value}")
+    return value
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
     return value
 
 
@@ -323,8 +334,8 @@ def _build_parser() -> argparse.ArgumentParser:
     swp = sub.add_parser("sweep", help="angle-offset curve of theory vs empirical gamma")
     swp.add_argument("--steps", type=_positive_int, default=16,
                      help="number of intervals; the CSV gets steps+1 rows")
-    swp.add_argument("--offset-min", type=float, default=0.0, dest="offset_min")
-    swp.add_argument("--offset-max", type=float, default=90.0, dest="offset_max")
+    swp.add_argument("--offset-min", type=_finite_float, default=0.0, dest="offset_min")
+    swp.add_argument("--offset-max", type=_finite_float, default=90.0, dest="offset_max")
     swp.add_argument("--n-per", type=_positive_int, default=10000)
     swp.add_argument("--seed", type=_seed, required=True)
     swp.add_argument("--law", type=_law, default=CorrelationLaw.PHOTON_MALUS)

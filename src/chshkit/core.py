@@ -16,6 +16,7 @@ Everything here is an immutable value; all operations are pure functions.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -36,6 +37,11 @@ __all__ = [
 
 #: Canonical order of the four setting-pair labels.
 PAIR_LABELS = ("ab", "ac", "db", "dc")
+
+
+def _is_count(x) -> bool:
+    """An integer, numpy's included, and not a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 def _as_outcome_array(values) -> np.ndarray:

@@ -30,12 +30,11 @@ the factorized Gamma when every step was feasible.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import OutcomeSequence, SubRunDataset, SubRunPairs
+from .core import OutcomeSequence, SubRunDataset, SubRunPairs, _is_count
 from .estimators import gamma_subruns
 from .rng import RngSpec
 
@@ -267,11 +266,6 @@ def resort_cascade(data: SubRunDataset, policy: ResortPolicy = STABLE) -> Resort
         gamma_subruns=gamma_plain,
         gamma_resorted=factored,
     )
-
-
-def _is_count(x) -> bool:
-    """An integer, numpy's included, and not a bool."""
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 def closure_probability(

@@ -13,9 +13,42 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _is_count
+
 __all__ = ["RngSpec"]
 
 _MASK64 = (1 << 64) - 1
+
+# Defined by the first _key_sequence call.  Its base class lives in
+# numpy.random, which `import chshkit` must not load: that costs a CLI
+# process 10-20 ms and about 6 MB, and `estimate` never draws.
+_KeySequence = None
+
+
+def _key_sequence(seed: int, stream: int):
+    """Philox's seed source for the key [seed, stream], at counter 0.
+
+    ``Philox(key=...)`` first builds a ``SeedSequence`` from OS entropy
+    and then discards it; handed this instead, Philox asks it for its
+    two-word key and gets exactly the same state, without that cost.
+    """
+    global _KeySequence
+    if _KeySequence is None:
+        from numpy.random.bit_generator import ISeedSequence
+
+        class _KeySequence(ISeedSequence):
+            def __init__(self, key: np.ndarray) -> None:
+                self.key = key
+
+            def generate_state(self, n_words, dtype=np.uint32):
+                return self.key
+
+            def __reduce__(self):
+                # A pickled generator carries its seed source; rebuild it
+                # through this module so a fresh process can load it.
+                return _key_sequence, (int(self.key[0]), int(self.key[1]))
+
+    return _KeySequence(np.array([seed, stream], dtype=np.uint64))
 
 
 def _splitmix64(x: int) -> int:
@@ -28,19 +61,27 @@ def _splitmix64(x: int) -> int:
 
 @dataclass(frozen=True)
 class RngSpec:
-    """A named random stream: equal (seed, stream) means equal output."""
+    """A named random stream: equal (seed, stream) means equal output.
+
+    ``seed`` and ``stream`` must be integers (numpy's included, bools
+    not); each is reduced modulo 2**64, so ``RngSpec(-1)`` is
+    ``RngSpec(2**64 - 1)`` and ``RngSpec(2**64 + 5)`` is ``RngSpec(5)``.
+    """
 
     seed: int
     stream: int = 0
 
     def __post_init__(self) -> None:
+        if not (_is_count(self.seed) and _is_count(self.stream)):
+            raise ValueError(
+                f"seed and stream must be integers, got {self.seed!r} and {self.stream!r}"
+            )
         object.__setattr__(self, "seed", int(self.seed) & _MASK64)
         object.__setattr__(self, "stream", int(self.stream) & _MASK64)
 
     def generator(self) -> np.random.Generator:
         """A fresh generator; repeated calls restart the same stream."""
-        key = np.array([self.seed, self.stream], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        return np.random.Generator(np.random.Philox(_key_sequence(self.seed, self.stream)))
 
     def derive(self, index: int) -> RngSpec:
         """A child stream for sub-task ``index``, same seed.
@@ -48,5 +89,10 @@ class RngSpec:
         The child id mixes (stream, index) through splitmix64 so nested
         derivations do not collide for any realistic workload.
         """
-        mixed = _splitmix64(_splitmix64(self.stream) ^ (int(index) & _MASK64))
-        return RngSpec(self.seed, mixed)
+        child = object.__new__(RngSpec)
+        # Both values are already reduced to 64 bits: skip __post_init__.
+        object.__setattr__(child, "seed", self.seed)
+        object.__setattr__(
+            child, "stream", _splitmix64(_splitmix64(self.stream) ^ (int(index) & _MASK64))
+        )
+        return child

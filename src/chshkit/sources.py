@@ -43,6 +43,7 @@ from .core import (
     SettingsQuad,
     SubRunDataset,
     SubRunPairs,
+    _is_count,
 )
 from .rng import RngSpec
 
@@ -139,8 +140,8 @@ def lhv_generate(
     model: LhvModel, settings: SettingsQuad, n: int, rng: RngSpec
 ) -> CounterfactualDataset:
     """Draw n trials from the model, lambda uniform on [0, pi) per trial."""
-    if n < 1:
-        raise ValueError(f"trial count must be >= 1, got {n}")
+    if not _is_count(n) or n < 1:
+        raise ValueError(f"trial count must be an integer >= 1, got {n}")
     lam = rng.generator().uniform(0.0, math.pi, size=n)
     return lhv_outcomes(model, settings, lam)
 
@@ -165,8 +166,8 @@ def qm_generate(
     Both marginals are uniform by construction; the correlation enters
     only through the probability that the two arms agree.
     """
-    if n < 1:
-        raise ValueError(f"trial count must be >= 1, got {n}")
+    if not _is_count(n) or n < 1:
+        raise ValueError(f"trial count must be an integer >= 1, got {n}")
     e = law.pair_correlation(alpha, beta)
     g = rng.generator()
     s = (g.integers(0, 2, size=n, dtype=np.int8) * 2 - 1).astype(np.int8)
@@ -183,8 +184,8 @@ def generate_subruns(
     Each setting pair runs on its own derived stream, so the four lists
     are statistically independent even under one seed.
     """
-    if n_per < 1:
-        raise ValueError(f"trial count must be >= 1, got {n_per}")
+    if not _is_count(n_per) or n_per < 1:
+        raise ValueError(f"trial count must be an integer >= 1, got {n_per}")
     combos = (
         (settings.a, settings.b),
         (settings.a, settings.c),

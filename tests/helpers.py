@@ -49,6 +49,16 @@ def exact_two_dataset() -> SubRunDataset:
     return SubRunDataset(agreeing(24, 22), agreeing(20, 14), agreeing(10, 8), agreeing(24, 10))
 
 
+def reference_generator(spec: RngSpec) -> np.random.Generator:
+    """The stream ``spec`` names, built as RngSpec.generator() once built it.
+
+    ``Philox(key=...)`` keys the generator with [seed, stream] at
+    counter 0; the package must give the same draws without it.
+    """
+    key = np.array([spec.seed, spec.stream], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
 def random_signs(g: np.random.Generator, n: int) -> np.ndarray:
     return (g.integers(0, 2, size=n, dtype=np.int8) * 2 - 1).astype(np.int8)
 

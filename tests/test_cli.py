@@ -257,6 +257,16 @@ class TestSweep:
         assert len(rows) == 9
         assert all(-2 <= float(r[1]) <= 2.83 for r in rows)
 
+    @pytest.mark.parametrize("flag, value", [("--offset-min", "nan"), ("--offset-max", "inf"),
+                                             ("--offset-min", "-inf")])
+    def test_non_finite_offset_is_usage_error(self, tmp_path, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--steps", "1", "--n-per", "10", "--seed", "1",
+                  f"{flag}={value}", "--out", str(tmp_path / "sweep.csv")])
+        assert exc.value.code == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
 
 class TestAudit:
     def test_shared_fixture_verdict(self, shared_csv, capsys):

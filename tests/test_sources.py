@@ -131,6 +131,11 @@ class TestLhvGenerate:
         with pytest.raises(ValueError, match=">= 1"):
             lhv_generate(SIGN_MALUS, PHOTON_OPTIMAL_QUAD, 0, RngSpec(1))
 
+    @pytest.mark.parametrize("n", [True, 2.5, 2.0])
+    def test_rejects_non_integer_trials(self, n):
+        with pytest.raises(ValueError, match="integer >= 1"):
+            lhv_generate(SIGN_MALUS, PHOTON_OPTIMAL_QUAD, n, RngSpec(1))
+
     def test_reproducible_bit_identical(self):
         a = lhv_generate(SIGN_MALUS, PHOTON_OPTIMAL_QUAD, 500, RngSpec(3))
         b = lhv_generate(SIGN_MALUS, PHOTON_OPTIMAL_QUAD, 500, RngSpec(3))
@@ -164,6 +169,15 @@ class TestQmGenerate:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError, match=">= 1"):
             qm_generate(deg(0), deg(0), CorrelationLaw.PHOTON_MALUS, 0, RngSpec(1))
+
+    @pytest.mark.parametrize("n", [True, 2.5, 2.0])
+    def test_rejects_non_integer_trials(self, n):
+        with pytest.raises(ValueError, match="integer >= 1"):
+            qm_generate(deg(0), deg(0), CorrelationLaw.PHOTON_MALUS, n, RngSpec(1))
+
+    def test_accepts_numpy_integer_trials(self):
+        p = qm_generate(deg(0), deg(0), CorrelationLaw.PHOTON_MALUS, np.int64(5), RngSpec(1))
+        assert len(p.a) == len(p.b) == 5
 
     def test_equal_angles_perfectly_correlated(self):
         p = qm_generate(deg(30), deg(30), CorrelationLaw.PHOTON_MALUS, 2000, RngSpec(5))
@@ -206,6 +220,11 @@ class TestQmGenerate:
 
 
 class TestGenerateSubruns:
+    @pytest.mark.parametrize("n_per", [True, 2.5])
+    def test_rejects_non_integer_trials(self, n_per):
+        with pytest.raises(ValueError, match="integer >= 1"):
+            generate_subruns(PHOTON_OPTIMAL_QUAD, CorrelationLaw.PHOTON_MALUS, n_per, RngSpec(1))
+
     def test_single_trial_lists(self):
         data = generate_subruns(PHOTON_OPTIMAL_QUAD, CorrelationLaw.PHOTON_MALUS, 1, RngSpec(1))
         assert data.counts == (1, 1, 1, 1)
