@@ -357,6 +357,8 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("--mode lhv requires --n")
         if args.mode == "qm" and args.n_per is None:
             parser.error("--mode qm requires --n-per")
+    if args.command == "sweep" and not math.isfinite(args.offset_max - args.offset_min):
+        parser.error("--offset-max minus --offset-min must be finite")
     if getattr(args, "policy", "stable") == "uniform-random" and args.seed is None:
         parser.error("--seed is required with --policy uniform-random")
     try:

@@ -41,7 +41,8 @@ PAIR_LABELS = ("ab", "ac", "db", "dc")
 
 def _is_count(x) -> bool:
     """An integer, numpy's included, and not a bool."""
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+    # A plain int, the common case, skips the slower ABC check.
+    return type(x) is int or (isinstance(x, numbers.Integral) and not isinstance(x, bool))
 
 
 def _as_outcome_array(values) -> np.ndarray:

@@ -87,8 +87,11 @@ class RngSpec:
         """A child stream for sub-task ``index``, same seed.
 
         The child id mixes (stream, index) through splitmix64 so nested
-        derivations do not collide for any realistic workload.
+        derivations do not collide for any realistic workload.  ``index``
+        must be an integer, as ``seed`` is, and is reduced the same way.
         """
+        if not _is_count(index):
+            raise ValueError(f"index must be an integer, got {index!r}")
         child = object.__new__(RngSpec)
         # Both values are already reduced to 64 bits: skip __post_init__.
         object.__setattr__(child, "seed", self.seed)

@@ -246,13 +246,77 @@ def _blocks(read: Callable[[int], bytes]) -> Iterator[bytes]:
         yield rest
 
 
+class _Column(NamedTuple):
+    """One field of each row: field ``i`` is ``buf[starts[i]:ends[i]]``.
+
+    A delimiter byte follows each field, and ``buf`` ends in 8 spare bytes
+    so that 8 bytes can be read at any field start.
+    """
+
+    buf: np.ndarray
+    starts: np.ndarray
+    ends: np.ndarray
+
+    def head(self, n: int) -> _Column:
+        return _Column(self.buf, self.starts[:n], self.ends[:n])
+
+    def text(self, i) -> str:
+        return self.buf[self.starts[i] : self.ends[i]].tobytes().decode("utf-8")
+
+    def keys(self) -> np.ndarray:
+        """Each field's packed key (see :class:`_Table`)."""
+        lengths = np.minimum(self.ends - self.starts, 8).astype(np.uint64)
+        words = np.ndarray(len(self.buf) - 7, "<u8", self.buf, strides=(1,))
+        return (words[self.starts] & _BYTE_MASKS[lengths]) | (lengths << np.uint64(56))
+
+    def not_plain_digits(self) -> np.ndarray:
+        """Rows whose field is other than 1 to 18 ASCII digits."""
+        # A delimiter follows every field, so the search never runs off the end.
+        nondigit = np.flatnonzero(self.buf[:-8] - np.uint8(ord("0")) > 9)
+        lengths = self.ends - self.starts
+        digits = nondigit[np.searchsorted(nondigit, self.starts)] == self.ends
+        return np.flatnonzero(~(digits & (lengths >= 1) & (lengths <= 18)))
+
+
+class _FixedColumn(NamedTuple):
+    """One field of each of ``count`` lines of ``line`` bytes.
+
+    Field ``i`` is bytes ``[start, end)`` of line ``i`` of ``buf``, at most
+    7 of them; ``buf`` ends in 8 spare bytes.
+    """
+
+    buf: np.ndarray
+    line: int
+    start: int
+    end: int
+    count: int
+
+    def head(self, n: int) -> _FixedColumn:
+        return self._replace(count=n)
+
+    def text(self, i) -> str:
+        at = i * self.line
+        return self.buf[at + self.start : at + self.end].tobytes().decode("utf-8")
+
+    def keys(self) -> np.ndarray:
+        width = self.end - self.start
+        words = np.ndarray(self.count, "<u8", self.buf, self.start, (self.line,))
+        return (words & _BYTE_MASKS[width]) | np.uint64(width << 56)
+
+    def not_plain_digits(self) -> np.ndarray:
+        if self.end == self.start:  # every field is empty
+            return np.arange(self.count)
+        lines = self.buf[: self.count * self.line].reshape(self.count, self.line)
+        field = lines[:, self.start : self.end]
+        return np.flatnonzero((field - np.uint8(ord("0")) > 9).any(axis=1))
+
+
 class _Fields(NamedTuple):
     """Rows of one block as field offsets into ``buf``.
 
     Field ``i`` is ``buf[starts[i]:ends[i]]``; row ``r`` has ``width[r]``
     fields from field ``first[r]`` on, and a blank line has width 0.
-    A delimiter byte follows each field, and ``buf`` ends in 8 spare bytes
-    so that 8 bytes can be read at any field start.
+    ``buf`` is laid out as for :class:`_Column`.
     """
 
     buf: np.ndarray
@@ -261,8 +325,58 @@ class _Fields(NamedTuple):
     first: np.ndarray
     width: np.ndarray
 
-    def text(self, i) -> str:
-        return self.buf[self.starts[i] : self.ends[i]].tobytes().decode("utf-8")
+    def columns(self, positions: list[int], n_fields: int) -> tuple[int, int, list[_Column]]:
+        """The data rows' count, the first without ``n_fields`` fields, and
+        the fields at ``positions`` of the rows before it; blank lines skipped.
+        """
+        nonblank = self.width > 0
+        first = self.first[nonblank]
+        wrong = np.flatnonzero(self.width[nonblank] != n_fields)
+        stop = int(wrong[0]) if len(wrong) else len(first)
+        fields = [first[:stop] + k for k in positions]
+        return len(first), stop, [_Column(self.buf, self.starts[i], self.ends[i]) for i in fields]
+
+
+class _Lines(NamedTuple):
+    """A block of equal lines of ``line`` bytes, field ``k`` of each at
+    bytes ``spans[k]``; ``buf`` ends in 8 spare bytes."""
+
+    buf: np.ndarray
+    line: int
+    spans: list[tuple[int, int]]
+
+    def columns(self, positions: list[int], n_fields: int) -> tuple[int, int, list[_FixedColumn]]:
+        """As :meth:`_Fields.columns`: every row has the first one's fields."""
+        count = (len(self.buf) - 8) // self.line
+        if len(self.spans) != n_fields:
+            return count, 0, []  # no row to read a column of
+        return count, count, [_FixedColumn(self.buf, self.line, *self.spans[k], count) for k in positions]
+
+
+def _fixed_lines(block: bytes) -> _Lines | None:
+    """The block as equal lines, if it is one; else None.
+
+    Every line must have the first line's length and its commas and line
+    break in the same columns, and be ASCII, with no CR and no field over
+    7 bytes or ``csv.field_size_limit()``.  Such a line reads the same
+    split by byte columns as split at its delimiters.
+    """
+    line = block.find(b"\n") + 1
+    if line < 2 or len(block) % line or b"\r" in block or not block.isascii():
+        return None
+    count = len(block) // line
+    buf = np.frombuffer(block + bytes(8), np.uint8)
+    lines = buf[:-8].reshape(count, line)
+    delimiters = (lines == ord(",")) | (lines == ord("\n"))
+    cuts = np.flatnonzero(delimiters[0])
+    starts = np.concatenate(([0], cuts[:-1] + 1))
+    if (
+        (cuts - starts).max() > min(7, csv.field_size_limit())
+        or np.count_nonzero(delimiters) != count * len(cuts)
+        or not (lines[:, cuts] == lines[0, cuts]).all()
+    ):
+        return None
+    return _Lines(buf, line, list(zip(starts.tolist(), cuts.tolist())))
 
 
 def _split_block(block: bytes) -> tuple[_Fields, str | None]:
@@ -342,17 +456,20 @@ def _quoted_fields(blocks: Iterator[bytes]) -> Iterator[tuple[_Fields, str | Non
         yield _rows_to_fields(rows), error
 
 
-def _tokenize(blocks: Iterator[bytes]) -> Iterator[tuple[_Fields, str | None]]:
+def _tokenize(blocks: Iterator[bytes]) -> Iterator[tuple[_Fields | _Lines, str | None]]:
     """Each block's rows, split in bulk until a block holds a quote.
 
-    Quoted fields cannot be split by byte (``a"b`` is a literal quote and
-    ``"ab"x`` reads ``abx``), so csv.reader reads from that block on.
+    A block of equal lines after the first (the header's) is read by byte
+    columns, any other split at its delimiters.  Quoted fields cannot be
+    split by byte (``a"b`` is a literal quote and ``"ab"x`` reads ``abx``),
+    so csv.reader reads from that block on.
     """
-    for block in blocks:
+    for number, block in enumerate(blocks):
         if b'"' in block:
             yield from _quoted_fields(itertools.chain([block], blocks))
             return
-        yield _split_block(block)
+        lines = _fixed_lines(block) if number else None
+        yield (lines, None) if lines else _split_block(block)
 
 
 #: Code of a text its column's rule rejects, and of a text too long for a key.
@@ -382,16 +499,13 @@ class _Table:
         except CsvFormatError:
             return _REJECTED
 
-    def codes_of(self, fields: _Fields, idx: np.ndarray) -> np.ndarray:
-        starts = fields.starts[idx]
-        lengths = np.minimum(fields.ends[idx] - starts, 8).astype(np.uint64)
-        words = np.ndarray(len(fields.buf) - 7, "<u8", fields.buf, strides=(1,))
-        keys = (words[starts] & _BYTE_MASKS[lengths]) | (lengths << np.uint64(56))
+    def codes_of(self, column: _Column | _FixedColumn) -> np.ndarray:
+        keys = column.keys()
         at = np.searchsorted(self.keys, keys)
         new = self.keys[at] != keys
         if new.any():
             fresh, where = np.unique(keys[new], return_index=True)
-            texts = map(fields.text, idx[np.flatnonzero(new)[where]])
+            texts = map(column.text, np.flatnonzero(new)[where])
             keys_all = np.concatenate((self.keys, fresh))
             codes_all = np.concatenate((self.codes, [self._parse(t) for t in texts]))
             order = np.argsort(keys_all)
@@ -399,21 +513,11 @@ class _Table:
             at = np.searchsorted(self.keys, keys)
         codes = self.codes[at]
         for i in np.flatnonzero(codes == _LONG):
-            text = fields.text(idx[i])
+            text = column.text(i)
             if text not in self.long:
                 self.long[text] = self._parse(text)
             codes[i] = self.long[text]
         return codes
-
-
-def _not_plain_digits(fields: _Fields, idx: np.ndarray) -> np.ndarray:
-    """Positions in ``idx`` of texts other than 1 to 18 ASCII digits."""
-    # A delimiter follows every field, so the search never runs off the end.
-    nondigit = np.flatnonzero(fields.buf[:-8] - np.uint8(ord("0")) > 9)
-    starts, ends = fields.starts[idx], fields.ends[idx]
-    lengths = ends - starts
-    digits = nondigit[np.searchsorted(nondigit, starts)] == ends
-    return np.flatnonzero(~(digits & (lengths >= 1) & (lengths <= 18)))
 
 
 def _check_header(fieldnames, expected: tuple[str, ...]) -> None:
@@ -473,37 +577,35 @@ def _ingest(
             if header is None:
                 if not len(fields.width):
                     raise CsvFormatError(f"{error} in the header")
-                start = fields.first[0]
-                header = [fields.text(i) for i in range(start, start + fields.width[0])]
+                start, cells = fields.first[0], _Column(fields.buf, fields.starts, fields.ends)
+                header = [cells.text(i) for i in range(start, start + fields.width[0])]
                 _check_header(header, tuple(rules))
                 # A repeated column name resolves to its last position, as in
                 # a dict built from the row.
                 where = {name: i for i, name in enumerate(header)}
+                positions = [where[name] for name in rules]
                 fields = fields._replace(first=fields.first[1:], width=fields.width[1:])
-            nonblank = fields.width > 0
-            first = fields.first[nonblank]
-            wrong = np.flatnonzero(fields.width[nonblank] != len(header))
-            stop = int(wrong[0]) if len(wrong) else len(first)
+            rows, stop, columns = fields.columns(positions, len(header))
             failure = "wrong number of fields"
             codes = {}
-            for name, rule in rules.items():
-                idx = first[:stop] + where[name]
+            for (name, rule), column in zip(rules.items(), columns):
+                column = column.head(stop)
                 if name in tables:
-                    codes[name] = column = tables[name].codes_of(fields, idx)
-                    suspects = np.flatnonzero(column == _REJECTED)
+                    codes[name] = found = tables[name].codes_of(column)
+                    suspects = np.flatnonzero(found == _REJECTED)
                 else:
-                    suspects = _not_plain_digits(fields, idx)
+                    suspects = column.not_plain_digits()
                 for i in suspects:
                     try:
-                        rule(fields.text(idx[i]), name)
+                        rule(column.text(i), name)
                     except CsvFormatError as exc:
                         stop, failure = int(i), str(exc)
                         break
-            if stop < len(first):
+            if stop < rows:
                 raise CsvFormatError(f"{failure} at row {done + stop + 1}")
             for name in kept:
                 parts[name].append(codes[name])
-            done += len(first)
+            done += rows
             if error:
                 raise CsvFormatError(f"{error} at row {done + 1}")
     if header is None:

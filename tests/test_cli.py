@@ -267,6 +267,16 @@ class TestSweep:
         assert "must be finite" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
 
+    def test_offset_span_beyond_float_range_is_usage_error(self, tmp_path):
+        # Each bound is finite, but their difference overflows to inf.
+        out = tmp_path / "sweep.csv"
+        proc = run_proc("sweep", "--steps", "1", "--n-per", "10", "--seed", "1",
+                        "--offset-min=-1e308", "--offset-max=1e308", "--out", str(out))
+        assert proc.returncode == 2
+        assert "must be finite" in proc.stderr
+        assert "Warning" not in proc.stderr
+        assert not out.exists()
+
 
 class TestAudit:
     def test_shared_fixture_verdict(self, shared_csv, capsys):

@@ -80,6 +80,17 @@ def test_numpy_integers_are_accepted():
     assert type(spec.seed) is int and type(spec.stream) is int
 
 
+@pytest.mark.parametrize("index", [1.5, 1.0, True, np.True_, "1", None])
+def test_derive_index_must_be_an_integer(index):
+    with pytest.raises(ValueError, match="index must be an integer"):
+        RngSpec(3).derive(index)
+
+
+def test_derive_accepts_numpy_integers():
+    assert RngSpec(3).derive(np.int64(1)) == RngSpec(3).derive(1)
+    assert RngSpec(3).derive(np.uint64(2**64 - 1)) == RngSpec(3).derive(-1)
+
+
 def test_derived_spec_equals_a_constructed_one():
     child = RngSpec(-3, 2**64 + 9).derive(-4)
     assert child == RngSpec(child.seed, child.stream)

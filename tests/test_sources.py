@@ -1,5 +1,6 @@
 """Generators (LHV and QM) and the CSV interchange formats."""
 
+import csv
 import io
 import math
 import os
@@ -481,9 +482,21 @@ BAD_TEXTS = st.sampled_from(
 )
 
 
+#: Equal-width texts for fixed-layout text: good ones, and edits that keep
+#: the width but may break the row.
+FIXED_GOOD = {"pair": ["ab", "ac", "db", "dc"]}
+FIXED_BAD = {"pair": ["ba", "AB"]}
+FIXED_OUTCOMES, FIXED_BAD_OUTCOMES = ["+1", "-1"], ["+2", "1_"]
+
+
 @st.composite
 def trial_csv_text(draw, columns: tuple[str, ...]) -> str:
-    """CSV text near the format: mostly valid rows, a few edits that may break it."""
+    """CSV text near the format: mostly valid rows, a few edits that may break it.
+
+    In fixed-layout mode every data line has the same length with its
+    commas in the same columns, and every edit keeps it so.
+    """
+    fixed = draw(st.booleans())
     header = list(draw(st.permutations(columns)))
     change = draw(st.sampled_from(["none"] * 6 + ["missing", "extra", "repeat"]))
     if change == "missing":
@@ -492,15 +505,28 @@ def trial_csv_text(draw, columns: tuple[str, ...]) -> str:
         header.insert(draw(st.integers(0, len(header))), "extra")
     elif change == "repeat":
         header.append(draw(st.sampled_from(columns)))
-    rows = [
-        [draw(GOOD_TEXTS.get(name, OUTCOME_TEXTS)) for name in header]
-        for _ in range(draw(st.integers(0, 9)))
-    ]
+    j_width = draw(st.integers(1, 7))
+
+    def good(name):
+        if not fixed:
+            return draw(GOOD_TEXTS.get(name, OUTCOME_TEXTS))
+        if name == "j":
+            return str(draw(st.integers(0, 10**j_width - 1))).zfill(j_width)
+        return draw(st.sampled_from(FIXED_GOOD.get(name, FIXED_OUTCOMES)))
+
+    def fixed_bad(name):
+        if name == "j":
+            return "1" * (j_width - 1) + draw(st.sampled_from("_x "))
+        return draw(st.sampled_from(FIXED_BAD.get(name, FIXED_BAD_OUTCOMES)))
+
+    rows = [[good(name) for name in header] for _ in range(draw(st.integers(0, 30 if fixed else 9)))]
+    edits = ["cell"] if fixed else ["cell"] * 3 + ["short", "long", "blank", "blank"]
     for _ in range(draw(st.integers(0, 4)) if rows else 0):
         row = rows[draw(st.integers(0, len(rows) - 1))]
-        edit = draw(st.sampled_from(["cell"] * 3 + ["short", "long", "blank", "blank"]))
+        edit = draw(st.sampled_from(edits))
         if edit == "cell" and row:
-            row[draw(st.integers(0, len(row) - 1))] = draw(BAD_TEXTS)
+            at = draw(st.integers(0, len(row) - 1))
+            row[at] = fixed_bad(header[at]) if fixed else draw(BAD_TEXTS)
         elif edit == "short" and row:
             row.pop()
         elif edit == "long":
@@ -509,15 +535,15 @@ def trial_csv_text(draw, columns: tuple[str, ...]) -> str:
             rows.insert(rows.index(row), [])
     # Quoting may start only some rows in, so that the reader switches
     # from splitting bytes to csv.reader part way through the input.
-    quote_from = draw(st.none() | st.integers(0, 10))
+    quote_from = None if fixed else draw(st.none() | st.integers(0, 10))
 
     def line(number, cells):
         quote = quote_from is not None and number >= quote_from
         return ",".join(f'"{c}"' if quote and draw(st.booleans()) else c for c in cells)
 
-    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
-    lead = newline if draw(st.integers(0, 9)) == 0 else ""  # a blank first line
-    tail = newline if draw(st.booleans()) else ""
+    newline = "\n" if fixed else draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    lead = newline if not fixed and draw(st.integers(0, 9)) == 0 else ""  # a blank first line
+    tail = newline if fixed or draw(st.booleans()) else ""
     return lead + newline.join(line(i, cells) for i, cells in enumerate([header, *rows])) + tail
 
 
@@ -543,10 +569,10 @@ class TestIngestMatchesRowParser:
 
     Each input must give the same columns or the same error message;
     with 7-byte reads, blocks cut through rows and bad rows fall on
-    block boundaries.
+    block boundaries, and 64-byte reads give blocks of a few lines.
     """
 
-    @pytest.mark.parametrize("block_bytes", [7, sources._BLOCK_BYTES])
+    @pytest.mark.parametrize("block_bytes", [7, 64, sources._BLOCK_BYTES])
     @hyp_settings(max_examples=200, deadline=None)
     @given(text=trial_csv_text(("pair", "outcome_a", "outcome_b")))
     def test_subrun_csv(self, block_bytes, text):
@@ -555,11 +581,126 @@ class TestIngestMatchesRowParser:
             got = _columns_or_error(_subrun_columns, text)
         assert got == _columns_or_error(reference_ingest_subruns, text)
 
-    @pytest.mark.parametrize("block_bytes", [7, sources._BLOCK_BYTES])
+    @pytest.mark.parametrize("block_bytes", [7, 64, sources._BLOCK_BYTES])
     @hyp_settings(max_examples=200, deadline=None)
     @given(text=trial_csv_text(("j", "a", "d", "b", "c")))
     def test_counterfactual_csv(self, block_bytes, text):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sources, "_BLOCK_BYTES", block_bytes)
             got = _columns_or_error(_counterfactual_columns, text)
+        assert got == _columns_or_error(reference_ingest_counterfactual, text)
+
+
+def _blocks_of(data: bytes) -> list[bytes]:
+    return list(sources._blocks(io.BytesIO(data).read))
+
+
+def _edit_cell(text: str, row: int, column: int, cell: str) -> str:
+    """``text`` with data row ``row`` (1-based) holding ``cell`` in ``column``."""
+    lines = text.split("\n")
+    cells = lines[row].split(",")
+    cells[column] = cell
+    lines[row] = ",".join(cells)
+    return "\n".join(lines)
+
+
+class TestFixedLayoutBlocks:
+    """Blocks of equal lines are read by byte columns, with the same result.
+
+    Written files give blocks of many equal lines at the full block size;
+    each case must give the reference parser's columns or its exact error.
+    """
+
+    @staticmethod
+    def _subrun_text() -> str:
+        data = generate_subruns(PHOTON_OPTIMAL_QUAD, CorrelationLaw.PHOTON_MALUS, 20_000, RngSpec(21))
+        buf = io.StringIO()
+        write_subrun_csv(data, buf)
+        return buf.getvalue()
+
+    @staticmethod
+    def _counterfactual_text() -> str:
+        buf = io.StringIO()
+        write_counterfactual_csv(random_counterfactual(RngSpec(22), 20_000), buf)
+        return buf.getvalue()
+
+    def test_written_subrun_blocks_after_the_first_are_fixed(self):
+        text = self._subrun_text()
+        blocks = _blocks_of(text.encode())
+        assert len(blocks) >= 5
+        fixed = [sources._fixed_lines(b) is not None for b in blocks]
+        assert fixed == [False] + [True] * (len(blocks) - 1)
+        assert _subrun_columns(text) == reference_ingest_subruns(text)
+
+    @pytest.mark.parametrize("column, cell", [(0, "ba"), (0, "AB"), (1, "1_"), (2, "+2")])
+    def test_bad_cell_in_a_later_block(self, column, cell):
+        text = self._subrun_text()
+        blocks = _blocks_of(text.encode())
+        # A row in the middle of the fourth block.
+        row = (sum(map(len, blocks[:3])) + len(blocks[3]) // 2) // 9 - 2
+        edited = _edit_cell(text, row, column, cell)
+        assert sources._fixed_lines(_blocks_of(edited.encode())[3]) is not None
+        got = _columns_or_error(_subrun_columns, edited)
+        assert got == _columns_or_error(reference_ingest_subruns, edited)
+        assert got.endswith(f" at row {row}")
+
+    @pytest.mark.parametrize(
+        "block, fixed",
+        [
+            (b"ab,+1,-1\n" * 3, True),
+            (b"1,+1,-1,+1,-1\n12,+1,-1,+1\n", False),  # lengths differ
+            (b"ab,+1,-1\na,,+1,-1\n", False),  # a comma in a field's column
+            (b"ab,+1,-1\nab,+1\n-1\n", False),  # a line break for a comma
+            (b"ab,+1,-1\nab,+1,\r1\n", False),
+            ("ab,+1,-1\nab,\xe9,-1\n".encode(), False),  # same bytes, not ASCII
+            (b"\n\n", False),  # blank lines
+            (b"ab,+1,-1\nab,+1,-1", False),  # no final line break
+            (b"abcdefgh,+1,-1\n" * 2, False),  # a field over 7 bytes
+        ],
+    )
+    def test_only_equal_lines_are_fixed(self, block, fixed):
+        assert (sources._fixed_lines(block) is not None) is fixed
+
+    def test_field_over_the_csv_limit_is_not_fixed(self):
+        limit = csv.field_size_limit(1)
+        try:
+            assert sources._fixed_lines(b"ab,+1,-1\n" * 2) is None
+        finally:
+            csv.field_size_limit(limit)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            "ab,+1,-1\nab,+1\n",  # a block of lines with too few fields
+            "ab,+1,-1\nab,+1,-1,+1\n",  # and with too many
+            # One text, then the same text with a trailing NUL: the key
+            # holds each text's width, so the two do not share a code.
+            *(["ab,1,-1\nab,1\x00,-1\n"] if sys.version_info >= (3, 11) else []),
+        ],
+    )
+    def test_one_line_blocks(self, rows):
+        text = f"{SUBRUN_HEADER}\n{rows}"
+        assert sources._fixed_lines(rows.split("\n", 1)[1].encode()) is not None
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sources, "_BLOCK_BYTES", 7)
+            got = _columns_or_error(_subrun_columns, text)
+        assert got == _columns_or_error(reference_ingest_subruns, text)
+        assert got.endswith(" at row 2")
+
+    def test_index_width_change_inside_a_block(self):
+        blocks = _blocks_of(self._counterfactual_text().encode())
+        changed = [i for i, b in enumerate(blocks) if b"\n9999," in b]
+        assert changed and b"\n10000," in blocks[changed[0]]
+        fixed = [sources._fixed_lines(b) is not None for b in blocks]
+        assert not fixed[changed[0]] and fixed[-1]
+
+    @pytest.mark.parametrize(
+        "row, column, cell",
+        [(None, 0, ""), (10_003, 2, "+2"), (9_998, 4, "1_"), (18_000, 0, "1800_"), (18_000, 0, "1800 ")],
+    )
+    def test_counterfactual_file_across_the_width_change(self, row, column, cell):
+        text = self._counterfactual_text()
+        if row is not None:
+            text = _edit_cell(text, row, column, cell)
+        got = _columns_or_error(_counterfactual_columns, text)
         assert got == _columns_or_error(reference_ingest_counterfactual, text)
