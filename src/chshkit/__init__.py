@@ -15,104 +15,13 @@ model and a direct sampler of the two-outcome joint law) plus the CSV
 interchange formats; ``cli`` wraps it all for the command line.
 """
 
-from .core import (
-    PAIR_LABELS,
-    Angle,
-    CounterfactualDataset,
-    OutcomeSequence,
-    SettingsQuad,
-    SubRunDataset,
-    SubRunPairs,
-    correlation,
-    sequences_identical,
-    switch_pattern,
-)
-from .estimators import (
-    BoundReport,
-    GammaResult,
-    gamma_pooled,
-    gamma_subruns,
-    split_random,
-    termwise_bound_check,
-    theory_gamma,
-)
-from .resort import (
-    STABLE,
-    ResortPolicy,
-    ResortReport,
-    TrialPermutation,
-    align_permutation,
-    closure_probability,
-    resort_cascade,
-    trim_to_shortest,
-)
-from .rng import RngSpec
-from .sources import (
-    PHOTON_OPTIMAL_QUAD,
-    SIGN_MALUS,
-    SPIN_OPTIMAL_QUAD,
-    CorrelationLaw,
-    CsvFormatError,
-    LhvModel,
-    generate_subruns,
-    ingest_counterfactual_csv,
-    ingest_csv,
-    lhv_generate,
-    lhv_malus_correlation,
-    lhv_outcomes,
-    qm_generate,
-    write_counterfactual_csv,
-    write_subrun_csv,
-)
+from . import core, estimators, resort, rng, sources
+from .core import *  # noqa: F403
+from .estimators import *  # noqa: F403
+from .resort import *  # noqa: F403
+from .rng import *  # noqa: F403
+from .sources import *  # noqa: F403
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "__version__",
-    # core
-    "PAIR_LABELS",
-    "Angle",
-    "SettingsQuad",
-    "OutcomeSequence",
-    "SubRunPairs",
-    "CounterfactualDataset",
-    "SubRunDataset",
-    "sequences_identical",
-    "switch_pattern",
-    "correlation",
-    # rng
-    "RngSpec",
-    # sources
-    "CorrelationLaw",
-    "PHOTON_OPTIMAL_QUAD",
-    "SPIN_OPTIMAL_QUAD",
-    "LhvModel",
-    "SIGN_MALUS",
-    "lhv_outcomes",
-    "lhv_generate",
-    "lhv_malus_correlation",
-    "qm_generate",
-    "generate_subruns",
-    "CsvFormatError",
-    "ingest_csv",
-    "ingest_counterfactual_csv",
-    "write_subrun_csv",
-    "write_counterfactual_csv",
-    # estimators
-    "GammaResult",
-    "BoundReport",
-    "gamma_pooled",
-    "gamma_subruns",
-    "split_random",
-    "termwise_bound_check",
-    "theory_gamma",
-    # resort
-    "TrialPermutation",
-    "ResortPolicy",
-    "STABLE",
-    "align_permutation",
-    "ResortReport",
-    "resort_cascade",
-    "closure_probability",
-    "trim_to_shortest",
-]
+# Each public name is written once, in its module's __all__.
+__all__ = ["__version__"] + [n for m in (core, rng, sources, estimators, resort) for n in m.__all__]

@@ -234,17 +234,31 @@ def cmd_resort(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def _sweep_quads(
+    args: argparse.Namespace, parser: argparse.ArgumentParser
+) -> list[tuple[float, SettingsQuad]]:
+    """Each row's (offset, quad), all built before anything is drawn."""
+    if not math.isfinite(args.offset_max - args.offset_min):
+        parser.error("--offset-max minus --offset-min must be finite")
     base = args.angles or _default_quad(args.law)
-    rng = RngSpec(args.seed)
-    offsets = np.linspace(args.offset_min, args.offset_max, args.steps + 1)
-    lines = ["offset_deg,gamma_theory,gamma_empirical"]
-    for i, offset in enumerate(offsets):
+    rows = []
+    for offset in np.linspace(args.offset_min, args.offset_max, args.steps + 1):
         # The offset rotates both arm-B analyzers; arm A stays put, so
         # the four pairwise differences (and gamma) actually move.
-        quad = SettingsQuad.from_degrees(
-            base.a.degrees, base.d.degrees, base.b.degrees + offset, base.c.degrees + offset
-        )
+        try:
+            quad = SettingsQuad.from_degrees(
+                base.a.degrees, base.d.degrees, base.b.degrees + offset, base.c.degrees + offset
+            )
+        except ValueError as exc:  # a huge offset rounds the arm-B angles together
+            parser.error(f"offset {offset:g} degrees gives no valid settings: {exc}")
+        rows.append((offset, quad))
+    return rows
+
+
+def cmd_sweep(args: argparse.Namespace) -> int:
+    rng = RngSpec(args.seed)
+    lines = ["offset_deg,gamma_theory,gamma_empirical"]
+    for i, (offset, quad) in enumerate(args.rows):
         theory = theory_gamma(quad, args.law)
         empirical = gamma_subruns(
             generate_subruns(quad, args.law, args.n_per, rng.derive(i))
@@ -357,8 +371,8 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("--mode lhv requires --n")
         if args.mode == "qm" and args.n_per is None:
             parser.error("--mode qm requires --n-per")
-    if args.command == "sweep" and not math.isfinite(args.offset_max - args.offset_min):
-        parser.error("--offset-max minus --offset-min must be finite")
+    if args.command == "sweep":
+        args.rows = _sweep_quads(args, parser)
     if getattr(args, "policy", "stable") == "uniform-random" and args.seed is None:
         parser.error("--seed is required with --policy uniform-random")
     try:

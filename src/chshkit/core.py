@@ -30,9 +30,6 @@ __all__ = [
     "CounterfactualDataset",
     "SubRunDataset",
     "PAIR_LABELS",
-    "sequences_identical",
-    "switch_pattern",
-    "correlation",
 ]
 
 #: Canonical order of the four setting-pair labels.
@@ -140,9 +137,6 @@ class OutcomeSequence:
             return NotImplemented
         return np.array_equal(self.values, other.values)
 
-    def __hash__(self) -> int:
-        return hash(self.values.tobytes())
-
     def __repr__(self) -> str:
         shown = ",".join(f"{v:+d}" for v in self.values[:8])
         tail = ",..." if len(self) > 8 else ""
@@ -229,35 +223,3 @@ class SubRunDataset:
     def counts(self) -> tuple[int, int, int, int]:
         return (len(self.ab), len(self.ac), len(self.db), len(self.dc))
 
-
-def sequences_identical(s: OutcomeSequence, t: OutcomeSequence) -> bool:
-    """True iff the sequences agree in length and at every position.
-
-    Elementwise equality is exactly "same quantity of +1's" plus "same
-    pattern of switches" (plus equal first element); the equivalence is
-    cross-checked exhaustively in the test suite.
-    """
-    return len(s) == len(t) and bool(np.array_equal(s.values, t.values))
-
-
-def switch_pattern(s: OutcomeSequence) -> list[int]:
-    """Positions i >= 1 where the sequence changes sign relative to i-1."""
-    if len(s) == 0:
-        raise ValueError("empty sequence")
-    v = s.values
-    return [int(i) for i in np.flatnonzero(v[1:] != v[:-1]) + 1]
-
-
-def correlation(s_a: OutcomeSequence, s_b: OutcomeSequence) -> float:
-    """Mean per-trial product (1/N) * sum_j sA(j)*sB(j), always in [-1, 1].
-
-    Accumulated in integer arithmetic and divided once, so the bound
-    checks downstream stay exact.
-    """
-    n = len(s_a)
-    if n != len(s_b):
-        raise ValueError(f"length mismatch: {n} != {len(s_b)}")
-    if n == 0:
-        raise ValueError("empty sequence")
-    total = int(np.sum(s_a.values * s_b.values, dtype=np.int64))
-    return total / n

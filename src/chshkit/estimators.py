@@ -125,43 +125,25 @@ def gamma_subruns(data: SubRunDataset) -> GammaResult:
     return GammaResult(counts, tuple(pairs.product_sum() for _, pairs in data.items()))
 
 
-def split_random(
-    data: CounterfactualDataset,
-    rng: RngSpec,
-    *,
-    return_assignment: bool = False,
-) -> SubRunDataset | tuple[SubRunDataset, np.ndarray]:
+def split_random(data: CounterfactualDataset, rng: RngSpec) -> SubRunDataset:
     """Sample a feasible experiment out of a counterfactual dataset.
 
     Every trial index j is assigned to exactly one of the four setting
     pairs with probability 1/4; the list for pair xy keeps that trial's
     (x-setting, y-setting) outcomes and the two remaining counterfactual
     outcomes are dropped.  Source order is preserved within each list.
-
-    ``return_assignment`` additionally returns the length-n assignment
-    array (0=ab, 1=ac, 2=db, 3=dc) -- a diagnostics hook for oracle
-    comparisons only; the feasible experiment never retains it.
     """
     n = data.n
     if n < 4:
         raise ValueError(f"need at least 4 trials to split, got {n}")
     assignment = rng.generator().integers(0, 4, size=n)
-    column_pairs = (
-        (data.a_seq, data.b_seq),
-        (data.a_seq, data.c_seq),
-        (data.d_seq, data.b_seq),
-        (data.d_seq, data.c_seq),
-    )
+    a, d = data.a_seq.values, data.d_seq.values
+    b, c = data.b_seq.values, data.c_seq.values
     lists = []
-    for code, (arm_a, arm_b) in enumerate(column_pairs):
+    for code, (x, y) in enumerate(((a, b), (a, c), (d, b), (d, c))):
         mask = assignment == code
-        lists.append(
-            SubRunPairs(OutcomeSequence(arm_a.values[mask]), OutcomeSequence(arm_b.values[mask]))
-        )
-    dataset = SubRunDataset(*lists, settings=data.settings)
-    if return_assignment:
-        return dataset, assignment
-    return dataset
+        lists.append(SubRunPairs(OutcomeSequence(x[mask]), OutcomeSequence(y[mask])))
+    return SubRunDataset(*lists, settings=data.settings)
 
 
 def termwise_bound_check(data: CounterfactualDataset) -> BoundReport:

@@ -39,69 +39,13 @@ from .estimators import gamma_subruns
 from .rng import RngSpec
 
 __all__ = [
-    "TrialPermutation",
     "ResortPolicy",
     "STABLE",
     "ResortReport",
-    "align_permutation",
     "resort_cascade",
     "closure_probability",
     "trim_to_shortest",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class TrialPermutation:
-    """A bijection on {0..N-1}; entry i says which source trial lands at i.
-
-    Applying it to a sub-run list reorders (arm A, arm B) pairs as units;
-    a pair is never split.
-    """
-
-    indices: np.ndarray
-
-    def __post_init__(self) -> None:
-        idx = np.asarray(self.indices)
-        if idx.size and idx.dtype.kind not in "iu":
-            raise ValueError("permutation indices must be integers")
-        idx = idx.astype(np.int64)  # a copy: the caller's array stays writable
-        if idx.ndim != 1:
-            raise ValueError("permutation indices must be one-dimensional")
-        if idx.size and (idx.min() < 0 or idx.max() >= idx.size):
-            raise ValueError("permutation indices out of range")
-        if np.any(np.bincount(idx, minlength=idx.size) != 1):
-            raise ValueError("indices do not form a bijection")
-        idx.setflags(write=False)
-        object.__setattr__(self, "indices", idx)
-
-    @classmethod
-    def identity(cls, n: int) -> TrialPermutation:
-        return cls(np.arange(n, dtype=np.int64))
-
-    @classmethod
-    def _trusted(cls, indices: np.ndarray) -> TrialPermutation:
-        """Wrap a fresh int64 bijection built in this module, unchecked."""
-        indices.setflags(write=False)
-        perm = object.__new__(cls)
-        object.__setattr__(perm, "indices", indices)
-        return perm
-
-    def __len__(self) -> int:
-        return int(self.indices.size)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TrialPermutation):
-            return NotImplemented
-        return np.array_equal(self.indices, other.indices)
-
-    def apply(self, seq: OutcomeSequence) -> OutcomeSequence:
-        if len(seq) != len(self):
-            raise ValueError(f"length mismatch: permutation {len(self)}, sequence {len(seq)}")
-        return OutcomeSequence(seq.values[self.indices])
-
-    def apply_pairs(self, pairs: SubRunPairs) -> SubRunPairs:
-        # One index array for both sides: pairs move as units.
-        return SubRunPairs(self.apply(pairs.a), self.apply(pairs.b))
 
 
 @dataclass(frozen=True)
@@ -170,38 +114,23 @@ def _class_matching(
     return perm, t_plus - s_plus
 
 
-def align_permutation(
-    target: OutcomeSequence, source: OutcomeSequence, policy: ResortPolicy = STABLE
-) -> TrialPermutation | None:
-    """The permutation re-sorting ``source`` into ``target``, if one exists.
-
-    Exists iff the +1-counts agree; a count mismatch returns None
-    (infeasible -- an outcome, not an error).  Under the stable policy
-    the result is the unique order-preserving class matching; under
-    uniform-random it is uniform over all valid bijections.
-    """
-    if len(target) != len(source):
-        raise ValueError(f"length mismatch: {len(target)} != {len(source)}")
-    g = policy.rng.generator() if policy.kind == "uniform-random" else None
-    perm, deficit = _class_matching(target.values, source.values, g)
-    return None if deficit else TrialPermutation._trusted(perm)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResortReport:
     """Everything the cascade found.
 
     Step order is the cascade order: the re-sorted terms are ac, dc, db
     (terms 2, 4, 3 of the four-term sum), and ``feasible``, ``perms``
-    and ``count_deficits`` follow it.  A deficit is the target's
-    +1-count minus the source's, so 0 means the step was exactly
-    alignable.  ``closure`` compares the ab list's b-side with the
-    dragged-along b-side of the final step; ``gamma_resorted`` is the
-    factorized evaluation and is None unless every step was feasible.
+    and ``count_deficits`` follow it.  Each permutation is a read-only
+    int64 array whose entry i says which source trial lands at slot i;
+    with arrays inside, reports do not compare with ``==``.  A deficit
+    is the target's +1-count minus the source's, so 0 means the step was
+    exactly alignable.  ``closure`` compares the ab list's b-side with
+    the dragged-along b-side of the final step; ``gamma_resorted`` is
+    the factorized evaluation and is None unless every step was feasible.
     """
 
     feasible: tuple[bool, bool, bool]
-    perms: tuple[TrialPermutation, TrialPermutation, TrialPermutation]
+    perms: tuple[np.ndarray, np.ndarray, np.ndarray]
     count_deficits: tuple[int, int, int]
     closure: bool
     hamming_b: int
@@ -245,7 +174,8 @@ def resort_cascade(data: SubRunDataset, policy: ResortPolicy = STABLE) -> Resort
     for index, (aligned, drag) in enumerate((ac, dc[::-1], db)):
         g = policy.rng.derive(index).generator() if policy.kind == "uniform-random" else None
         perm, deficit = _class_matching(target, aligned, g)
-        perms.append(TrialPermutation._trusted(perm))
+        perm.setflags(write=False)
+        perms.append(perm)
         deficits.append(deficit)
         target = drag[perm]
         dragged.append(target)

@@ -53,9 +53,7 @@ __all__ = [
     "SIGN_MALUS",
     "PHOTON_OPTIMAL_QUAD",
     "SPIN_OPTIMAL_QUAD",
-    "lhv_outcomes",
     "lhv_generate",
-    "lhv_malus_correlation",
     "qm_generate",
     "generate_subruns",
     "CsvFormatError",
@@ -116,46 +114,20 @@ def _sign_malus_response(theta: float, lam: np.ndarray) -> np.ndarray:
 SIGN_MALUS = LhvModel("sign-malus", _sign_malus_response)
 
 
-def lhv_outcomes(
-    model: LhvModel, settings: SettingsQuad, lam: np.ndarray
+def lhv_generate(
+    model: LhvModel, settings: SettingsQuad, n: int, rng: RngSpec
 ) -> CounterfactualDataset:
-    """Evaluate the model at explicit hidden-variable values.
+    """Draw n trials from the model, lambda uniform on [0, pi) per trial.
 
     All four sequences come from the same lambda array -- this sharing is
     what makes the dataset counterfactual.
     """
-    lam = np.asarray(lam, dtype=np.float64)
-    if lam.ndim != 1 or lam.size == 0:
-        raise ValueError("lambda array must be one-dimensional and nonempty")
-    return CounterfactualDataset(
-        a_seq=OutcomeSequence(model.response(settings.a.radians, lam)),
-        d_seq=OutcomeSequence(model.response(settings.d.radians, lam)),
-        b_seq=OutcomeSequence(model.response(settings.b.radians, lam)),
-        c_seq=OutcomeSequence(model.response(settings.c.radians, lam)),
-        settings=settings,
-    )
-
-
-def lhv_generate(
-    model: LhvModel, settings: SettingsQuad, n: int, rng: RngSpec
-) -> CounterfactualDataset:
-    """Draw n trials from the model, lambda uniform on [0, pi) per trial."""
     if not _is_count(n) or n < 1:
         raise ValueError(f"trial count must be an integer >= 1, got {n}")
     lam = rng.generator().uniform(0.0, math.pi, size=n)
-    return lhv_outcomes(model, settings, lam)
-
-
-def lhv_malus_correlation(alpha: Angle, beta: Angle) -> float:
-    """Closed-form pair correlation of the sign-malus model.
-
-    With lambda uniform on [0, pi) the product of the two sign responses
-    averages to 1 - 4*delta/pi, delta being the angle distance folded
-    into [0, pi/2].  Used as a reference curve in tests and demos.
-    """
-    d = abs(alpha.radians - beta.radians) % math.pi
-    folded = min(d, math.pi - d)
-    return 1.0 - 4.0 * folded / math.pi
+    a, d, b, c = (OutcomeSequence(model.response(x.radians, lam))
+                  for x in (settings.a, settings.d, settings.b, settings.c))
+    return CounterfactualDataset(a, d, b, c, settings=settings)
 
 
 def qm_generate(

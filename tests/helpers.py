@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 
 import numpy as np
 
 from chshkit import (
     PAIR_LABELS,
     STABLE,
+    Angle,
     CounterfactualDataset,
     CsvFormatError,
     OutcomeSequence,
@@ -18,9 +20,7 @@ from chshkit import (
     RngSpec,
     SubRunDataset,
     SubRunPairs,
-    TrialPermutation,
     gamma_subruns,
-    sequences_identical,
 )
 
 
@@ -47,6 +47,26 @@ def exact_two_dataset() -> SubRunDataset:
         return pairs([1] * n, [1] * (n - disagree) + [-1] * disagree)
 
     return SubRunDataset(agreeing(24, 22), agreeing(20, 14), agreeing(10, 8), agreeing(24, 10))
+
+
+def switch_pattern(s: OutcomeSequence) -> list[int]:
+    """Positions i >= 1 where the sequence changes sign relative to i-1."""
+    if len(s) == 0:
+        raise ValueError("empty sequence")
+    v = s.values
+    return [int(i) for i in np.flatnonzero(v[1:] != v[:-1]) + 1]
+
+
+def lhv_malus_correlation(alpha: Angle, beta: Angle) -> float:
+    """Closed-form pair correlation of the sign-malus model.
+
+    With lambda uniform on [0, pi) the product of the two sign responses
+    averages to 1 - 4*delta/pi, delta being the angle distance folded
+    into [0, pi/2].
+    """
+    d = abs(alpha.radians - beta.radians) % math.pi
+    folded = min(d, math.pi - d)
+    return 1.0 - 4.0 * folded / math.pi
 
 
 def reference_generator(spec: RngSpec) -> np.random.Generator:
@@ -244,11 +264,11 @@ def reference_resort_cascade(data: SubRunDataset, policy: ResortPolicy = STABLE)
         source = source_pairs.a if source_side == "a" else source_pairs.b
         random = policy.kind == "uniform-random"
         g = policy.rng.derive(index).generator() if random else None
-        perm = TrialPermutation(_reference_class_matching(target.values, source.values, g))
+        perm = _reference_class_matching(target.values, source.values, g)
         deficit = target.plus_count() - source.plus_count()
         moved = SubRunPairs(
-            OutcomeSequence(source_pairs.a.values[perm.indices]),
-            OutcomeSequence(source_pairs.b.values[perm.indices]),
+            OutcomeSequence(source_pairs.a.values[perm]),
+            OutcomeSequence(source_pairs.b.values[perm]),
         )
         return perm, deficit == 0, deficit, moved
 
@@ -257,7 +277,7 @@ def reference_resort_cascade(data: SubRunDataset, policy: ResortPolicy = STABLE)
     perm3, ok3, deficit3, db_rs = step(2, dc_rs.a, data.db, "a")
 
     b3_rs = db_rs.b
-    closure = sequences_identical(b1, b3_rs)
+    closure = bool(np.array_equal(b1.values, b3_rs.values))
     hamming = int(np.count_nonzero(b1.values != b3_rs.values))
 
     feasible = (ok2, ok4, ok3)

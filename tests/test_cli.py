@@ -277,6 +277,19 @@ class TestSweep:
         assert "Warning" not in proc.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("low, high, bad", [("0", "1e20", "5e+19"),
+                                                ("-1e300", "1e300", "-1e+300")])
+    def test_huge_finite_offset_is_usage_error(self, tmp_path, capsys, low, high, bad):
+        # Added to the base angles, such an offset rounds b and c together.
+        out = tmp_path / "sweep.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--steps", "2", f"--offset-min={low}", f"--offset-max={high}",
+                  "--n-per", "10", "--seed", "1", "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"offset {bad} degrees" in err and "b == c" in err
+        assert not out.exists()
+
 
 class TestAudit:
     def test_shared_fixture_verdict(self, shared_csv, capsys):

@@ -14,11 +14,9 @@ from chshkit import (
     SettingsQuad,
     SubRunDataset,
     SubRunPairs,
-    correlation,
-    sequences_identical,
-    switch_pattern,
+    gamma_subruns,
 )
-from helpers import all_sign_rows, pairs, seq
+from helpers import all_sign_rows, pairs, seq, switch_pattern
 
 sign_lists = st.lists(st.sampled_from((1, -1)), min_size=1, max_size=50)
 
@@ -91,11 +89,11 @@ class TestOutcomeSequence:
         assert list(s) == [1, -1, 1]
         assert s[1] == -1
 
-    def test_equality_and_hash_by_content(self):
+    def test_equality_by_content_and_unhashable(self):
         assert seq(1, -1) == seq(1, -1)
         assert seq(1, -1) != seq(-1, 1)
-        assert hash(seq(1, -1, 1)) == hash(seq(1, -1, 1))
-        assert {seq(1, 1): "x"}[seq(1, 1)] == "x"
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(seq(1, -1, 1))
 
     def test_plus_count_and_tuple(self):
         s = seq(1, -1, 1, 1)
@@ -144,14 +142,16 @@ class TestDatasets:
 
 
 class TestSequencesIdentical:
+    """Identity of sequences is ``==``: same length, same value everywhere."""
+
     def test_identity_case(self):
-        assert sequences_identical(seq(1, -1, 1), seq(1, -1, 1))
+        assert seq(1, -1, 1) == seq(1, -1, 1)
 
     def test_same_counts_different_switches(self):
-        assert not sequences_identical(seq(1, -1, 1), seq(1, 1, -1))
+        assert seq(1, -1, 1) != seq(1, 1, -1)
 
     def test_length_mismatch(self):
-        assert not sequences_identical(seq(1), seq(1, -1))
+        assert seq(1) != seq(1, -1)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_equivalence_with_count_first_and_switches_exhaustive(self, n):
@@ -163,7 +163,7 @@ class TestSequencesIdentical:
         feats = [(len(s), s.plus_count(), s[0], tuple(switch_pattern(s))) for s in seqs]
         for i, s in enumerate(seqs):
             for j, t in enumerate(seqs):
-                assert sequences_identical(s, t) == (feats[i] == feats[j])
+                assert (s == t) == (feats[i] == feats[j])
 
     def test_count_plus_switches_alone_do_not_suffice(self):
         # At half +1-count, negation preserves both the count and the
@@ -171,10 +171,12 @@ class TestSequencesIdentical:
         s, t = seq(1, -1), seq(-1, 1)
         assert s.plus_count() == t.plus_count()
         assert switch_pattern(s) == switch_pattern(t)
-        assert not sequences_identical(s, t)
+        assert s != t
 
 
 class TestSwitchPattern:
+    """The oracle in ``helpers``: the first element and the switches fix a sequence."""
+
     @pytest.mark.parametrize(
         "values,expected",
         [
@@ -205,6 +207,12 @@ class TestSwitchPattern:
         assert rebuilt == list(s)
 
 
+def correlation(s: OutcomeSequence, t: OutcomeSequence) -> float:
+    """The per-term correlation <st> the estimators report for one list."""
+    p = SubRunPairs(s, t)
+    return gamma_subruns(SubRunDataset(p, p, p, p)).per_term[0]
+
+
 class TestCorrelation:
     @pytest.mark.parametrize(
         "sa,sb,expected",
@@ -218,7 +226,7 @@ class TestCorrelation:
         assert correlation(seq(*sa), seq(*sb)) == expected
 
     def test_length_mismatch_error(self):
-        with pytest.raises(ValueError, match="length mismatch"):
+        with pytest.raises(ValueError, match="equal length"):
             correlation(seq(1), seq(1, 1))
 
     def test_empty_error(self):

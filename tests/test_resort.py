@@ -1,4 +1,4 @@
-"""Re-sorting cascade, alignment permutations, closure odds."""
+"""Re-sorting cascade, its permutations, closure odds."""
 
 import dataclasses
 import itertools
@@ -20,13 +20,10 @@ from chshkit import (
     ResortReport,
     SettingsQuad,
     SubRunDataset,
-    TrialPermutation,
-    align_permutation,
     closure_probability,
     gamma_subruns,
     generate_subruns,
     resort_cascade,
-    sequences_identical,
     trim_to_shortest,
 )
 from chshkit import resort
@@ -41,55 +38,6 @@ from helpers import (
 )
 
 
-class TestTrialPermutation:
-    def test_identity(self):
-        p = TrialPermutation.identity(4)
-        assert p.apply(seq(1, -1, 1, -1)) == seq(1, -1, 1, -1)
-
-    def test_rejects_non_bijection(self):
-        with pytest.raises(ValueError, match="bijection"):
-            TrialPermutation(np.array([0, 0, 1]))
-        with pytest.raises(ValueError, match="out of range"):
-            TrialPermutation(np.array([0, 3]))
-        with pytest.raises(ValueError, match="one-dimensional"):
-            TrialPermutation(np.zeros((2, 2), dtype=np.int64))
-
-    @pytest.mark.parametrize("indices", [np.array([0.7, 1.2]), [True, False]])
-    def test_rejects_non_integer_indices(self, indices):
-        with pytest.raises(ValueError, match="must be integers"):
-            TrialPermutation(indices)
-
-    def test_leaves_the_callers_array_writable(self):
-        a = np.array([1, 0])
-        p = TrialPermutation(a)
-        a[0] = 0
-        assert p.indices.tolist() == [1, 0]
-        assert not p.indices.flags.writeable
-
-    def test_empty_input_is_the_empty_permutation(self):
-        assert TrialPermutation([]) == TrialPermutation.identity(0)
-        assert TrialPermutation(np.array([], dtype=np.uint8)).indices.dtype == np.int64
-
-    def test_apply_reorders(self):
-        p = TrialPermutation(np.array([2, 0, 1]))
-        assert tuple(p.apply(seq(1, -1, -1))) == (-1, 1, -1)
-
-    def test_apply_length_mismatch(self):
-        with pytest.raises(ValueError, match="length mismatch"):
-            TrialPermutation.identity(2).apply(seq(1, 1, 1))
-
-    def test_apply_pairs_moves_pairs_as_units(self):
-        p = TrialPermutation(np.array([1, 2, 0]))
-        src = pairs([1, -1, 1], [1, 1, -1])
-        moved = p.apply_pairs(src)
-        assert moved.a.values.tolist() == [-1, 1, 1]
-        assert moved.b.values.tolist() == [1, -1, 1]
-
-    def test_value_equality(self):
-        assert TrialPermutation(np.array([1, 0])) == TrialPermutation(np.array([1, 0]))
-        assert TrialPermutation(np.array([1, 0])) != TrialPermutation.identity(2)
-
-
 class TestResortPolicy:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown resort policy"):
@@ -101,49 +49,58 @@ class TestResortPolicy:
         assert ResortPolicy.uniform_random(RngSpec(1)).kind == "uniform-random"
 
 
+def first_step(target: OutcomeSequence, source: OutcomeSequence, policy: ResortPolicy = STABLE):
+    """The cascade's first step re-sorts the ac list's a-side onto the ab list's.
+
+    Returns the step's permutation and whether its +1 counts matched.
+    """
+    n, m = len(target), len(source)
+    data = SubRunDataset(ab=pairs(target.values, [1] * n), ac=pairs(source.values, [1] * m),
+                         db=pairs([1] * n, [1] * n), dc=pairs([1] * n, [1] * n))
+    report = resort_cascade(data, policy)
+    return report.perms[0], report.feasible[0]
+
+
 class TestAlignPermutation:
     def test_swap_example(self):
-        p = align_permutation(seq(-1, 1), seq(1, -1))
-        assert p.indices.tolist() == [1, 0]
-        assert p.apply(seq(1, -1)) == seq(-1, 1)
+        perm, feasible = first_step(seq(-1, 1), seq(1, -1))
+        assert feasible
+        assert perm.tolist() == [1, 0]
+        assert seq(1, -1).values[perm].tolist() == [-1, 1]
 
     def test_stable_three_element_example(self):
         # Stable matching sends source positions (0, 2, 1) into slots
         # (0, 1, 2): slot 0 takes the first +1, slot 1 the first -1,
         # slot 2 the second +1.
-        p = align_permutation(seq(1, -1, 1), seq(1, 1, -1), STABLE)
-        assert p.indices.tolist() == [0, 2, 1]
-        assert p.apply(seq(1, 1, -1)) == seq(1, -1, 1)
+        perm, _ = first_step(seq(1, -1, 1), seq(1, 1, -1), STABLE)
+        assert perm.tolist() == [0, 2, 1]
+        assert seq(1, 1, -1).values[perm].tolist() == [1, -1, 1]
 
     def test_count_mismatch_is_infeasible_not_error(self):
-        assert align_permutation(seq(1, 1), seq(1, -1)) is None
+        _, feasible = first_step(seq(1, 1), seq(1, -1))
+        assert feasible is False
 
     def test_length_mismatch_is_error(self):
-        with pytest.raises(ValueError, match="length mismatch"):
-            align_permutation(seq(1), seq(1, 1))
+        with pytest.raises(ValueError, match="equal sub-run lengths"):
+            first_step(seq(1), seq(1, 1))
 
     def test_uniform_policy_achieves_alignment(self):
         target = seq(1, -1, 1, 1, -1, -1, 1)
         source = seq(-1, 1, 1, -1, 1, -1, 1)
         for s in range(10):
-            p = align_permutation(target, source, ResortPolicy.uniform_random(RngSpec(s)))
-            assert p.apply(source) == target
+            perm, _ = first_step(target, source, ResortPolicy.uniform_random(RngSpec(s)))
+            assert np.array_equal(source.values[perm], target.values)
 
     def test_uniform_policy_deterministic_per_seed(self):
         target, source = seq(1, 1, -1, -1), seq(-1, 1, -1, 1)
         policy = ResortPolicy.uniform_random(RngSpec(5))
-        assert align_permutation(target, source, policy) == align_permutation(
-            target, source, policy
-        )
+        assert np.array_equal(first_step(target, source, policy)[0],
+                              first_step(target, source, policy)[0])
 
     def test_uniform_policy_varies_across_seeds(self):
         target = source = seq(1, 1, 1, 1, -1, -1, -1, -1)
         perms = {
-            tuple(
-                align_permutation(
-                    target, source, ResortPolicy.uniform_random(RngSpec(s))
-                ).indices.tolist()
-            )
+            tuple(first_step(target, source, ResortPolicy.uniform_random(RngSpec(s)))[0].tolist())
             for s in range(40)
         }
         assert len(perms) > 1
@@ -153,10 +110,9 @@ class TestAlignPermutation:
     def test_alignment_contract(self, values, s):
         target = seq(*values)
         source_values = RngSpec(s).generator().permutation(np.asarray(values, dtype=np.int8))
-        source = OutcomeSequence(source_values)
-        p = align_permutation(target, source)
-        assert p is not None  # permuted copy always has matching counts
-        assert p.apply(source) == target
+        perm, feasible = first_step(target, OutcomeSequence(source_values))
+        assert feasible  # permuted copy always has matching counts
+        assert np.array_equal(source_values[perm], target.values)
 
 
 def identical_copies_dataset(n: int, rng_seed: int) -> SubRunDataset:
@@ -169,7 +125,7 @@ class TestResortCascade:
         data = identical_copies_dataset(16, rng_seed=1)
         report = resort_cascade(data)
         assert report.feasible == (True, True, True)
-        assert all(p == TrialPermutation.identity(16) for p in report.perms)
+        assert all(np.array_equal(p, np.arange(16)) for p in report.perms)
         assert report.closure is True
         assert report.hamming_b == 0
         assert report.count_deficits == (0, 0, 0)
@@ -213,7 +169,8 @@ class TestResortCascade:
         )
         report = resort_cascade(data)
         for perm, (_, plist) in zip(report.perms, (data.items()[1], data.items()[3], data.items()[2])):
-            assert perm.apply_pairs(plist).product_sum() == plist.product_sum()
+            moved = pairs(plist.a.values[perm], plist.b.values[perm])  # pairs move as units
+            assert moved.product_sum() == plist.product_sum()
 
     def test_value_invariance_on_feasible_data(self):
         for s in range(200):
@@ -230,8 +187,22 @@ class TestResortCascade:
         policy = ResortPolicy.uniform_random(RngSpec(9))
         r1 = resort_cascade(data, policy)
         r2 = resort_cascade(data, policy)
-        assert r1.perms == r2.perms
+        assert all(np.array_equal(p, q) for p, q in zip(r1.perms, r2.perms))
         assert r1.to_json_dict() == r2.to_json_dict()
+
+    @pytest.mark.parametrize("policy", [STABLE, ResortPolicy.uniform_random(RngSpec(3))],
+                             ids=["stable", "uniform-random"])
+    def test_perms_are_read_only_int64_bijections(self, policy):
+        quad = SettingsQuad.from_degrees(0, 45, 22.5, -22.5)
+        independent = generate_subruns(quad, CorrelationLaw.PHOTON_MALUS, 50, RngSpec(2))
+        for data in (independent, feasible_dataset(RngSpec(5), 50)):
+            report = resort_cascade(data, policy)
+            assert len(report.perms) == 3
+            for perm in report.perms:
+                assert perm.dtype == np.int64 and perm.shape == (50,)
+                assert np.array_equal(np.bincount(perm, minlength=50), np.ones(50))
+                with pytest.raises(ValueError, match="read-only"):
+                    perm[0] = 0
 
     def test_closure_implies_zero_hamming(self):
         for s in range(60):
@@ -280,8 +251,11 @@ class TestCascadeMatchesReference:
     def test_every_report_field_matches(self, data, policy):
         got = resort_cascade(data, policy)
         want = reference_resort_cascade(data, policy)
+        for step, (p, q) in enumerate(zip(got.perms, want.perms, strict=True)):
+            assert np.array_equal(p, q), step
         for field in dataclasses.fields(ResortReport):
-            assert getattr(got, field.name) == getattr(want, field.name), field.name
+            if field.name != "perms":
+                assert getattr(got, field.name) == getattr(want, field.name), field.name
         assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
 
 
@@ -548,4 +522,4 @@ class TestTrimToShortest:
         cut = trim_to_shortest(data)
         assert cut.counts == data.counts
         for (_, p), (_, q) in zip(data.items(), cut.items()):
-            assert sequences_identical(p.a, q.a) and sequences_identical(p.b, q.b)
+            assert np.array_equal(p.a.values, q.a.values) and np.array_equal(p.b.values, q.b.values)

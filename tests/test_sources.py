@@ -23,20 +23,17 @@ from chshkit import (
     SPIN_OPTIMAL_QUAD,
     SettingsQuad,
     SubRunDataset,
-    correlation,
     generate_subruns,
     ingest_counterfactual_csv,
     ingest_csv,
     lhv_generate,
-    lhv_malus_correlation,
-    lhv_outcomes,
     qm_generate,
-    sequences_identical,
     write_counterfactual_csv,
     write_subrun_csv,
 )
 from chshkit import sources
 from helpers import (
+    lhv_malus_correlation,
     pairs,
     random_counterfactual,
     reference_ingest_counterfactual,
@@ -44,6 +41,11 @@ from helpers import (
 )
 
 deg = Angle.from_degrees
+
+
+def correlation(s, t) -> float:
+    """Mean per-trial product of two equal-length outcome sequences."""
+    return float(np.mean(s.values * t.values, dtype=np.float64))
 
 
 class TestCorrelationLaw:
@@ -95,15 +97,9 @@ class TestLhvModel:
         # One trial, lambda forced to 0, settings (0, 45, 22.5, 67.5)
         # degrees: only the c outcome goes negative (cos 3pi/4 < 0).
         quad = SettingsQuad.from_degrees(0.0, 45.0, 22.5, 67.5)
-        data = lhv_outcomes(SIGN_MALUS, quad, np.array([0.0]))
-        assert (data.a_seq[0], data.d_seq[0], data.b_seq[0], data.c_seq[0]) == (1, 1, 1, -1)
-
-    def test_lhv_outcomes_rejects_bad_lambda(self):
-        quad = PHOTON_OPTIMAL_QUAD
-        with pytest.raises(ValueError):
-            lhv_outcomes(SIGN_MALUS, quad, np.empty(0))
-        with pytest.raises(ValueError):
-            lhv_outcomes(SIGN_MALUS, quad, np.zeros((2, 2)))
+        lam = np.array([0.0])
+        settings = (quad.a, quad.d, quad.b, quad.c)
+        assert [SIGN_MALUS.response(x.radians, lam)[0] for x in settings] == [1, 1, 1, -1]
 
     def test_closed_form_matches_grid_integration(self):
         # Midpoint-rule average of the response product over a dense
@@ -141,7 +137,7 @@ class TestLhvGenerate:
         a = lhv_generate(SIGN_MALUS, PHOTON_OPTIMAL_QUAD, 500, RngSpec(3))
         b = lhv_generate(SIGN_MALUS, PHOTON_OPTIMAL_QUAD, 500, RngSpec(3))
         for x, y in [(a.a_seq, b.a_seq), (a.d_seq, b.d_seq), (a.b_seq, b.b_seq), (a.c_seq, b.c_seq)]:
-            assert sequences_identical(x, y)
+            assert np.array_equal(x.values, y.values)
 
     def test_settings_attached(self):
         data = lhv_generate(SIGN_MALUS, PHOTON_OPTIMAL_QUAD, 5, RngSpec(0))
@@ -182,7 +178,7 @@ class TestQmGenerate:
 
     def test_equal_angles_perfectly_correlated(self):
         p = qm_generate(deg(30), deg(30), CorrelationLaw.PHOTON_MALUS, 2000, RngSpec(5))
-        assert sequences_identical(p.a, p.b)
+        assert np.array_equal(p.a.values, p.b.values)
 
     def test_orthogonal_angles_uncorrelated(self):
         n = 100_000
@@ -217,7 +213,7 @@ class TestQmGenerate:
     def test_deterministic(self):
         x = qm_generate(deg(0), deg(22.5), CorrelationLaw.PHOTON_MALUS, 100, RngSpec(10))
         y = qm_generate(deg(0), deg(22.5), CorrelationLaw.PHOTON_MALUS, 100, RngSpec(10))
-        assert sequences_identical(x.a, y.a) and sequences_identical(x.b, y.b)
+        assert np.array_equal(x.a.values, y.a.values) and np.array_equal(x.b.values, y.b.values)
 
 
 class TestGenerateSubruns:
@@ -236,13 +232,14 @@ class TestGenerateSubruns:
         sides = [data.ab.a, data.ac.a, data.db.a, data.dc.a]
         for i in range(len(sides)):
             for j in range(i + 1, len(sides)):
-                assert not sequences_identical(sides[i], sides[j])
+                assert not np.array_equal(sides[i].values, sides[j].values)
 
     def test_deterministic(self):
         x = generate_subruns(SPIN_OPTIMAL_QUAD, CorrelationLaw.SPIN_HALF, 64, RngSpec(3))
         y = generate_subruns(SPIN_OPTIMAL_QUAD, CorrelationLaw.SPIN_HALF, 64, RngSpec(3))
         for (_, px), (_, py) in zip(x.items(), y.items()):
-            assert sequences_identical(px.a, py.a) and sequences_identical(px.b, py.b)
+            assert np.array_equal(px.a.values, py.a.values)
+            assert np.array_equal(px.b.values, py.b.values)
 
 
 SUBRUN_HEADER = "pair,outcome_a,outcome_b"
@@ -262,7 +259,7 @@ class TestSubrunCsv:
         write_subrun_csv(src, buf)
         back = ingest_csv(io.StringIO(buf.getvalue()))
         for (_, p), (_, q) in zip(src.items(), back.items()):
-            assert sequences_identical(p.a, q.a) and sequences_identical(p.b, q.b)
+            assert np.array_equal(p.a.values, q.a.values) and np.array_equal(p.b.values, q.b.values)
 
     def test_write_is_byte_stable(self):
         src = generate_subruns(PHOTON_OPTIMAL_QUAD, CorrelationLaw.PHOTON_MALUS, 20, RngSpec(5))
@@ -376,7 +373,7 @@ class TestCounterfactualCsv:
             (src.b_seq, back.b_seq),
             (src.c_seq, back.c_seq),
         ]:
-            assert sequences_identical(x, y)
+            assert np.array_equal(x.values, y.values)
 
     def test_indices_written_one_based(self):
         src = random_counterfactual(RngSpec(7), 3)
