@@ -234,31 +234,37 @@ def cmd_resort(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_quads(
-    args: argparse.Namespace, parser: argparse.ArgumentParser
-) -> list[tuple[float, SettingsQuad]]:
-    """Each row's (offset, quad), all built before anything is drawn."""
+def _sweep_quad(args: argparse.Namespace, offset: float) -> SettingsQuad:
+    # The offset rotates both arm-B analyzers; arm A stays put, so the
+    # four pairwise differences (and gamma) actually move.
+    base = args.angles or _default_quad(args.law)
+    return SettingsQuad.from_degrees(
+        base.a.degrees, base.d.degrees, base.b.degrees + offset, base.c.degrees + offset
+    )
+
+
+def _sweep_offsets(args: argparse.Namespace, parser: argparse.ArgumentParser) -> np.ndarray:
+    """Each row's offset; a usage error if any row's settings are invalid.
+
+    Every row is checked before anything is drawn, and no row's settings
+    are kept: :func:`cmd_sweep` builds each row's again as it draws it.
+    """
     if not math.isfinite(args.offset_max - args.offset_min):
         parser.error("--offset-max minus --offset-min must be finite")
-    base = args.angles or _default_quad(args.law)
-    rows = []
-    for offset in np.linspace(args.offset_min, args.offset_max, args.steps + 1):
-        # The offset rotates both arm-B analyzers; arm A stays put, so
-        # the four pairwise differences (and gamma) actually move.
+    offsets = np.linspace(args.offset_min, args.offset_max, args.steps + 1)
+    for offset in offsets:
         try:
-            quad = SettingsQuad.from_degrees(
-                base.a.degrees, base.d.degrees, base.b.degrees + offset, base.c.degrees + offset
-            )
+            _sweep_quad(args, offset)
         except ValueError as exc:  # a huge offset rounds the arm-B angles together
             parser.error(f"offset {offset:g} degrees gives no valid settings: {exc}")
-        rows.append((offset, quad))
-    return rows
+    return offsets
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     rng = RngSpec(args.seed)
     lines = ["offset_deg,gamma_theory,gamma_empirical"]
-    for i, (offset, quad) in enumerate(args.rows):
+    for i, offset in enumerate(args.offsets):
+        quad = _sweep_quad(args, offset)
         theory = theory_gamma(quad, args.law)
         empirical = gamma_subruns(
             generate_subruns(quad, args.law, args.n_per, rng.derive(i))
@@ -372,7 +378,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.mode == "qm" and args.n_per is None:
             parser.error("--mode qm requires --n-per")
     if args.command == "sweep":
-        args.rows = _sweep_quads(args, parser)
+        args.offsets = _sweep_offsets(args, parser)
     if getattr(args, "policy", "stable") == "uniform-random" and args.seed is None:
         parser.error("--seed is required with --policy uniform-random")
     try:

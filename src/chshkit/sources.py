@@ -175,12 +175,11 @@ class CsvFormatError(ValueError):
     """A trial CSV violates its format contract."""
 
 
-#: Bytes read per step of an ingest.  The numpy temporaries of a block are
-#: a few times its size, so it bounds the memory an ingest adds to its
-#: result; 64 KiB to 256 KiB read fastest, 1 MiB and 4 MiB more slowly.
+#: Bytes read per step of an ingest, and at most written per step of a
+#: write.  The numpy temporaries and text copies of a block are a few times
+#: its size, so it bounds the memory either adds to its data; 64 KiB to
+#: 256 KiB read fastest, 1 MiB and 4 MiB more slowly.
 _BLOCK_BYTES = 1 << 17
-#: Rows formatted per write in the writers.
-_WRITE_ROWS = 4_096
 
 
 @contextmanager
@@ -634,36 +633,71 @@ def _output(dest) -> Iterator[IO[str]]:
         tmp.unlink(missing_ok=True)
 
 
-#: Sub-run row text by code 4*label + 2a + b, each outcome read as a bit
+def _byte_table(rows: list[str]) -> np.ndarray:
+    """Equal-length ASCII rows as a (rows, length) uint8 table."""
+    return np.frombuffer("".join(rows).encode("ascii"), np.uint8).reshape(len(rows), -1)
+
+
+#: Sub-run row bytes by code 4*label + 2a + b, each outcome read as a bit
 #: (+1 -> 1, -1 -> 0).
-_SUBRUN_ROWS = tuple(
-    f"{label},{a:+d},{b:+d}\n" for label in PAIR_LABELS for a in (-1, 1) for b in (-1, 1)
+_SUBRUN_ROWS = _byte_table(
+    [f"{label},{a:+d},{b:+d}\n" for label in PAIR_LABELS for a in (-1, 1) for b in (-1, 1)]
 )
-#: Counterfactual row text after the index, by code 8a + 4d + 2b + c.
-_COUNTERFACTUAL_CELLS = tuple(
-    "".join(f",{v:+d}" for v in outcomes) + "\n"
-    for outcomes in itertools.product((-1, 1), repeat=4)
+#: Counterfactual row bytes after the index, by code 8a + 4d + 2b + c.
+_COUNTERFACTUAL_CELLS = _byte_table(
+    ["".join(f",{v:+d}" for v in outcomes) + "\n" for outcomes in itertools.product((-1, 1), repeat=4)]
 )
+
+
+def _codes(prefix: int, seqs: tuple[OutcomeSequence, ...], rows: slice) -> np.ndarray:
+    """Each row's code in a byte table: ``prefix``, then one bit per sequence, 1 for +1."""
+    bits = [s.values[rows] > 0 for s in seqs]
+    codes = np.full(len(bits[0]), prefix, np.uint8)
+    for bit in bits:
+        codes <<= 1
+        codes |= bit
+    return codes
 
 
 def write_subrun_csv(dataset: SubRunDataset, dest) -> None:
     """Write sub-run trials, lists in canonical order ab, ac, db, dc."""
+    step = _BLOCK_BYTES // _SUBRUN_ROWS.shape[1]
     with _output(dest) as stream:
         stream.write("pair,outcome_a,outcome_b\n")
         for label, (_, pairs) in enumerate(dataset.items()):
-            for start in range(0, len(pairs), _WRITE_ROWS):
-                a, b = (s.values[start : start + _WRITE_ROWS] > 0 for s in (pairs.a, pairs.b))
-                codes = 4 * label + 2 * a + b
-                stream.write("".join(map(_SUBRUN_ROWS.__getitem__, codes.tolist())))
+            for start in range(0, len(pairs), step):
+                codes = _codes(label, (pairs.a, pairs.b), slice(start, start + step))
+                stream.write(_SUBRUN_ROWS.take(codes, axis=0).tobytes().decode("ascii"))
+
+
+def _counterfactual_text(codes: np.ndarray, first: int) -> str:
+    """The rows of ``codes``, indexed from ``first``, as one text.
+
+    The rows of each index width are one table: digit columns, then the
+    cells gathered by code.
+    """
+    end, pieces = first + len(codes), []
+    lo = first
+    while lo < end:
+        digits = len(str(lo))
+        hi = min(end, 10**digits)
+        rows = np.empty((hi - lo, digits + _COUNTERFACTUAL_CELLS.shape[1]), np.uint8)
+        rows[:, digits:] = _COUNTERFACTUAL_CELLS.take(codes[lo - first : hi - first], axis=0)
+        index = np.arange(lo, hi, dtype=np.min_scalar_type(hi))
+        for k in reversed(range(digits)):
+            rows[:, k] = index % 10 + ord("0")
+            index //= 10
+        pieces.append(rows.tobytes())
+        lo = hi
+    return b"".join(pieces).decode("ascii")
 
 
 def write_counterfactual_csv(dataset: CounterfactualDataset, dest) -> None:
     """Write counterfactual trials with 1-based trial indices."""
     seqs = (dataset.a_seq, dataset.d_seq, dataset.b_seq, dataset.c_seq)
+    step = _BLOCK_BYTES // (len(str(dataset.n)) + _COUNTERFACTUAL_CELLS.shape[1])
     with _output(dest) as stream:
         stream.write("j,a,d,b,c\n")
-        for start in range(0, dataset.n, _WRITE_ROWS):
-            a, d, b, c = (s.values[start : start + _WRITE_ROWS] > 0 for s in seqs)
-            cells = map(_COUNTERFACTUAL_CELLS.__getitem__, (8 * a + 4 * d + 2 * b + c).tolist())
-            indices = map(str, itertools.count(start + 1))
-            stream.write("".join(map(str.__add__, indices, cells)))
+        for start in range(0, dataset.n, step):
+            codes = _codes(0, seqs, slice(start, start + step))
+            stream.write(_counterfactual_text(codes, start + 1))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from chshkit import (
     SubRunPairs,
     gamma_subruns,
 )
+from chshkit.sources import _output
 
 
 def seq(*values: int) -> OutcomeSequence:
@@ -313,3 +315,39 @@ def reference_closure_mc(n: int, k: int, trials: int, rng: RngSpec) -> float:
         hits += int(np.sum(np.all(ones_1 == ones_2, axis=1)))
         done += m
     return hits / trials
+
+
+# Reference writers: one Python string per row, as the package wrote
+# trial CSVs before it built each block of rows from a byte table.  The
+# package's writers must give exactly their text.
+
+_REFERENCE_WRITE_ROWS = 4_096
+_REFERENCE_SUBRUN_ROWS = tuple(
+    f"{label},{a:+d},{b:+d}\n" for label in PAIR_LABELS for a in (-1, 1) for b in (-1, 1)
+)
+_REFERENCE_COUNTERFACTUAL_CELLS = tuple(
+    "".join(f",{v:+d}" for v in outcomes) + "\n"
+    for outcomes in itertools.product((-1, 1), repeat=4)
+)
+
+
+def reference_write_subrun_csv(dataset: SubRunDataset, dest) -> None:
+    with _output(dest) as stream:
+        stream.write("pair,outcome_a,outcome_b\n")
+        for label, (_, pairs) in enumerate(dataset.items()):
+            for start in range(0, len(pairs), _REFERENCE_WRITE_ROWS):
+                a, b = (s.values[start : start + _REFERENCE_WRITE_ROWS] > 0 for s in (pairs.a, pairs.b))
+                codes = 4 * label + 2 * a + b
+                stream.write("".join(map(_REFERENCE_SUBRUN_ROWS.__getitem__, codes.tolist())))
+
+
+def reference_write_counterfactual_csv(dataset: CounterfactualDataset, dest) -> None:
+    seqs = (dataset.a_seq, dataset.d_seq, dataset.b_seq, dataset.c_seq)
+    with _output(dest) as stream:
+        stream.write("j,a,d,b,c\n")
+        for start in range(0, dataset.n, _REFERENCE_WRITE_ROWS):
+            a, d, b, c = (s.values[start : start + _REFERENCE_WRITE_ROWS] > 0 for s in seqs)
+            codes = (8 * a + 4 * d + 2 * b + c).tolist()
+            cells = map(_REFERENCE_COUNTERFACTUAL_CELLS.__getitem__, codes)
+            indices = map(str, itertools.count(start + 1))
+            stream.write("".join(map(str.__add__, indices, cells)))

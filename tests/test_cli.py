@@ -1,9 +1,11 @@
 """Command-line behavior: pipelines, report schemas, exit codes."""
 
+import hashlib
 import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -84,6 +86,32 @@ class TestSimulate:
             main(["simulate", "--mode", "lhv", "--n", "10", "--seed", "1",
                   "--angles", angles, "--out", str(tmp_path / "x.csv")])
         assert exc.value.code == 2
+
+
+
+class TestWrittenFileDigests:
+    """The sha256 of files that simulate and split write, pinned.
+
+    The digests were computed with the writers of commit 8c57a30, which
+    built one Python string per row.  The lhv file's indices cross five
+    digit widths and its rows many write blocks.
+    """
+
+    DIGESTS = {
+        "qm": "7d40169dddc800269f7f18221699fb0120ee8ac81605000e789d076c950faa38",
+        "lhv": "ab94acd25280ec6bb7af2289cfa6b5deae9744425edd4af02f93e0f9d1f1629c",
+        "split": "22bb855882d8004ff70c914dd10debab6f97afd2e6d3d5511074659336a241c4",
+    }
+
+    def test_simulate_and_split_write_the_pinned_bytes(self, tmp_path):
+        qm, lhv, split = (tmp_path / f"{name}.csv" for name in ("qm", "lhv", "split"))
+        assert main(["simulate", "--mode", "qm", "--n-per", "20000", "--seed", "101",
+                     "--out", str(qm)]) == 0
+        assert main(["simulate", "--mode", "lhv", "--n", "123457", "--seed", "102",
+                     "--out", str(lhv)]) == 0
+        assert main(["split", "--in", str(lhv), "--seed", "103", "--out", str(split)]) == 0
+        got = {path.stem: hashlib.sha256(path.read_bytes()).hexdigest() for path in (qm, lhv, split)}
+        assert got == self.DIGESTS
 
 
 class TestEstimate:
@@ -289,6 +317,24 @@ class TestSweep:
         err = capsys.readouterr().err
         assert f"offset {bad} degrees" in err and "b == c" in err
         assert not out.exists()
+
+    def test_checking_every_row_keeps_no_settings(self, tmp_path, capsys):
+        # Only the last 15 of 100,001 offsets round b and c together, so
+        # the command checks 99,986 rows' settings and exits before any
+        # draw.  Keeping each row's settings cost about 62 MB here.
+        out = tmp_path / "sweep.csv"
+        tracemalloc.start()
+        try:
+            with pytest.raises(SystemExit) as exc:
+                main(["sweep", "--steps", "100000", "--offset-max", "1.0324e18",
+                      "--n-per", "10", "--seed", "1", "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exc.value.code == 2
+        assert "offset 1.03226e+18 degrees" in capsys.readouterr().err
+        assert not out.exists()
+        assert peak < 2_000_000
 
 
 class TestAudit:

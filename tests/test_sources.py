@@ -2,10 +2,12 @@
 
 import csv
 import io
+import itertools
 import math
 import os
 import stat
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -36,8 +38,11 @@ from helpers import (
     lhv_malus_correlation,
     pairs,
     random_counterfactual,
+    random_signs,
     reference_ingest_counterfactual,
     reference_ingest_subruns,
+    reference_write_counterfactual_csv,
+    reference_write_subrun_csv,
 )
 
 deg = Angle.from_degrees
@@ -701,3 +706,118 @@ class TestFixedLayoutBlocks:
             text = _edit_cell(text, row, column, cell)
         got = _columns_or_error(_counterfactual_columns, text)
         assert got == _columns_or_error(reference_ingest_counterfactual, text)
+
+
+def _subrun_step() -> int:
+    return sources._BLOCK_BYTES // sources._SUBRUN_ROWS.shape[1]
+
+
+def _counterfactual_step(n: int) -> int:
+    return sources._BLOCK_BYTES // (len(str(n)) + sources._COUNTERFACTUAL_CELLS.shape[1])
+
+
+def _block_edges(step) -> list[int]:
+    return [step - 1, step, step + 1, 2 * step + 1]
+
+
+#: Trial counts one row either side of one full block, and one row past two,
+#: where the block size is the one for the count's own digit count.
+_COUNTERFACTUAL_EDGES = [
+    n for w in range(1, 8) for n in _block_edges(_counterfactual_step(10 ** (w - 1)))
+    if len(str(n)) == w
+]
+
+
+def _subrun_dataset(lengths: list[int], seed: int) -> SubRunDataset:
+    g = RngSpec(seed).generator()
+    return SubRunDataset(*(pairs(random_signs(g, n), random_signs(g, n)) for n in lengths))
+
+
+def _written(write, dataset, dest) -> str:
+    """The text ``write`` writes for ``dataset`` to ``dest``, a path, or to a StringIO if None."""
+    if dest is None:
+        buf = io.StringIO()
+        write(dataset, buf)
+        return buf.getvalue()
+    write(dataset, dest)
+    return dest.read_bytes().decode("ascii")
+
+
+def _assert_same_text(got: str, expected: str) -> None:
+    """Fail on the first differing line; a diff of long texts takes minutes."""
+    if got != expected:
+        pairs_of_lines = itertools.zip_longest(got.splitlines(True), expected.splitlines(True))
+        line, (mine, theirs) = next((i, p) for i, p in enumerate(pairs_of_lines, 1) if p[0] != p[1])
+        pytest.fail(f"line {line} is {mine!r}, the reference writes {theirs!r}")
+
+
+class TestWritersMatchRowStrings:
+    """The byte-table writers against the row-string writers they replaced.
+
+    Each dataset must give the reference text, written to a path or to a
+    text stream; with 64-byte blocks a block holds three to seven rows.
+    """
+
+    @pytest.mark.parametrize("block_bytes", [64, sources._BLOCK_BYTES])
+    @hyp_settings(max_examples=60, deadline=None)
+    @given(
+        lengths=st.lists(st.one_of(st.sampled_from([0, 1, *_block_edges(_subrun_step())]),
+                                   st.integers(0, 40)), min_size=4, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+        to_path=st.booleans(),
+    )
+    def test_subrun_csv(self, tmp_path_factory, block_bytes, lengths, seed, to_path):
+        data = _subrun_dataset(lengths, seed)
+        dest = tmp_path_factory.getbasetemp() / "subruns.csv" if to_path else None
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sources, "_BLOCK_BYTES", block_bytes)
+            got = _written(write_subrun_csv, data, dest)
+        _assert_same_text(got, _written(reference_write_subrun_csv, data, None))
+
+    @pytest.mark.parametrize("block_bytes", [64, sources._BLOCK_BYTES])
+    @hyp_settings(max_examples=60, deadline=None)
+    @given(
+        n=st.one_of(st.sampled_from([0, 1, 9, 10, 11, 99, 100, 101, *_COUNTERFACTUAL_EDGES]),
+                    st.integers(0, 1200)),
+        seed=st.integers(0, 2**32 - 1),
+        to_path=st.booleans(),
+    )
+    def test_counterfactual_csv(self, tmp_path_factory, block_bytes, n, seed, to_path):
+        data = random_counterfactual(RngSpec(seed), n)
+        dest = tmp_path_factory.getbasetemp() / "counterfactual.csv" if to_path else None
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sources, "_BLOCK_BYTES", block_bytes)
+            got = _written(write_counterfactual_csv, data, dest)
+        _assert_same_text(got, _written(reference_write_counterfactual_csv, data, None))
+
+    @pytest.mark.parametrize("to_path", [False, True])
+    def test_index_widths_change_inside_blocks(self, tmp_path, to_path):
+        n = 123_457
+        step = _counterfactual_step(n)
+        # Indices 9 -> 10, 99 -> 100 and 99999 -> 100000 each share a block.
+        assert all((j - 1) // step == j // step for j in (9, 99, 99_999))
+        data = random_counterfactual(RngSpec(n), n)
+        dest = tmp_path / "counterfactual.csv" if to_path else None
+        got = _written(write_counterfactual_csv, data, dest)
+        _assert_same_text(got, _written(reference_write_counterfactual_csv, data, None))
+
+
+class TestWriterWorkingSet:
+    """A write's memory is bounded by its block, not by its row count."""
+
+    @staticmethod
+    def _peak(write, dataset, dest) -> int:
+        tracemalloc.start()
+        try:
+            write(dataset, dest)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_subrun_write_of_a_million_rows(self, tmp_path):
+        data = _subrun_dataset([250_000] * 4, 31)
+        assert self._peak(write_subrun_csv, data, tmp_path / "subruns.csv") <= 1 << 20
+
+    def test_counterfactual_write_of_a_million_rows(self, tmp_path):
+        data = random_counterfactual(RngSpec(32), 1_000_000)
+        assert self._peak(write_counterfactual_csv, data, tmp_path / "counterfactual.csv") <= 1 << 20
