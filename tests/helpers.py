@@ -2,13 +2,23 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import hashlib
 import io
 import itertools
+import json
 import math
+import os
+import platform
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
+import chshkit
 from chshkit import (
     PAIR_LABELS,
     STABLE,
@@ -351,3 +361,227 @@ def reference_write_counterfactual_csv(dataset: CounterfactualDataset, dest) -> 
             cells = map(_REFERENCE_COUNTERFACTUAL_CELLS.__getitem__, codes)
             indices = map(str, itertools.count(start + 1))
             stream.write("".join(map(str.__add__, indices, cells)))
+
+
+# CLI digest manifest: every command's stdout, stderr, exit code and
+# written files, pinned as sha256 digests in tests/data/cli_digests.json.
+# A change that alters an output on purpose regenerates the manifest
+# with regen_cli_digests() and names each changed case.
+
+CLI_DIGESTS = Path(__file__).resolve().parent / "data" / "cli_digests.json"
+_SUBRUN_HEADER = b"pair,outcome_a,outcome_b\n"
+
+
+def _shared_origin_rows() -> bytes:
+    """Four sub-run lists cut from one counterfactual run of all 16 outcome
+    tuples, in one order: every cascade step is feasible and closes."""
+    trials = list(itertools.product((1, -1), repeat=4))  # (a, d, b, c)
+    lists = {"ab": (0, 2), "ac": (0, 3), "db": (1, 2), "dc": (1, 3)}
+    return b"".join(
+        f"{label},{t[x]:+d},{t[y]:+d}\n".encode() for label, (x, y) in lists.items() for t in trials
+    )
+
+
+def _fixed_layout_with_bad_row() -> bytes:
+    """40,000 equal rows, row 30,000 (in a later, fixed-layout block) bad."""
+    rows = [b"ab,+1,-1\n"] * 40_000
+    rows[29_999] = b"ab,+2,-1\n"
+    return _SUBRUN_HEADER + b"".join(rows)
+
+
+#: Input files of the manifest's cases, by name.
+CLI_INPUTS = {
+    "shared.csv": lambda: _SUBRUN_HEADER + _shared_origin_rows(),
+    "unequal.csv": lambda: _SUBRUN_HEADER + b"ab,+1,+1\nab,-1,+1\nab,+1,-1\nac,+1,-1\nac,-1,-1\n"
+    b"db,+1,+1\ndb,-1,-1\ndc,-1,-1\ndc,+1,+1\n",
+    "empty.csv": lambda: b"",
+    "blank-first-line.csv": lambda: b"\n" + _SUBRUN_HEADER + b"ab,+1,+1\n",
+    "header-x-y.csv": lambda: b"x,y\n1,2\n",
+    "header-not-utf8.csv": lambda: b"\xff,x\n1,2\n",
+    "header-quoted.csv": lambda: b'"pair","outcome_a","outcome_b"\nab,+1,+1\nac,+1,+1\ndb,+1,+1\ndc,+1,-1\n',
+    "header-space-pair.csv": lambda: b" pair,outcome_a,outcome_b\nab,+1,+1\n",
+    "header-only.csv": lambda: _SUBRUN_HEADER,
+    "nbsp-cell.csv": lambda: _SUBRUN_HEADER + "ab,-1\xa0,+1\nac,+1,+1\ndb,+1,+1\ndc,+1,-1\n".encode(),
+    "invalid-utf8-row.csv": lambda: _SUBRUN_HEADER + b"ab,+1,+1\nac,+1,\xff1\ndb,+1,+1\n",
+    "field-over-limit.csv": lambda: _SUBRUN_HEADER + b"ab,+1,+1\nac," + b"1" * 200_000 + b",+1\n",
+    "bad-split-row.csv": lambda: _SUBRUN_HEADER + b"ab,+1,+1\nac,+1,x\n",
+    "bad-fixed-row.csv": _fixed_layout_with_bad_row,
+    "bad-quoted-row.csv": lambda: b'"pair",outcome_a,outcome_b\nab,"+1",+1\nac,+1,"0"\n',
+    "bad-index.csv": lambda: b"j,a,d,b,c\n1,+1,+1,+1,+1\nx,+1,+1,+1,+1\n",
+}
+
+#: Each case's argv, run in one directory holding CLI_INPUTS, in this
+#: order: a case may read a file that an earlier case wrote.
+CLI_CASES = {
+    # simulate and split; the first three files were pinned when each
+    # row was still written as its own Python string.
+    "simulate-qm": "simulate --mode qm --n-per 20000 --seed 101 --out qm.csv",
+    "simulate-lhv": "simulate --mode lhv --n 123457 --seed 102 --out lhv.csv",
+    "split": "split --in lhv.csv --seed 103 --out split.csv",
+    "simulate-qm-spin-half": "simulate --mode qm --law spin-half --n-per 500 --seed 104 --out spin.csv",
+    "simulate-qm-angles": "simulate --mode qm --angles 10,50,30,70 --n-per 500 --seed 105 --out qm-angles.csv",
+    "simulate-lhv-angles": "simulate --mode lhv --angles 10,50,30,70 --n 2000 --seed 106 --out lhv-angles.csv",
+    "simulate-qm-small": "simulate --mode qm --n-per 300 --seed 107 --out qm-small.csv",
+    # estimate on both kinds, and on each header and cell case
+    "estimate-subruns": "estimate --in qm.csv",
+    "estimate-counterfactual": "estimate --in lhv.csv",
+    "estimate-split-to-file": "estimate --in split.csv --out estimate.json",
+    "estimate-spin-half": "estimate --in spin.csv",
+    "estimate-lhv-angles": "estimate --in lhv-angles.csv",
+    "estimate-missing-file": "estimate --in absent.csv",
+    "estimate-empty": "estimate --in empty.csv",
+    "estimate-blank-first-line": "estimate --in blank-first-line.csv",
+    "estimate-header-x-y": "estimate --in header-x-y.csv",
+    "estimate-header-not-utf8": "estimate --in header-not-utf8.csv",
+    "estimate-header-quoted": "estimate --in header-quoted.csv",
+    "estimate-header-space-pair": "estimate --in header-space-pair.csv",
+    "estimate-header-only": "estimate --in header-only.csv",
+    "estimate-nbsp-cell": "estimate --in nbsp-cell.csv",
+    "estimate-invalid-utf8-row": "estimate --in invalid-utf8-row.csv",
+    "estimate-field-over-limit": "estimate --in field-over-limit.csv",
+    # one CsvFormatError on each ingest path
+    "resort-bad-split-row": "resort --in bad-split-row.csv",
+    "resort-bad-fixed-row": "resort --in bad-fixed-row.csv",
+    "audit-bad-quoted-row": "audit --in bad-quoted-row.csv",
+    "split-bad-index": "split --in bad-index.csv --seed 1 --out bad-split.csv",
+    # resort and audit under both policies
+    "resort-stable": "resort --in qm-small.csv",
+    "resort-uniform": "resort --in qm-small.csv --policy uniform-random --seed 108",
+    "resort-shared-stable": "resort --in shared.csv",
+    "resort-shared-uniform": "resort --in shared.csv --policy uniform-random --seed 109 --out resort.json",
+    "resort-unequal": "resort --in unequal.csv",
+    "resort-unequal-trim": "resort --in unequal.csv --trim",
+    "audit-stable": "audit --in qm-small.csv",
+    "audit-uniform": "audit --in qm-small.csv --policy uniform-random --seed 110",
+    "audit-shared-stable": "audit --in shared.csv --out audit.json",
+    "audit-shared-uniform": "audit --in shared.csv --policy uniform-random --seed 111",
+    "audit-unequal": "audit --in unequal.csv",
+    "audit-unequal-trim": "audit --in unequal.csv --trim --policy uniform-random --seed 112",
+    # sweep
+    "sweep-default": "sweep --seed 113 --out sweep.csv",
+    "sweep-spin-half": "sweep --law spin-half --offset-min=-30 --offset-max 200 --steps 23 --n-per 2000 --seed 114 --out sweep-spin.csv",
+    "sweep-finite-span": "sweep --offset-min 1e10 --offset-max 1e12 --steps 4 --n-per 100 --seed 115 --out sweep-span.csv",
+    # usage errors (exit 2), and help
+    "usage-no-command": "",
+    "usage-unknown-command": "frobnicate",
+    "usage-help": "--help",
+    "usage-lhv-without-n": "simulate --mode lhv --seed 1 --out x.csv",
+    "usage-qm-without-n-per": "simulate --mode qm --seed 1 --out x.csv",
+    "usage-missing-seed": "simulate --mode lhv --n 10 --out x.csv",
+    "usage-zero-trials": "simulate --mode lhv --n 0 --seed 1 --out x.csv",
+    "usage-n-not-an-integer": "simulate --mode lhv --n ten --seed 1 --out x.csv",
+    "usage-three-angles": "simulate --mode lhv --n 10 --seed 1 --angles 1,2,3 --out x.csv",
+    "usage-angle-not-a-number": "simulate --mode lhv --n 10 --seed 1 --angles a,b,c,d --out x.csv",
+    "usage-equal-angles": "simulate --mode lhv --n 10 --seed 1 --angles 0,0,10,20 --out x.csv",
+    "usage-unknown-law": "simulate --mode qm --n-per 10 --seed 1 --law classical --out x.csv",
+    "usage-negative-seed": "simulate --mode qm --n-per 2 --seed -1 --out x.csv",
+    "usage-seed-over-64-bits": "split --in lhv.csv --seed 18446744073709551616 --out x.csv",
+    "usage-uniform-without-seed": "resort --in qm-small.csv --policy uniform-random",
+    "usage-unknown-policy": "audit --in qm-small.csv --policy random",
+    "usage-sweep-steps-zero": "sweep --steps 0 --seed 1 --out x.csv",
+    "usage-sweep-nan-offset": "sweep --steps 1 --n-per 10 --seed 1 --offset-min=nan --out x.csv",
+    "usage-sweep-inf-offset": "sweep --steps 1 --n-per 10 --seed 1 --offset-max=inf --out x.csv",
+    "usage-sweep-offset-not-a-number": "sweep --steps 1 --n-per 10 --seed 1 --offset-max=ninety --out x.csv",
+    "usage-sweep-span-overflows": "sweep --steps 1 --n-per 10 --seed 1 --offset-min=-1e308 --offset-max=1e308 --out x.csv",
+    "usage-sweep-huge-offset": "sweep --steps 2 --n-per 10 --seed 1 --offset-min=0 --offset-max=1e20 --out x.csv",
+}
+
+#: Cases run as subprocesses: (argv of python, the file fed to its stdin).
+CLI_PROCESS_CASES = {
+    "estimate-pipe": (["-m", "chshkit", "estimate", "--in", "/dev/stdin"], "qm.csv"),
+    **{
+        f"demo-{demo.stem}": ([str(demo)], None)
+        for demo in sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+    },
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _files(directory: Path) -> dict[str, tuple]:
+    return {p.name: (p.stat().st_ino, p.stat().st_mtime_ns, p.stat().st_size) for p in directory.iterdir()}
+
+
+def _digest(out: bytes, err: bytes, code: int, directory: Path, before: dict) -> dict:
+    after = _files(directory)
+    written = sorted(name for name in after if before.get(name) != after[name])
+    return {
+        "stdout": _sha256(out),
+        "stderr": _sha256(err),
+        "exit": code,
+        "files": {name: _sha256((directory / name).read_bytes()) for name in written},
+    }
+
+
+def cli_digests(directory: Path, readouterr) -> dict[str, dict]:
+    """Run every manifest case in ``directory`` and digest what each gives.
+
+    In-process cases run through ``cli.main``; ``readouterr()`` returns the
+    (stdout, stderr) text captured since its last call, as pytest's
+    ``capsys.readouterr`` does.
+    """
+    from chshkit.cli import main
+
+    for name, make in CLI_INPUTS.items():
+        (directory / name).write_bytes(make())
+    env = {**os.environ, "COLUMNS": "80"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(chshkit.__file__).resolve().parent.parent), env.get("PYTHONPATH")])
+    )
+    saved = os.getcwd(), os.environ.get("COLUMNS")
+    os.chdir(directory)
+    os.environ["COLUMNS"] = "80"  # argparse wraps its usage text to the terminal
+    digests = {}
+    try:
+        readouterr()
+        for name, argv in CLI_CASES.items():
+            before = _files(directory)
+            try:
+                code = main(argv.split())
+            except SystemExit as exc:
+                code = exc.code
+            out, err = readouterr()
+            digests[name] = _digest(out.encode(), err.encode(), code, directory, before)
+        for name, (argv, stdin) in CLI_PROCESS_CASES.items():
+            before = _files(directory)
+            feed = (directory / stdin).read_bytes() if stdin else b""
+            proc = subprocess.run([sys.executable, *argv], input=feed, capture_output=True, env=env)
+            digests[name] = _digest(proc.stdout, proc.stderr, proc.returncode, directory, before)
+    finally:
+        os.chdir(saved[0])
+        if saved[1] is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = saved[1]
+    return digests
+
+
+def cli_digest_versions() -> dict[str, str]:
+    """The versions whose behaviour the manifest pins: numpy's Generator
+    streams and argparse's usage text."""
+    return {"numpy": np.__version__, "python": platform.python_version()}
+
+
+def regen_cli_digests() -> None:
+    """Recompute the manifest with the chshkit on the import path.
+
+    Run from the repository root:
+    ``PYTHONPATH=src:tests python -c "import helpers; helpers.regen_cli_digests()"``
+    """
+    out, err = io.StringIO(), io.StringIO()
+
+    def readouterr() -> tuple[str, str]:
+        texts = out.getvalue(), err.getvalue()
+        for stream in (out, err):
+            stream.seek(0)
+            stream.truncate()
+        return texts
+
+    with tempfile.TemporaryDirectory() as directory:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            cases = cli_digests(Path(directory), readouterr)
+    manifest = {**cli_digest_versions(), "cases": cases}
+    CLI_DIGESTS.parent.mkdir(exist_ok=True)
+    CLI_DIGESTS.write_text(json.dumps(manifest, indent=1) + "\n")

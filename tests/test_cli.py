@@ -1,6 +1,5 @@
 """Command-line behavior: pipelines, report schemas, exit codes."""
 
-import hashlib
 import json
 import math
 import subprocess
@@ -11,7 +10,14 @@ import pytest
 
 from chshkit import RngSpec, write_subrun_csv
 from chshkit.cli import _emit, main
-from helpers import exact_two_dataset, random_counterfactual, shared_run_dataset
+from helpers import (
+    CLI_DIGESTS,
+    cli_digest_versions,
+    cli_digests,
+    exact_two_dataset,
+    random_counterfactual,
+    shared_run_dataset,
+)
 
 
 def run_proc(*args: str):
@@ -89,29 +95,28 @@ class TestSimulate:
 
 
 
-class TestWrittenFileDigests:
-    """The sha256 of files that simulate and split write, pinned.
+class TestDigestManifest:
+    """Every CLI case's stdout, stderr, exit code and written files, pinned.
 
-    The digests were computed with the writers of commit 8c57a30, which
-    built one Python string per row.  The lhv file's indices cross five
-    digit widths and its rows many write blocks.
+    ``tests/data/cli_digests.json`` was computed at commit 95f8653 with
+    ``helpers.regen_cli_digests()``.  Its qm, lhv and split files keep
+    the digests first pinned at 8c57a30, whose writers built one Python
+    string per row.  The digests pin numpy's Generator streams, which
+    numpy does not promise to keep across releases, and argparse's usage
+    text, so a failure names the versions the manifest was computed with.
     """
 
-    DIGESTS = {
-        "qm": "7d40169dddc800269f7f18221699fb0120ee8ac81605000e789d076c950faa38",
-        "lhv": "ab94acd25280ec6bb7af2289cfa6b5deae9744425edd4af02f93e0f9d1f1629c",
-        "split": "22bb855882d8004ff70c914dd10debab6f97afd2e6d3d5511074659336a241c4",
-    }
-
-    def test_simulate_and_split_write_the_pinned_bytes(self, tmp_path):
-        qm, lhv, split = (tmp_path / f"{name}.csv" for name in ("qm", "lhv", "split"))
-        assert main(["simulate", "--mode", "qm", "--n-per", "20000", "--seed", "101",
-                     "--out", str(qm)]) == 0
-        assert main(["simulate", "--mode", "lhv", "--n", "123457", "--seed", "102",
-                     "--out", str(lhv)]) == 0
-        assert main(["split", "--in", str(lhv), "--seed", "103", "--out", str(split)]) == 0
-        got = {path.stem: hashlib.sha256(path.read_bytes()).hexdigest() for path in (qm, lhv, split)}
-        assert got == self.DIGESTS
+    def test_every_case_matches_the_manifest(self, tmp_path, capsys):
+        manifest = json.loads(CLI_DIGESTS.read_text())
+        got = cli_digests(tmp_path, capsys.readouterr)
+        expected = manifest["cases"]
+        changed = [name for name in expected if got.get(name) != expected[name]]
+        versions = ", ".join(f"{k} {v}" for k, v in cli_digest_versions().items())
+        assert not changed and list(got) == list(expected), (
+            f"cases changed: {changed}; added: {sorted(got.keys() - expected.keys())}. "
+            f"The manifest was computed with numpy {manifest['numpy']} and Python "
+            f"{manifest['python']}; this run has {versions}."
+        )
 
 
 class TestEstimate:

@@ -343,6 +343,21 @@ class TestSubrunCsv:
         with pytest.raises(CsvFormatError, match="^invalid UTF-8 in the header$"):
             ingest_csv(io.StringIO(f"{SUBRUN_HEADER}\ud800\nab,+1,-1\n"))
 
+    @pytest.mark.parametrize("quote", ["", '"'])
+    def test_field_over_the_limit_names_its_row(self, quote):
+        limit = csv.field_size_limit()
+        cell = f"{quote}{'1' * (limit + 1)}{quote}"
+        text = f"{SUBRUN_HEADER}\nab,+1,+1\nac,{cell},+1\nxy,+1,+1\n"
+        with pytest.raises(CsvFormatError, match=rf"^field larger than field limit \({limit}\) at row 2$"):
+            ingest_csv(text.encode())
+        # A field of exactly the limit is read, and fails as an outcome.
+        with pytest.raises(CsvFormatError, match="^invalid outcome '1+' in column 'outcome_a' at row 2$"):
+            ingest_csv(text.replace("1" * (limit + 1), "1" * limit).encode())
+
+    def test_blank_line_before_the_header_is_an_empty_header(self):
+        with pytest.raises(CsvFormatError, match=r"^missing column\(s\): pair, outcome_a, outcome_b$"):
+            ingest_csv(f"\n{SUBRUN_HEADER}\nab,+1,+1\n".encode())
+
     def test_failed_write_keeps_the_earlier_file(self, tmp_path):
         target = tmp_path / "trials.csv"
         target.write_bytes(b"earlier,file\n")
@@ -698,7 +713,14 @@ class TestFixedLayoutBlocks:
 
     @pytest.mark.parametrize(
         "row, column, cell",
-        [(None, 0, ""), (10_003, 2, "+2"), (9_998, 4, "1_"), (18_000, 0, "1800_"), (18_000, 0, "1800 ")],
+        [
+            (None, 0, ""),
+            (10_003, 2, "+2"),
+            (9_998, 4, "1_"),
+            (18_000, 0, "1800_"),
+            (18_000, 0, "1800 "),
+            (18_000, 1, "+1\xa0"),
+        ],
     )
     def test_counterfactual_file_across_the_width_change(self, row, column, cell):
         text = self._counterfactual_text()
@@ -706,6 +728,14 @@ class TestFixedLayoutBlocks:
             text = _edit_cell(text, row, column, cell)
         got = _columns_or_error(_counterfactual_columns, text)
         assert got == _columns_or_error(reference_ingest_counterfactual, text)
+
+
+    def test_field_over_the_limit_in_a_later_block(self):
+        limit = csv.field_size_limit()
+        text = _edit_cell(self._counterfactual_text(), 18_000, 2, "1" * (limit + 1))
+        assert len(_blocks_of(text.encode()[:text.index("\n18000,")])) > 1
+        with pytest.raises(CsvFormatError, match=rf"^field larger than field limit \({limit}\) at row 18000$"):
+            ingest_counterfactual_csv(text.encode())
 
 
 def _subrun_step() -> int:
