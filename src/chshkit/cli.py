@@ -19,7 +19,6 @@ a failed closure) are report content, never process errors.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -43,6 +42,7 @@ from .sources import (
     SIGN_MALUS,
     SPIN_OPTIMAL_QUAD,
     _output,
+    _read_trials,
     generate_subruns,
     ingest_counterfactual_csv,
     ingest_csv,
@@ -57,34 +57,28 @@ RESORTABLE = "re-sortable; Bell bound applies"
 NOT_RESORTABLE = "not re-sortable; Bell bound inapplicable"
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _number(convert, noun: str, valid, requirement: str):
+    """An argparse type: ``convert(text)``, which ``valid`` must accept.
+
+    ``requirement`` is the message for a value it rejects, formatted with
+    the ``value`` and the ``text``.
+    """
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not {noun}: {text!r}") from None
+        if not valid(value):
+            raise argparse.ArgumentTypeError(requirement.format(value=value, text=text))
+        return value
+
+    return parse
 
 
-def _seed(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError(f"must be in [0, 2**64), got {value}")
-    return value
-
-
-def _finite_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
-    return value
+_positive_int = _number(int, "an integer", lambda v: v >= 1, "must be >= 1, got {value}")
+_seed = _number(int, "an integer", lambda v: 0 <= v < 2**64, "must be in [0, 2**64), got {value}")
+_finite_float = _number(float, "a number", math.isfinite, "must be finite, got {text!r}")
 
 
 def _angles(text: str) -> SettingsQuad:
@@ -126,30 +120,6 @@ def _default_quad(law: CorrelationLaw) -> SettingsQuad:
     return PHOTON_OPTIMAL_QUAD if law is CorrelationLaw.PHOTON_MALUS else SPIN_OPTIMAL_QUAD
 
 
-def _csv_kind(header: bytes) -> str:
-    text = header.decode("utf-8", "replace")
-    try:
-        fields = {f.strip() for f in next(csv.reader([text]), [])}
-    except csv.Error:  # the ingest names what is wrong with this header
-        fields = set()
-    if "pair" in fields:
-        return "subruns"
-    if "j" in fields:
-        return "counterfactual"
-    raise CsvFormatError(f"unrecognized trial CSV header: {text.strip()!r}")
-
-
-class _Replay:
-    """A binary stream that returns ``head`` before reading on from ``stream``."""
-
-    def __init__(self, head: bytes, stream) -> None:
-        self._head, self._stream = head, stream
-
-    def read(self, size: int = -1) -> bytes:
-        head, self._head = self._head, b""
-        return head or self._stream.read(size)
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
     settings = args.angles or _default_quad(args.law)
     rng = RngSpec(args.seed)
@@ -187,13 +157,7 @@ def _estimate_dict(kind: str, dataset) -> dict:
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
-    # The input is read once and never sought, so it may be a pipe.  A
-    # header over 1 MiB is malformed; its kind is taken from its start.
-    with open(args.in_path, "rb") as stream:
-        head = stream.readline(1 << 20)
-        kind = _csv_kind(head.splitlines()[0] if head else b"")
-        ingest = ingest_csv if kind == "subruns" else ingest_counterfactual_csv
-        dataset = ingest(_Replay(head, stream))
+    kind, dataset = _read_trials(args.in_path)
     _emit_json(_estimate_dict(kind, dataset), args.out_path)
     return 0
 

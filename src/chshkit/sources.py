@@ -350,13 +350,14 @@ def _fixed_lines(block: bytes) -> _Lines | None:
     return _Lines(buf, line, list(zip(starts.tolist(), cuts.tolist())))
 
 
-def _split_block(block: bytes) -> tuple[_Fields, str | None]:
+def _split_block(block: bytes) -> _Fields | None:
     """Split a block that holds no quote at every comma and line break.
 
-    This is what csv.reader does with such text.  It cuts the rows short
-    before the first line csv.reader would not accept (bad UTF-8, a field
-    over ``csv.field_size_limit()``) and returns that line's error.
+    This is what csv.reader does with ASCII text whose fields are within
+    ``csv.field_size_limit()``.  Any other block gives None.
     """
+    if not block.isascii():
+        return None
     if not block.endswith((b"\n", b"\r")):
         block += b"\n"
     buf = np.frombuffer(block + bytes(8), np.uint8)
@@ -364,26 +365,13 @@ def _split_block(block: bytes) -> tuple[_Fields, str | None]:
     breaks = (data == ord("\n")) | (data == ord("\r"))
     ends = np.flatnonzero(breaks | (data == ord(",")))
     starts = np.concatenate(([0], ends[:-1] + 1))
+    if (ends - starts).max() > csv.field_size_limit():
+        return None
     last = np.flatnonzero(breaks[ends])  # each line's last field
     first = np.concatenate(([0], last[:-1] + 1))
     width = last - first + 1
     width[(width == 1) & (starts[last] == ends[last])] = 0  # a blank line
-    lines, error = len(last), None
-    if not block.isascii():
-        try:
-            block.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            field = np.searchsorted(ends, exc.start)
-            lines, error = int(np.searchsorted(last, field)), "invalid UTF-8"
-    limit = csv.field_size_limit()
-    for field in np.flatnonzero(ends - starts > limit):
-        line = int(np.searchsorted(last, field))
-        if line >= lines:
-            break
-        if len(block[starts[field] : ends[field]].decode("utf-8")) > limit:
-            lines, error = line, f"field larger than field limit ({limit})"
-            break
-    return _Fields(buf, starts, ends, first[:lines], width[:lines]), error
+    return _Fields(buf, starts, ends, first, width)
 
 
 def _rows_to_fields(rows: list[list[str]]) -> _Fields:
@@ -395,7 +383,7 @@ def _rows_to_fields(rows: list[list[str]]) -> _Fields:
     return _Fields(buf, ends - lengths, ends, np.cumsum(width) - width, width)
 
 
-def _quoted_fields(blocks: Iterator[bytes]) -> Iterator[tuple[_Fields, str | None]]:
+def _csv_fields(blocks: Iterator[bytes]) -> Iterator[tuple[_Fields, str | None]]:
     """Tokenize blocks with csv.reader, one batch of rows per block read.
 
     A quoted field may span lines and blocks.  A line that is not UTF-8,
@@ -428,19 +416,23 @@ def _quoted_fields(blocks: Iterator[bytes]) -> Iterator[tuple[_Fields, str | Non
 
 
 def _tokenize(blocks: Iterator[bytes]) -> Iterator[tuple[_Fields | _Lines, str | None]]:
-    """Each block's rows, split in bulk until a block holds a quote.
+    """Each block's rows, split in bulk until a block needs csv.reader.
 
     A block of equal lines after the first (the header's) is read by byte
     columns, any other split at its delimiters.  Quoted fields cannot be
     split by byte (``a"b`` is a literal quote and ``"ab"x`` reads ``abx``),
-    so csv.reader reads from that block on.
+    and csv.reader alone decodes UTF-8 and applies its field limit, so it
+    reads from the first block that holds a quote, non-ASCII text or a
+    field over the limit on.
     """
     for number, block in enumerate(blocks):
-        if b'"' in block:
-            yield from _quoted_fields(itertools.chain([block], blocks))
-            return
-        lines = _fixed_lines(block) if number else None
-        yield (lines, None) if lines else _split_block(block)
+        if b'"' not in block:
+            fields = (_fixed_lines(block) if number else None) or _split_block(block)
+            if fields is not None:
+                yield fields, None
+                continue
+        yield from _csv_fields(itertools.chain([block], blocks))
+        return
 
 
 #: Code of a text its column's rule rejects, and of a text too long for a key.
@@ -525,26 +517,51 @@ def _parse_index(text: str, column: str) -> int:
         raise CsvFormatError(f"invalid trial index {text!r}") from None
 
 
-def _ingest(
-    source, rules: dict[str, Callable[[str, str], int]], kept: tuple[str, ...]
-) -> list[np.ndarray]:
-    """Validate a trial CSV and return its ``kept`` columns as int8 arrays.
+#: Each trial CSV kind's columns, in the order a row's cells are checked,
+#: each with the rule that parses one cell text or raises CsvFormatError.
+_RULES = {
+    "subruns": {"pair": _parse_label, "outcome_a": _parse_outcome, "outcome_b": _parse_outcome},
+    "counterfactual": {"j": _parse_index, **dict.fromkeys("adbc", _parse_outcome)},
+}
 
-    ``rules`` maps each expected column, in the order a row's cells are
-    checked, to a rule that parses one cell text or raises CsvFormatError.
-    The input is read in blocks; blank lines are skipped.  The first bad
-    row raises the error of its first failing check (a line csv.reader
-    rejects, then the field count, then each column), with its 1-based
-    data row number.
+
+def _csv_kind(header: bytes) -> str:
+    """The kind of trial CSV whose first line is ``header``."""
+    text = header.decode("utf-8", "replace")
+    try:
+        fields = {f.strip() for f in next(csv.reader([text]), [])}
+    except csv.Error:  # the ingest names what is wrong with this header
+        fields = set()
+    if "pair" in fields:
+        return "subruns"
+    if "j" in fields:
+        return "counterfactual"
+    raise CsvFormatError(f"unrecognized trial CSV header: {text.strip()!r}")
+
+
+def _ingest(source, kind: str | None) -> tuple[str, list[np.ndarray]]:
+    """Validate a trial CSV; return its kind and its outcome columns.
+
+    Without a ``kind``, the first line of the first block read decides it.
+    The columns are int8 arrays: ``pair``, ``outcome_a``, ``outcome_b``
+    (the pair as its index in PAIR_LABELS), or ``a``, ``d``, ``b``, ``c``.
+    The input is read in blocks; blank lines after the header are
+    skipped.  The first bad row raises the error of its first failing
+    check (a line csv.reader rejects, then the field count, then each
+    column), with its 1-based data row number.
     """
-    # A trial index has one distinct text per row: no table, and plain
-    # digit strings, valid for int(), are accepted in bulk.
-    tables = {name: _Table(name, rule) for name, rule in rules.items() if rule is not _parse_index}
-    parts: dict[str, list[np.ndarray]] = {name: [] for name in kept}
-    header = None
-    done = 0
     with _reader(source) as read:
-        for fields, error in _tokenize(_blocks(read)):
+        blocks = _blocks(read)
+        head = next(blocks, b"")  # an empty input reads as an empty header
+        kind = kind or _csv_kind(head.splitlines()[0] if head else b"")
+        rules = _RULES[kind]
+        # A trial index has one distinct text per row: no table, and plain
+        # digit strings, valid for int(), are accepted in bulk.
+        tables = {name: _Table(name, rule) for name, rule in rules.items() if rule is not _parse_index}
+        parts: dict[str, list[np.ndarray]] = {name: [] for name in tables}
+        header = None
+        done = 0
+        for fields, error in _tokenize(itertools.chain([head], blocks)):
             if header is None:
                 if not len(fields.width):
                     raise CsvFormatError(f"{error} in the header")
@@ -574,16 +591,24 @@ def _ingest(
                         break
             if stop < rows:
                 raise CsvFormatError(f"{failure} at row {done + stop + 1}")
-            for name in kept:
+            for name in tables:
                 parts[name].append(codes[name])
             done += rows
             if error:
                 raise CsvFormatError(f"{error} at row {done + 1}")
-    if header is None:
-        _check_header(header, tuple(rules))
     if done == 0:
         raise CsvFormatError("no trials")
-    return [np.concatenate(parts[name]) for name in kept]
+    return kind, [np.concatenate(parts[name]) for name in tables]
+
+
+def _read_trials(source, kind: str | None = None) -> tuple[str, SubRunDataset | CounterfactualDataset]:
+    """A trial CSV's kind and dataset; without a ``kind``, its header decides."""
+    kind, columns = _ingest(source, kind)
+    if kind == "counterfactual":
+        return kind, CounterfactualDataset(*map(OutcomeSequence, columns))
+    pair, a, b = columns
+    masks = [pair == code for code in range(len(PAIR_LABELS))]
+    return kind, SubRunDataset(*(SubRunPairs(OutcomeSequence(a[m]), OutcomeSequence(b[m])) for m in masks))
 
 
 def ingest_csv(source) -> SubRunDataset:
@@ -593,17 +618,12 @@ def ingest_csv(source) -> SubRunDataset:
     with row order preserved within each list.  Data rows are numbered
     from 1 in error messages.
     """
-    rules = {"pair": _parse_label, "outcome_a": _parse_outcome, "outcome_b": _parse_outcome}
-    pair, a, b = _ingest(source, rules, kept=tuple(rules))
-    masks = [pair == code for code in range(len(PAIR_LABELS))]
-    return SubRunDataset(*(SubRunPairs(OutcomeSequence(a[m]), OutcomeSequence(b[m])) for m in masks))
+    return _read_trials(source, "subruns")[1]
 
 
 def ingest_counterfactual_csv(source) -> CounterfactualDataset:
     """Read counterfactual trials (``j,a,d,b,c``), row order preserved."""
-    rules = {"j": _parse_index, **{name: _parse_outcome for name in "adbc"}}
-    columns = _ingest(source, rules, kept=tuple("adbc"))
-    return CounterfactualDataset(*map(OutcomeSequence, columns))
+    return _read_trials(source, "counterfactual")[1]
 
 
 @contextmanager

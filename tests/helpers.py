@@ -382,32 +382,27 @@ def _shared_origin_rows() -> bytes:
     )
 
 
-def _fixed_layout_with_bad_row() -> bytes:
-    """40,000 equal rows, row 30,000 (in a later, fixed-layout block) bad."""
-    rows = [b"ab,+1,-1\n"] * 40_000
-    rows[29_999] = b"ab,+2,-1\n"
-    return _SUBRUN_HEADER + b"".join(rows)
-
-
 #: Input files of the manifest's cases, by name.
 CLI_INPUTS = {
-    "shared.csv": lambda: _SUBRUN_HEADER + _shared_origin_rows(),
-    "unequal.csv": lambda: _SUBRUN_HEADER + b"ab,+1,+1\nab,-1,+1\nab,+1,-1\nac,+1,-1\nac,-1,-1\n"
-    b"db,+1,+1\ndb,-1,-1\ndc,-1,-1\ndc,+1,+1\n",
-    "empty.csv": lambda: b"",
-    "blank-first-line.csv": lambda: b"\n" + _SUBRUN_HEADER + b"ab,+1,+1\n",
-    "header-x-y.csv": lambda: b"x,y\n1,2\n",
-    "header-not-utf8.csv": lambda: b"\xff,x\n1,2\n",
-    "header-quoted.csv": lambda: b'"pair","outcome_a","outcome_b"\nab,+1,+1\nac,+1,+1\ndb,+1,+1\ndc,+1,-1\n',
-    "header-space-pair.csv": lambda: b" pair,outcome_a,outcome_b\nab,+1,+1\n",
-    "header-only.csv": lambda: _SUBRUN_HEADER,
-    "nbsp-cell.csv": lambda: _SUBRUN_HEADER + "ab,-1\xa0,+1\nac,+1,+1\ndb,+1,+1\ndc,+1,-1\n".encode(),
-    "invalid-utf8-row.csv": lambda: _SUBRUN_HEADER + b"ab,+1,+1\nac,+1,\xff1\ndb,+1,+1\n",
-    "field-over-limit.csv": lambda: _SUBRUN_HEADER + b"ab,+1,+1\nac," + b"1" * 200_000 + b",+1\n",
-    "bad-split-row.csv": lambda: _SUBRUN_HEADER + b"ab,+1,+1\nac,+1,x\n",
-    "bad-fixed-row.csv": _fixed_layout_with_bad_row,
-    "bad-quoted-row.csv": lambda: b'"pair",outcome_a,outcome_b\nab,"+1",+1\nac,+1,"0"\n',
-    "bad-index.csv": lambda: b"j,a,d,b,c\n1,+1,+1,+1,+1\nx,+1,+1,+1,+1\n",
+    "shared.csv": _SUBRUN_HEADER + _shared_origin_rows(),
+    "unequal.csv": _SUBRUN_HEADER
+    + b"ab,+1,+1\nab,-1,+1\nab,+1,-1\nac,+1,-1\nac,-1,-1\ndb,+1,+1\ndb,-1,-1\ndc,-1,-1\ndc,+1,+1\n",
+    "empty.csv": b"",
+    "blank-first-line.csv": b"\n" + _SUBRUN_HEADER + b"ab,+1,+1\n",
+    "header-x-y.csv": b"x,y\n1,2\n",
+    "header-not-utf8.csv": b"\xff,x\n1,2\n",
+    "header-quoted.csv": b'"pair","outcome_a","outcome_b"\nab,+1,+1\nac,+1,+1\ndb,+1,+1\ndc,+1,-1\n',
+    "header-space-pair.csv": b" pair,outcome_a,outcome_b\nab,+1,+1\n",
+    "header-only.csv": _SUBRUN_HEADER,
+    "nbsp-cell.csv": _SUBRUN_HEADER + "ab,-1\xa0,+1\nac,+1,+1\ndb,+1,+1\ndc,+1,-1\n".encode(),
+    "invalid-utf8-row.csv": _SUBRUN_HEADER + b"ab,+1,+1\nac,+1,\xff1\ndb,+1,+1\n",
+    "field-over-limit.csv": _SUBRUN_HEADER + b"ab,+1,+1\nac," + b"1" * 200_000 + b",+1\n",
+    "bad-split-row.csv": _SUBRUN_HEADER + b"ab,+1,+1\nac,+1,x\n",
+    # 40,000 equal rows; row 30,000, in a later (fixed-layout) block, is bad.
+    "bad-fixed-row.csv": _SUBRUN_HEADER
+    + b"ab,+1,-1\n" * 29_999 + b"ab,+2,-1\n" + b"ab,+1,-1\n" * 10_000,
+    "bad-quoted-row.csv": b'"pair",outcome_a,outcome_b\nab,"+1",+1\nac,+1,"0"\n',
+    "bad-index.csv": b"j,a,d,b,c\n1,+1,+1,+1,+1\nx,+1,+1,+1,+1\n",
 }
 
 #: Each case's argv, run in one directory holding CLI_INPUTS, in this
@@ -524,8 +519,8 @@ def cli_digests(directory: Path, readouterr) -> dict[str, dict]:
     """
     from chshkit.cli import main
 
-    for name, make in CLI_INPUTS.items():
-        (directory / name).write_bytes(make())
+    for name, data in CLI_INPUTS.items():
+        (directory / name).write_bytes(data)
     env = {**os.environ, "COLUMNS": "80"}
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(Path(chshkit.__file__).resolve().parent.parent), env.get("PYTHONPATH")])
@@ -547,7 +542,9 @@ def cli_digests(directory: Path, readouterr) -> dict[str, dict]:
         for name, (argv, stdin) in CLI_PROCESS_CASES.items():
             before = _files(directory)
             feed = (directory / stdin).read_bytes() if stdin else b""
-            proc = subprocess.run([sys.executable, *argv], input=feed, capture_output=True, env=env)
+            proc = subprocess.run(
+                [sys.executable, *argv], input=feed, capture_output=True, env=env, timeout=120
+            )
             digests[name] = _digest(proc.stdout, proc.stderr, proc.returncode, directory, before)
     finally:
         os.chdir(saved[0])

@@ -111,11 +111,11 @@ class TestDigestManifest:
         got = cli_digests(tmp_path, capsys.readouterr)
         expected = manifest["cases"]
         changed = [name for name in expected if got.get(name) != expected[name]]
-        versions = ", ".join(f"{k} {v}" for k, v in cli_digest_versions().items())
+        now = cli_digest_versions()
         assert not changed and list(got) == list(expected), (
             f"cases changed: {changed}; added: {sorted(got.keys() - expected.keys())}. "
             f"The manifest was computed with numpy {manifest['numpy']} and Python "
-            f"{manifest['python']}; this run has {versions}."
+            f"{manifest['python']}; this run has numpy {now['numpy']} and Python {now['python']}."
         )
 
 
