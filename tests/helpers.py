@@ -15,6 +15,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -521,37 +522,33 @@ def cli_digests(directory: Path, readouterr) -> dict[str, dict]:
 
     for name, data in CLI_INPUTS.items():
         (directory / name).write_bytes(data)
-    env = {**os.environ, "COLUMNS": "80"}
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(Path(chshkit.__file__).resolve().parent.parent), env.get("PYTHONPATH")])
-    )
-    saved = os.getcwd(), os.environ.get("COLUMNS")
-    os.chdir(directory)
-    os.environ["COLUMNS"] = "80"  # argparse wraps its usage text to the terminal
+    package_root = str(Path(chshkit.__file__).resolve().parent.parent)
     digests = {}
+    saved = os.getcwd()
+    os.chdir(directory)
     try:
-        readouterr()
-        for name, argv in CLI_CASES.items():
-            before = _files(directory)
-            try:
-                code = main(argv.split())
-            except SystemExit as exc:
-                code = exc.code
-            out, err = readouterr()
-            digests[name] = _digest(out.encode(), err.encode(), code, directory, before)
-        for name, (argv, stdin) in CLI_PROCESS_CASES.items():
-            before = _files(directory)
-            feed = (directory / stdin).read_bytes() if stdin else b""
-            proc = subprocess.run(
-                [sys.executable, *argv], input=feed, capture_output=True, env=env, timeout=120
-            )
-            digests[name] = _digest(proc.stdout, proc.stderr, proc.returncode, directory, before)
+        # argparse wraps its usage text to the terminal's width.
+        with mock.patch.dict(os.environ, COLUMNS="80"):
+            path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+            env = {**os.environ, "PYTHONPATH": path}
+            readouterr()
+            for name, argv in CLI_CASES.items():
+                before = _files(directory)
+                try:
+                    code = main(argv.split())
+                except SystemExit as exc:
+                    code = exc.code
+                out, err = readouterr()
+                digests[name] = _digest(out.encode(), err.encode(), code, directory, before)
+            for name, (argv, stdin) in CLI_PROCESS_CASES.items():
+                before = _files(directory)
+                feed = (directory / stdin).read_bytes() if stdin else b""
+                proc = subprocess.run(
+                    [sys.executable, *argv], input=feed, capture_output=True, env=env, timeout=120
+                )
+                digests[name] = _digest(proc.stdout, proc.stderr, proc.returncode, directory, before)
     finally:
-        os.chdir(saved[0])
-        if saved[1] is None:
-            del os.environ["COLUMNS"]
-        else:
-            os.environ["COLUMNS"] = saved[1]
+        os.chdir(saved)
     return digests
 
 
