@@ -350,7 +350,3 @@ def main(argv: list[str] | None = None) -> int:
     except (CsvFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

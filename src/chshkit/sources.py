@@ -441,6 +441,8 @@ _REJECTED, _LONG = -128, -127
 #: text of 8 bytes or more keeps none, so all such texts share one key.
 _BYTE_MASKS = np.array([(1 << 8 * n) - 1 for n in range(8)] + [0], dtype=np.uint64)
 _LONG_KEY = np.uint64(8 << 56)
+#: Most keys a table may hold and still find keys by counting, at rows x keys.
+_COUNTED_KEYS = 8
 
 
 class _Table:
@@ -462,9 +464,23 @@ class _Table:
         except CsvFormatError:
             return _REJECTED
 
+    def _slots(self, keys: np.ndarray) -> np.ndarray:
+        """Each key's index in the table; a key not in it gets one of another key.
+
+        A short table counts the table keys each key reaches, which gives
+        ``np.searchsorted``'s index at about half its cost; a crafted file
+        can make a table of thousands of keys, which binary-searches.
+        """
+        if len(self.keys) > _COUNTED_KEYS:
+            return np.searchsorted(self.keys, keys)
+        at = np.zeros(len(keys), np.intp)
+        for key in self.keys[1:]:
+            at += keys >= key
+        return at
+
     def codes_of(self, column: _Column | _FixedColumn) -> np.ndarray:
         keys = column.keys()
-        at = np.searchsorted(self.keys, keys)
+        at = self._slots(keys)
         new = self.keys[at] != keys
         if new.any():
             fresh, where = np.unique(keys[new], return_index=True)
@@ -473,7 +489,7 @@ class _Table:
             codes_all = np.concatenate((self.codes, [self._parse(t) for t in texts]))
             order = np.argsort(keys_all)
             self.keys, self.codes = keys_all[order], codes_all[order].astype(np.int8)
-            at = np.searchsorted(self.keys, keys)
+            at = self._slots(keys)
         codes = self.codes[at]
         for i in np.flatnonzero(codes == _LONG):
             text = column.text(i)
@@ -530,8 +546,10 @@ def _csv_kind(header: bytes) -> str:
     text = header.decode("utf-8", "replace")
     try:
         fields = {f.strip() for f in next(csv.reader([text]), [])}
-    except csv.Error:  # the ingest names what is wrong with this header
-        fields = set()
+    except csv.Error:
+        # A field over the limit.  The ingest's csv.reader fails on this
+        # line too, whatever the kind, and names the error in the header.
+        return "subruns"
     if "pair" in fields:
         return "subruns"
     if "j" in fields:

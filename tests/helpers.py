@@ -398,6 +398,7 @@ CLI_INPUTS = {
     "nbsp-cell.csv": _SUBRUN_HEADER + "ab,-1\xa0,+1\nac,+1,+1\ndb,+1,+1\ndc,+1,-1\n".encode(),
     "invalid-utf8-row.csv": _SUBRUN_HEADER + b"ab,+1,+1\nac,+1,\xff1\ndb,+1,+1\n",
     "field-over-limit.csv": _SUBRUN_HEADER + b"ab,+1,+1\nac," + b"1" * 200_000 + b",+1\n",
+    "header-field-over-limit.csv": b"pair,outcome_a," + b"b" * 140_000 + b"\nab,+1,+1\n",
     "bad-split-row.csv": _SUBRUN_HEADER + b"ab,+1,+1\nac,+1,x\n",
     # 40,000 equal rows; row 30,000, in a later (fixed-layout) block, is bad.
     "bad-fixed-row.csv": _SUBRUN_HEADER
@@ -435,6 +436,8 @@ CLI_CASES = {
     "estimate-nbsp-cell": "estimate --in nbsp-cell.csv",
     "estimate-invalid-utf8-row": "estimate --in invalid-utf8-row.csv",
     "estimate-field-over-limit": "estimate --in field-over-limit.csv",
+    "estimate-header-field-over-limit": "estimate --in header-field-over-limit.csv",
+    "resort-header-field-over-limit": "resort --in header-field-over-limit.csv",
     # one CsvFormatError on each ingest path
     "resort-bad-split-row": "resort --in bad-split-row.csv",
     "resort-bad-fixed-row": "resort --in bad-fixed-row.csv",

@@ -1,10 +1,13 @@
 """Command-line behavior: pipelines, report schemas, exit codes."""
 
+import csv
+import gc
 import json
 import math
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -99,9 +102,11 @@ class TestDigestManifest:
     """Every CLI case's stdout, stderr, exit code and written files, pinned.
 
     ``tests/data/cli_digests.json`` was computed at commit 95f8653 with
-    ``helpers.regen_cli_digests()``.  Its qm, lhv and split files keep
-    the digests first pinned at 8c57a30, whose writers built one Python
-    string per row.  The digests pin numpy's Generator streams, which
+    ``helpers.regen_cli_digests()``; the two ``header-field-over-limit``
+    cases were added when ``estimate`` came to give ``resort``'s error
+    for such a header.  Its qm, lhv and split files keep the digests
+    first pinned at 8c57a30, whose writers built one Python string per
+    row.  The digests pin numpy's Generator streams, which
     numpy does not promise to keep across releases, and argparse's usage
     text, so a failure names the versions the manifest was computed with.
     """
@@ -396,6 +401,22 @@ class TestMalformedInput:
         assert err.startswith("error: ") and err.endswith(" at row 1\n")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "lead, message",
+        [(b"", f"field larger than field limit ({csv.field_size_limit()})"), (b"\xff", "invalid UTF-8")],
+    )
+    @pytest.mark.parametrize("command", ["estimate", "resort", "audit", "split"])
+    def test_header_field_over_the_limit_is_the_ingest_error(self, tmp_path, capsys, command, lead, message):
+        # estimate picks the kind from the header before the ingest reads it,
+        # and must not echo the header instead of naming what is wrong.
+        path = tmp_path / "huge-header.csv"
+        path.write_bytes(lead + b"pair,outcome_a," + b"b" * 140_000 + b"\nab,+1,+1\n")
+        argv = [command, "--in", str(path)]
+        if command == "split":
+            argv += ["--seed", "1", "--out", str(tmp_path / "out.csv")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message} in the header\n"
+
 
 class TestSeedRange:
     COMMANDS = {
@@ -437,3 +458,71 @@ class TestUsage:
         proc = run_proc("--help")
         assert proc.returncode == 0
         assert "simulate" in proc.stdout
+
+
+class TestEntryPoint:
+    """``python -m chshkit`` and the ``chshkit`` script run ``__main__.run``:
+    ``cli.main``, then a ``gc.freeze()`` that spares shutdown its collections."""
+
+    CASES = {
+        "simulate": ["simulate", "--mode", "qm", "--n-per", "3000", "--seed", "5", "--out", "{out}"],
+        "estimate": ["estimate", "--in", "{out}"],
+        "data-error": ["estimate", "--in", "{absent}"],
+        "usage-error": ["sweep", "--steps", "0", "--seed", "1", "--out", "{out}"],
+    }
+
+    def _argv(self, case, directory):
+        paths = {"out": directory / "qm.csv", "absent": directory / "absent.csv"}
+        return [a.format(**paths) for a in self.CASES[case]]
+
+    def test_module_gives_what_main_gives(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
+        for side in ("main", "module"):
+            (tmp_path / side).mkdir()
+        got = {}
+        for case in self.CASES:
+            try:
+                code = main(self._argv(case, tmp_path / "main"))
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            proc = subprocess.run(
+                [sys.executable, "-m", "chshkit", *self._argv(case, tmp_path / "module")],
+                capture_output=True,
+            )
+            err = err.replace(str(tmp_path / "main"), str(tmp_path / "module"))
+            assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), err.encode())
+            got[case] = code
+        assert got == {"simulate": 0, "estimate": 0, "data-error": 1, "usage-error": 2}
+        written = (tmp_path / "module" / "qm.csv").read_bytes()
+        assert written == (tmp_path / "main" / "qm.csv").read_bytes()
+        assert written.count(b"\n") == 1 + 4 * 3000
+
+    @pytest.mark.parametrize("case, code", [("estimate", 0), ("data-error", 1), ("usage-error", 2)])
+    def test_module_freezes_before_it_exits(self, tmp_path, case, code):
+        assert main(self._argv("simulate", tmp_path)) == 0
+        # atexit handlers run after the exit code is set, before shutdown collects.
+        script = (
+            "import atexit, gc, runpy, sys\n"
+            "atexit.register(lambda: print(gc.get_freeze_count(), file=sys.stderr))\n"
+            f"sys.argv = ['chshkit', *{self._argv(case, tmp_path)!r}]\n"
+            "runpy.run_module('chshkit', run_name='__main__')\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == code
+        assert int(proc.stderr.splitlines()[-1]) > 10_000
+
+    def test_main_does_not_freeze(self, tmp_path, capsys):
+        frozen = gc.get_freeze_count()
+        for case in self.CASES:
+            try:
+                main(self._argv(case, tmp_path))
+            except SystemExit:
+                pass
+        assert gc.get_freeze_count() == frozen
+
+    def test_script_runs_the_entry_point(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+        assert scripts == {"chshkit": "chshkit.__main__:run"}

@@ -738,6 +738,88 @@ class TestFixedLayoutBlocks:
             ingest_counterfactual_csv(text.encode())
 
 
+#: Distinct texts that int() reads as +1 or -1, each short enough for a key.
+OUTCOME_SPELLINGS = ["+1", "-1", "1", "01", "+01", "-01", " 1", "1 ", " -1", "0_1", "-0_1", "001", "+001"]
+
+
+def _column(texts: list[str]) -> sources._Column:
+    """The first column of rows ``text,``, as a block of them is split."""
+    fields = sources._split_block("".join(f"{t},\n" for t in texts).encode())
+    return fields.columns([0], 2)[2][0]
+
+
+class _SearchedTable(sources._Table):
+    """A table that finds every key by binary search, at any size."""
+
+    def _slots(self, keys):
+        return np.searchsorted(self.keys, keys)
+
+
+class TestTableLookup:
+    """A short table finds keys by counting, a long one by binary search;
+    either way each text gets the code the column's rule gives it."""
+
+    @pytest.mark.parametrize("size", range(1, len(OUTCOME_SPELLINGS) + 1))
+    def test_lookup_matches_a_binary_search(self, size):
+        known = OUTCOME_SPELLINGS[: size - 1]  # and the key all long texts share
+        tables = [cls("outcome_a", sources._parse_outcome) for cls in (sources._Table, _SearchedTable)]
+        for table in tables:
+            table.codes_of(_column(known))
+        table, searched = tables
+        assert len(table.keys) == size and (table.keys == searched.keys).all()
+        # Texts absent from the table sort below, between and above its keys.
+        absent = ["", "x", "2", "-2", "1_", "+-1", "1234567", *OUTCOME_SPELLINGS[size - 1 :]]
+        texts = RngSpec(size).generator().permutation(known * 3 + absent + ["1" * 8, "-00000001"])
+        keys = _column(list(texts)).keys()
+        at = table._slots(keys)
+        present = np.isin(keys, table.keys)
+        assert (at[present] == np.searchsorted(table.keys, keys[present])).all()
+        assert ((table.keys[at] != keys) == ~present).all()
+        got = table.codes_of(_column(list(texts)))
+        assert got.tolist() == searched.codes_of(_column(list(texts))).tolist()
+        assert (table.keys == searched.keys).all() and (table.codes == searched.codes).all()
+        expected = []
+        for text in texts:
+            try:
+                expected.append(sources._parse_outcome(text, "outcome_a"))
+            except CsvFormatError:
+                expected.append(sources._REJECTED)
+        assert got.tolist() == expected
+
+    @pytest.mark.parametrize("bad_row", [None, 700])
+    @pytest.mark.parametrize("block_bytes", [64, sources._BLOCK_BYTES])
+    def test_many_spellings_ingest_like_the_row_parser(self, block_bytes, bad_row):
+        g = RngSpec(31).generator()
+        labels = np.array(["ab", "ac", "db", "dc"])
+        spellings = np.array(OUTCOME_SPELLINGS)
+        rows = [
+            f"{label},{a},{b}"
+            for label, a, b in zip(
+                labels[g.integers(0, 4, 1_000)],
+                spellings[g.integers(0, len(spellings), 1_000)],
+                spellings[g.integers(0, len(spellings), 1_000)],
+            )
+        ]
+        if bad_row is not None:
+            rows[bad_row - 1] = rows[bad_row - 1].rsplit(",", 1)[0] + ",+2"
+        text = "\n".join([SUBRUN_HEADER, *rows]) + "\n"
+        sizes = []
+        slots = sources._Table._slots
+
+        def counted_slots(table, keys):
+            sizes.append(len(table.keys))
+            return slots(table, keys)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sources, "_BLOCK_BYTES", block_bytes)
+            mp.setattr(sources._Table, "_slots", counted_slots)
+            got = _columns_or_error(_subrun_columns, text)
+        assert min(sizes) <= sources._COUNTED_KEYS < max(sizes)
+        assert got == _columns_or_error(reference_ingest_subruns, text)
+        if bad_row is not None:
+            assert got == f"outcome outside {{+1, -1}}: '+2' in column 'outcome_b' at row {bad_row}"
+
+
 def _subrun_step() -> int:
     return sources._BLOCK_BYTES // sources._SUBRUN_ROWS.shape[1]
 
