@@ -27,6 +27,7 @@ import io
 import itertools
 import math
 import os
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
@@ -228,9 +229,6 @@ class _Column(NamedTuple):
     starts: np.ndarray
     ends: np.ndarray
 
-    def head(self, n: int) -> _Column:
-        return _Column(self.buf, self.starts[:n], self.ends[:n])
-
     def text(self, i) -> str:
         return self.buf[self.starts[i] : self.ends[i]].tobytes().decode("utf-8")
 
@@ -262,9 +260,6 @@ class _FixedColumn(NamedTuple):
     end: int
     count: int
 
-    def head(self, n: int) -> _FixedColumn:
-        return self._replace(count=n)
-
     def text(self, i) -> str:
         at = i * self.line
         return self.buf[at + self.start : at + self.end].tobytes().decode("utf-8")
@@ -282,50 +277,36 @@ class _FixedColumn(NamedTuple):
         return np.flatnonzero((field - np.uint8(ord("0")) > 9).any(axis=1))
 
 
-class _Fields(NamedTuple):
-    """Rows of one block as field offsets into ``buf``.
+#: One line with its line break, as ``bytes.splitlines(keepends=True)`` cuts it.
+_LINE = re.compile(rb"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
 
-    Field ``i`` is ``buf[starts[i]:ends[i]]``; row ``r`` has ``width[r]``
-    fields from field ``first[r]`` on, and a blank line has width 0.
-    ``buf`` is laid out as for :class:`_Column`.
+
+def _header(blocks: Iterator[bytes]) -> tuple[list[str], Iterator[bytes]]:
+    """The first row, parsed alone by csv.reader, and the blocks after it.
+
+    A quoted header may span lines and blocks.  An empty input, or a blank
+    first line, reads as an empty header.
     """
+    block, end = b"", 0
 
-    buf: np.ndarray
-    starts: np.ndarray
-    ends: np.ndarray
-    first: np.ndarray
-    width: np.ndarray
+    def lines() -> Iterator[str]:
+        nonlocal block, end
+        for block in blocks:
+            for line in _LINE.finditer(block):
+                end = line.end()
+                yield line[0].decode("utf-8")
 
-    def columns(self, positions: list[int], n_fields: int) -> tuple[int, int, list[_Column]]:
-        """The data rows' count, the first without ``n_fields`` fields, and
-        the fields at ``positions`` of the rows before it; blank lines skipped.
-        """
-        nonblank = self.width > 0
-        first = self.first[nonblank]
-        wrong = np.flatnonzero(self.width[nonblank] != n_fields)
-        stop = int(wrong[0]) if len(wrong) else len(first)
-        fields = [first[:stop] + k for k in positions]
-        return len(first), stop, [_Column(self.buf, self.starts[i], self.ends[i]) for i in fields]
-
-
-class _Lines(NamedTuple):
-    """A block of equal lines of ``line`` bytes, field ``k`` of each at
-    bytes ``spans[k]``; ``buf`` ends in 8 spare bytes."""
-
-    buf: np.ndarray
-    line: int
-    spans: list[tuple[int, int]]
-
-    def columns(self, positions: list[int], n_fields: int) -> tuple[int, int, list[_FixedColumn]]:
-        """As :meth:`_Fields.columns`: every row has the first one's fields."""
-        count = (len(self.buf) - 8) // self.line
-        if len(self.spans) != n_fields:
-            return count, 0, []  # no row to read a column of
-        return count, count, [_FixedColumn(self.buf, self.line, *self.spans[k], count) for k in positions]
+    try:
+        header = next(csv.reader(lines()), [])
+    except UnicodeDecodeError:
+        raise CsvFormatError("invalid UTF-8 in the header") from None
+    except csv.Error as exc:
+        raise CsvFormatError(f"{exc} in the header") from None
+    return header, filter(None, itertools.chain([block[end:]], blocks))
 
 
-def _fixed_lines(block: bytes) -> _Lines | None:
-    """The block as equal lines, if it is one; else None.
+def _fixed_lines(block: bytes, positions: list[int], n_fields: int) -> tuple | None:
+    """The block's rows (see :func:`_columns`) by byte columns, if it is equal lines; else None.
 
     Every line must have the first line's length and its commas and line
     break in the same columns, and be ASCII, with no CR and no field over
@@ -347,10 +328,30 @@ def _fixed_lines(block: bytes) -> _Lines | None:
         or not (lines[:, cuts] == lines[0, cuts]).all()
     ):
         return None
-    return _Lines(buf, line, list(zip(starts.tolist(), cuts.tolist())))
+    if len(cuts) != n_fields:
+        return count, 0, []  # no row to read a column of
+    starts, cuts = starts.tolist(), cuts.tolist()
+    return count, count, [_FixedColumn(buf, line, starts[k], cuts[k], count) for k in positions]
 
 
-def _split_block(block: bytes) -> _Fields | None:
+def _columns(buf, starts, ends, first, width, positions: list[int], n_fields: int) -> tuple:
+    """Rows of fields as ``(rows, stop, columns)``: the count of rows, blank
+    lines skipped; the first without ``n_fields`` fields; and the fields at
+    ``positions`` of the rows before it.
+
+    Field ``i`` is ``buf[starts[i]:ends[i]]``, laid out as for
+    :class:`_Column`; row ``r`` has ``width[r]`` fields from field
+    ``first[r]`` on, and a blank line has width 0.
+    """
+    nonblank = width > 0
+    first = first[nonblank]
+    wrong = np.flatnonzero(width[nonblank] != n_fields)
+    stop = int(wrong[0]) if len(wrong) else len(first)
+    fields = [first[:stop] + k for k in positions]
+    return len(first), stop, [_Column(buf, starts[i], ends[i]) for i in fields]
+
+
+def _split_block(block: bytes, positions: list[int], n_fields: int) -> tuple | None:
     """Split a block that holds no quote at every comma and line break.
 
     This is what csv.reader does with ASCII text whose fields are within
@@ -371,19 +372,10 @@ def _split_block(block: bytes) -> _Fields | None:
     first = np.concatenate(([0], last[:-1] + 1))
     width = last - first + 1
     width[(width == 1) & (starts[last] == ends[last])] = 0  # a blank line
-    return _Fields(buf, starts, ends, first, width)
+    return _columns(buf, starts, ends, first, width, positions, n_fields)
 
 
-def _rows_to_fields(rows: list[list[str]]) -> _Fields:
-    cells = [cell.encode("utf-8") for row in rows for cell in row]
-    lengths = np.fromiter(map(len, cells), np.intp, len(cells))
-    ends = np.cumsum(lengths + 1) - 1
-    width = np.fromiter(map(len, rows), np.intp, len(rows))
-    buf = np.frombuffer(b"".join(cell + b"," for cell in cells) + bytes(8), np.uint8)
-    return _Fields(buf, ends - lengths, ends, np.cumsum(width) - width, width)
-
-
-def _csv_fields(blocks: Iterator[bytes]) -> Iterator[tuple[_Fields, str | None]]:
+def _csv_fields(blocks: Iterator[bytes], positions: list[int], n_fields: int) -> Iterator[tuple]:
     """Tokenize blocks with csv.reader, one batch of rows per block read.
 
     A quoted field may span lines and blocks.  A line that is not UTF-8,
@@ -398,6 +390,14 @@ def _csv_fields(blocks: Iterator[bytes]) -> Iterator[tuple[_Fields, str | None]]
             for line in block_lines:
                 yield line.decode("utf-8")
 
+    def batch(rows: list[list[str]]) -> tuple:
+        cells = [cell.encode("utf-8") for row in rows for cell in row]
+        lengths = np.fromiter(map(len, cells), np.intp, len(cells))
+        ends = np.cumsum(lengths + 1) - 1
+        width = np.fromiter(map(len, rows), np.intp, len(rows))
+        buf = np.frombuffer(b"".join(cell + b"," for cell in cells) + bytes(8), np.uint8)
+        return _columns(buf, ends - lengths, ends, np.cumsum(width) - width, width, positions, n_fields)
+
     reader = csv.reader(lines())
     rows: list[list[str]] = []
     error = None
@@ -405,33 +405,33 @@ def _csv_fields(blocks: Iterator[bytes]) -> Iterator[tuple[_Fields, str | None]]
         for row in reader:
             rows.append(row)
             if reader.line_num == totals[-1]:
-                yield _rows_to_fields(rows), None
+                yield *batch(rows), None
                 rows = []
     except UnicodeDecodeError:
         error = "invalid UTF-8"
     except csv.Error as exc:
         error = str(exc)
     if rows or error:
-        yield _rows_to_fields(rows), error
+        yield *batch(rows), error
 
 
-def _tokenize(blocks: Iterator[bytes]) -> Iterator[tuple[_Fields | _Lines, str | None]]:
-    """Each block's rows, split in bulk until a block needs csv.reader.
+def _tokenize(blocks: Iterator[bytes], positions: list[int], n_fields: int) -> Iterator[tuple]:
+    """Each block's data rows, as :func:`_columns` gives them with the error
+    that ends the input or None, split in bulk until a block needs csv.reader.
 
-    A block of equal lines after the first (the header's) is read by byte
-    columns, any other split at its delimiters.  Quoted fields cannot be
-    split by byte (``a"b`` is a literal quote and ``"ab"x`` reads ``abx``),
-    and csv.reader alone decodes UTF-8 and applies its field limit, so it
-    reads from the first block that holds a quote, non-ASCII text or a
-    field over the limit on.
+    A block of equal lines is read by byte columns, any other split at its
+    delimiters.  Quoted fields cannot be split by byte (``a"b`` is a
+    literal quote and ``"ab"x`` reads ``abx``), and csv.reader alone
+    decodes UTF-8 and applies its field limit, so it reads from the first
+    block that holds a quote, non-ASCII text or a field over the limit on.
     """
-    for number, block in enumerate(blocks):
+    for block in blocks:
         if b'"' not in block:
-            fields = (_fixed_lines(block) if number else None) or _split_block(block)
-            if fields is not None:
-                yield fields, None
+            rows = _fixed_lines(block, positions, n_fields) or _split_block(block, positions, n_fields)
+            if rows is not None:
+                yield *rows, None
                 continue
-        yield from _csv_fields(itertools.chain([block], blocks))
+        yield from _csv_fields(itertools.chain([block], blocks), positions, n_fields)
         return
 
 
@@ -499,16 +499,6 @@ class _Table:
         return codes
 
 
-def _check_header(fieldnames, expected: tuple[str, ...]) -> None:
-    got = list(fieldnames or [])
-    missing = [c for c in expected if c not in got]
-    if missing:
-        raise CsvFormatError(f"missing column(s): {', '.join(missing)}")
-    extra = [c for c in got if c not in expected]
-    if extra:
-        raise CsvFormatError(f"unexpected column(s): {', '.join(extra)}")
-
-
 def _parse_outcome(text: str, column: str) -> int:
     try:
         value = int(text.strip())
@@ -541,67 +531,55 @@ _RULES = {
 }
 
 
-def _csv_kind(header: bytes) -> str:
-    """The kind of trial CSV whose first line is ``header``."""
-    text = header.decode("utf-8", "replace")
-    try:
-        fields = {f.strip() for f in next(csv.reader([text]), [])}
-    except csv.Error:
-        # A field over the limit.  The ingest's csv.reader fails on this
-        # line too, whatever the kind, and names the error in the header.
+def _csv_kind(header: list[str]) -> str:
+    """The kind of trial CSV whose header row is ``header``."""
+    names = {name.strip() for name in header}
+    if "pair" in names:
         return "subruns"
-    if "pair" in fields:
-        return "subruns"
-    if "j" in fields:
+    if "j" in names:
         return "counterfactual"
-    raise CsvFormatError(f"unrecognized trial CSV header: {text.strip()!r}")
+    raise CsvFormatError("unrecognized trial CSV header: no 'pair' or 'j' column")
 
 
 def _ingest(source, kind: str | None) -> tuple[str, list[np.ndarray]]:
     """Validate a trial CSV; return its kind and its outcome columns.
 
-    Without a ``kind``, the first line of the first block read decides it.
-    The columns are int8 arrays: ``pair``, ``outcome_a``, ``outcome_b``
-    (the pair as its index in PAIR_LABELS), or ``a``, ``d``, ``b``, ``c``.
-    The input is read in blocks; blank lines after the header are
-    skipped.  The first bad row raises the error of its first failing
-    check (a line csv.reader rejects, then the field count, then each
-    column), with its 1-based data row number.
+    Without a ``kind``, the header's column names decide it.  The columns
+    are int8 arrays: ``pair``, ``outcome_a``, ``outcome_b`` (the pair as
+    its index in PAIR_LABELS), or ``a``, ``d``, ``b``, ``c``.  The header
+    is parsed first, on its own; the data rows are then read in blocks,
+    and blank lines among them skipped.  The first bad row raises the
+    error of its first failing check (a line csv.reader rejects, then the
+    field count, then each column), with its 1-based data row number.
     """
     with _reader(source) as read:
-        blocks = _blocks(read)
-        head = next(blocks, b"")  # an empty input reads as an empty header
-        kind = kind or _csv_kind(head.splitlines()[0] if head else b"")
+        header, blocks = _header(_blocks(read))
+        kind = kind or _csv_kind(header)
         rules = _RULES[kind]
+        if missing := [name for name in rules if name not in header]:
+            raise CsvFormatError(f"missing column(s): {', '.join(missing)}")
+        if extra := [name for name in header if name not in rules]:
+            raise CsvFormatError(f"unexpected column(s): {', '.join(extra)}")
+        # A repeated column name resolves to its last position, as in a
+        # dict built from the row.
+        where = {name: i for i, name in enumerate(header)}
+        positions = [where[name] for name in rules]
         # A trial index has one distinct text per row: no table, and plain
         # digit strings, valid for int(), are accepted in bulk.
         tables = {name: _Table(name, rule) for name, rule in rules.items() if rule is not _parse_index}
         parts: dict[str, list[np.ndarray]] = {name: [] for name in tables}
-        header = None
         done = 0
-        for fields, error in _tokenize(itertools.chain([head], blocks)):
-            if header is None:
-                if not len(fields.width):
-                    raise CsvFormatError(f"{error} in the header")
-                start, cells = fields.first[0], _Column(fields.buf, fields.starts, fields.ends)
-                header = [cells.text(i) for i in range(start, start + fields.width[0])]
-                _check_header(header, tuple(rules))
-                # A repeated column name resolves to its last position, as in
-                # a dict built from the row.
-                where = {name: i for i, name in enumerate(header)}
-                positions = [where[name] for name in rules]
-                fields = fields._replace(first=fields.first[1:], width=fields.width[1:])
-            rows, stop, columns = fields.columns(positions, len(header))
+        for rows, stop, columns, error in _tokenize(blocks, positions, len(header)):
             failure = "wrong number of fields"
             codes = {}
             for (name, rule), column in zip(rules.items(), columns):
-                column = column.head(stop)
                 if name in tables:
                     codes[name] = found = tables[name].codes_of(column)
                     suspects = np.flatnonzero(found == _REJECTED)
                 else:
                     suspects = column.not_plain_digits()
-                for i in suspects:
+                # Only rows before an earlier column's failure count.
+                for i in suspects[suspects < stop]:
                     try:
                         rule(column.text(i), name)
                     except CsvFormatError as exc:

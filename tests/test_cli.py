@@ -207,6 +207,14 @@ class TestEstimate:
         assert main(["estimate", "--in", str(path)]) == 1
         assert "unrecognized" in capsys.readouterr().err
 
+    def test_unrecognized_header_message_is_bounded(self, tmp_path, capsys):
+        path = tmp_path / "wide.csv"
+        path.write_text("x," * 400_000 + "y\n1,2\n")
+        assert main(["estimate", "--in", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: unrecognized trial CSV header: no 'pair' or 'j' column\n"
+        assert len(err.encode()) < 100
+
 
 class TestSplit:
     def test_pipeline_preserves_trial_count(self, cf_csv, tmp_path, capsys):

@@ -74,6 +74,11 @@ class TestOutcomeSequence:
             with pytest.raises(ValueError):
                 OutcomeSequence(np.asarray(bad))
 
+    def test_rejects_a_structured_array(self):
+        # numpy cannot compare a structured array with a number at all.
+        with pytest.raises(ValueError, match="^outcomes must be \\+1 or -1$"):
+            OutcomeSequence(np.ones(3, dtype=[("x", np.int8)]))
+
     def test_rejects_two_dimensional(self):
         with pytest.raises(ValueError, match="one-dimensional"):
             OutcomeSequence(np.ones((2, 2), dtype=np.int8))

@@ -295,6 +295,13 @@ class TestSubrunCsv:
         path.write_text(text, encoding="utf-8")
         for source in (path, str(path), text.encode(), io.StringIO(text)):
             assert ingest_csv(source).counts == (1, 1, 1, 1)
+        with open(path, "rb") as stream:  # a binary file-like source
+            assert ingest_csv(stream).counts == (1, 1, 1, 1)
+        assert ingest_csv(io.BytesIO(text.encode())).counts == (1, 1, 1, 1)
+
+    def test_unreadable_source_is_a_type_error(self):
+        with pytest.raises(TypeError, match="^cannot read CSV from int$"):
+            ingest_csv(42)
 
     def test_unknown_label_names_row(self):
         text = f"{SUBRUN_HEADER}\nab,+1,+1\nxy,+1,-1\n"
@@ -353,6 +360,23 @@ class TestSubrunCsv:
         # A field of exactly the limit is read, and fails as an outcome.
         with pytest.raises(CsvFormatError, match="^invalid outcome '1+' in column 'outcome_a' at row 2$"):
             ingest_csv(text.replace("1" * (limit + 1), "1" * limit).encode())
+
+    def test_quoted_header_leaves_the_rows_to_bulk_splitting(self):
+        data = generate_subruns(PHOTON_OPTIMAL_QUAD, CorrelationLaw.PHOTON_MALUS, 5_000, RngSpec(9))
+        buf = io.StringIO()
+        write_subrun_csv(data, buf)
+        rows = buf.getvalue().split("\n", 1)[1]
+        text = '"pair","outcome_a","outcome_b"\n' + rows
+        assert rows.count("\n") == 20_000
+
+        def no_csv_reader(*args):
+            raise AssertionError("data rows sent to csv.reader")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sources, "_csv_fields", no_csv_reader)
+            back = ingest_csv(text.encode())
+        for (_, p), (_, q) in zip(data.items(), back.items()):
+            assert np.array_equal(p.a.values, q.a.values) and np.array_equal(p.b.values, q.b.values)
 
     def test_blank_line_before_the_header_is_an_empty_header(self):
         with pytest.raises(CsvFormatError, match=r"^missing column\(s\): pair, outcome_a, outcome_b$"):
@@ -511,17 +535,23 @@ def trial_csv_text(draw, columns: tuple[str, ...]) -> str:
     """CSV text near the format: mostly valid rows, a few edits that may break it.
 
     In fixed-layout mode every data line has the same length with its
-    commas in the same columns, and every edit keeps it so.
+    commas in the same columns, and every edit keeps it so.  The header
+    may be quoted, and may hold a quoted line break.
     """
     fixed = draw(st.booleans())
+    newline = "\n" if fixed else draw(st.sampled_from(["\n", "\r\n", "\r"]))
     header = list(draw(st.permutations(columns)))
-    change = draw(st.sampled_from(["none"] * 6 + ["missing", "extra", "repeat"]))
+    change = draw(st.sampled_from(["none"] * 6 + ["missing", "extra", "repeat", "line break"]))
     if change == "missing":
         header.pop(draw(st.integers(0, len(header) - 1)))
     elif change == "extra":
         header.insert(draw(st.integers(0, len(header))), "extra")
     elif change == "repeat":
         header.append(draw(st.sampled_from(columns)))
+    elif change == "line break":  # a quoted header cell that spans two lines
+        header.insert(draw(st.integers(0, len(header))), f"ex{newline}tra")
+    # A quoted header over data rows that may hold no quote at all.
+    quote_header = change == "line break" or draw(st.booleans())
     j_width = draw(st.integers(1, 7))
 
     def good(name):
@@ -555,10 +585,11 @@ def trial_csv_text(draw, columns: tuple[str, ...]) -> str:
     quote_from = None if fixed else draw(st.none() | st.integers(0, 10))
 
     def line(number, cells):
+        if number == 0 and quote_header:
+            return ",".join(f'"{c}"' for c in cells)
         quote = quote_from is not None and number >= quote_from
         return ",".join(f'"{c}"' if quote and draw(st.booleans()) else c for c in cells)
 
-    newline = "\n" if fixed else draw(st.sampled_from(["\n", "\r\n", "\r"]))
     lead = newline if not fixed and draw(st.integers(0, 9)) == 0 else ""  # a blank first line
     tail = newline if fixed or draw(st.booleans()) else ""
     return lead + newline.join(line(i, cells) for i, cells in enumerate([header, *rows])) + tail
@@ -612,6 +643,16 @@ def _blocks_of(data: bytes) -> list[bytes]:
     return list(sources._blocks(io.BytesIO(data).read))
 
 
+def _data_blocks(data: bytes) -> list[bytes]:
+    """The blocks of ``data`` after its header row, as an ingest reads them."""
+    return list(sources._header(sources._blocks(io.BytesIO(data).read))[1])
+
+
+#: The header's column positions and field count of the written formats.
+SUBRUN_LAYOUT = ([0, 1, 2], 3)
+CF_LAYOUT = ([0, 1, 2, 3, 4], 5)
+
+
 def _edit_cell(text: str, row: int, column: int, cell: str) -> str:
     """``text`` with data row ``row`` (1-based) holding ``cell`` in ``column``."""
     lines = text.split("\n")
@@ -643,10 +684,11 @@ class TestFixedLayoutBlocks:
 
     def test_written_subrun_blocks_after_the_first_are_fixed(self):
         text = self._subrun_text()
-        blocks = _blocks_of(text.encode())
+        blocks = _data_blocks(text.encode())
         assert len(blocks) >= 5
-        fixed = [sources._fixed_lines(b) is not None for b in blocks]
-        assert fixed == [False] + [True] * (len(blocks) - 1)
+        # The first block's rows after the header are fixed-layout too.
+        assert _blocks_of(text.encode())[0] == f"{SUBRUN_HEADER}\n".encode() + blocks[0]
+        assert all(sources._fixed_lines(b, *SUBRUN_LAYOUT) is not None for b in blocks)
         assert _subrun_columns(text) == reference_ingest_subruns(text)
 
     @pytest.mark.parametrize("column, cell", [(0, "ba"), (0, "AB"), (1, "1_"), (2, "+2")])
@@ -656,7 +698,7 @@ class TestFixedLayoutBlocks:
         # A row in the middle of the fourth block.
         row = (sum(map(len, blocks[:3])) + len(blocks[3]) // 2) // 9 - 2
         edited = _edit_cell(text, row, column, cell)
-        assert sources._fixed_lines(_blocks_of(edited.encode())[3]) is not None
+        assert sources._fixed_lines(_blocks_of(edited.encode())[3], *SUBRUN_LAYOUT) is not None
         got = _columns_or_error(_subrun_columns, edited)
         assert got == _columns_or_error(reference_ingest_subruns, edited)
         assert got.endswith(f" at row {row}")
@@ -676,12 +718,12 @@ class TestFixedLayoutBlocks:
         ],
     )
     def test_only_equal_lines_are_fixed(self, block, fixed):
-        assert (sources._fixed_lines(block) is not None) is fixed
+        assert (sources._fixed_lines(block, *SUBRUN_LAYOUT) is not None) is fixed
 
     def test_field_over_the_csv_limit_is_not_fixed(self):
         limit = csv.field_size_limit(1)
         try:
-            assert sources._fixed_lines(b"ab,+1,-1\n" * 2) is None
+            assert sources._fixed_lines(b"ab,+1,-1\n" * 2, *SUBRUN_LAYOUT) is None
         finally:
             csv.field_size_limit(limit)
 
@@ -697,7 +739,7 @@ class TestFixedLayoutBlocks:
     )
     def test_one_line_blocks(self, rows):
         text = f"{SUBRUN_HEADER}\n{rows}"
-        assert sources._fixed_lines(rows.split("\n", 1)[1].encode()) is not None
+        assert sources._fixed_lines(rows.split("\n", 1)[1].encode(), *SUBRUN_LAYOUT) is not None
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sources, "_BLOCK_BYTES", 7)
             got = _columns_or_error(_subrun_columns, text)
@@ -708,7 +750,7 @@ class TestFixedLayoutBlocks:
         blocks = _blocks_of(self._counterfactual_text().encode())
         changed = [i for i, b in enumerate(blocks) if b"\n9999," in b]
         assert changed and b"\n10000," in blocks[changed[0]]
-        fixed = [sources._fixed_lines(b) is not None for b in blocks]
+        fixed = [sources._fixed_lines(b, *CF_LAYOUT) is not None for b in blocks]
         assert not fixed[changed[0]] and fixed[-1]
 
     @pytest.mark.parametrize(
@@ -729,6 +771,20 @@ class TestFixedLayoutBlocks:
         got = _columns_or_error(_counterfactual_columns, text)
         assert got == _columns_or_error(reference_ingest_counterfactual, text)
 
+    def test_fixed_block_of_empty_indices_names_its_first_row(self):
+        good, empty = "1,+1,+1,+1,1\n", ",+1,+1,+1,+1\n"
+        text = f"{CF_HEADER}\n" + good * 4 + empty * 8
+        with pytest.MonkeyPatch.context() as mp:
+            # The first read ends after the fourth row: the empty indices start a block.
+            mp.setattr(sources, "_BLOCK_BYTES", len(CF_HEADER) + 1 + 4 * len(good))
+            blocks = _data_blocks(text.encode())
+            got = _columns_or_error(_counterfactual_columns, text)
+        assert blocks[0] == (good * 4).encode() and blocks[1].startswith(empty.encode())
+        rows, stop, columns = sources._fixed_lines(blocks[1], *CF_LAYOUT)
+        assert columns[0].start == columns[0].end
+        assert columns[0].not_plain_digits().tolist() == list(range(rows))
+        assert got == _columns_or_error(reference_ingest_counterfactual, text)
+        assert got == "invalid trial index '' at row 5"
 
     def test_field_over_the_limit_in_a_later_block(self):
         limit = csv.field_size_limit()
@@ -744,8 +800,9 @@ OUTCOME_SPELLINGS = ["+1", "-1", "1", "01", "+01", "-01", " 1", "1 ", " -1", "0_
 
 def _column(texts: list[str]) -> sources._Column:
     """The first column of rows ``text,``, as a block of them is split."""
-    fields = sources._split_block("".join(f"{t},\n" for t in texts).encode())
-    return fields.columns([0], 2)[2][0]
+    rows, stop, columns = sources._split_block("".join(f"{t},\n" for t in texts).encode(), [0], 2)
+    assert rows == stop == len(texts)
+    return columns[0]
 
 
 class _SearchedTable(sources._Table):
