@@ -123,8 +123,16 @@ class OutcomeSequence:
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", _as_outcome_array(self.values))
 
+    @classmethod
+    def _of(cls, values: np.ndarray) -> OutcomeSequence:
+        """Freeze, unchecked and uncopied, an int8 +1/-1 array only chshkit holds."""
+        values.setflags(write=False)
+        seq = object.__new__(cls)
+        object.__setattr__(seq, "values", values)
+        return seq
+
     def __len__(self) -> int:
-        return int(self.values.size)
+        return self.values.size
 
     def __iter__(self) -> Iterator[int]:
         return (int(v) for v in self.values)
@@ -166,7 +174,7 @@ class SubRunPairs:
             )
 
     def __len__(self) -> int:
-        return len(self.a)
+        return self.a.values.size
 
     def product_sum(self) -> int:
         """Exact integer sum of per-trial products a(j)*b(j), -1 where a, b differ."""

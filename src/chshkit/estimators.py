@@ -122,7 +122,7 @@ def gamma_subruns(data: SubRunDataset) -> GammaResult:
     counts = data.counts
     if 0 in counts:
         raise ValueError(f"empty sub-run list: {PAIR_LABELS[counts.index(0)]}")
-    return GammaResult(counts, tuple(pairs.product_sum() for _, pairs in data.items()))
+    return GammaResult(counts, tuple([pairs.product_sum() for _, pairs in data.items()]))
 
 
 def split_random(data: CounterfactualDataset, rng: RngSpec) -> SubRunDataset:
@@ -142,7 +142,7 @@ def split_random(data: CounterfactualDataset, rng: RngSpec) -> SubRunDataset:
     lists = []
     for code, (x, y) in enumerate(((a, b), (a, c), (d, b), (d, c))):
         mask = assignment == code
-        lists.append(SubRunPairs(OutcomeSequence(x[mask]), OutcomeSequence(y[mask])))
+        lists.append(SubRunPairs(OutcomeSequence._of(x[mask]), OutcomeSequence._of(y[mask])))
     return SubRunDataset(*lists, settings=data.settings)
 
 

@@ -97,8 +97,8 @@ def _class_matching(
     t_plus = target.size - int(np.count_nonzero(t_minus))
     s_plus = source.size - int(np.count_nonzero(s_minus))
     # Rank key: +1 positions first, each class in position order.
-    t_order = np.argsort(t_minus, kind="stable")
-    s_order = np.argsort(s_minus, kind="stable")
+    t_order = t_minus.argsort(kind="stable")
+    s_order = s_minus.argsort(kind="stable")
     if g is not None:
         # In place, drawing exactly what g.permutation of each class would.
         g.shuffle(s_order[:s_plus])
@@ -164,7 +164,8 @@ def resort_cascade(data: SubRunDataset, policy: ResortPolicy = STABLE) -> Resort
     if len(set(counts)) != 1:
         raise ValueError(f"cascade requires equal sub-run lengths, got {counts}")
     gamma_plain = gamma_subruns(data).value  # also rejects empty lists
-    (a1, b1), ac, db, dc = ((p.a.values, p.b.values) for p in (data.ab, data.ac, data.db, data.dc))
+    (a1, b1), ac, db, dc = [(p.a.values, p.b.values) for p in (data.ab, data.ac, data.db, data.dc)]
+    rng = policy.rng if policy.kind == "uniform-random" else None
 
     # Each step as (aligned side, dragged side), in cascade order: ac on
     # its a-side, dc on its c-side (to the dragged-along c), db on its
@@ -172,7 +173,7 @@ def resort_cascade(data: SubRunDataset, policy: ResortPolicy = STABLE) -> Resort
     # pairs, is the next step's target.
     target, perms, deficits, dragged = a1, [], [], []
     for index, (aligned, drag) in enumerate((ac, dc[::-1], db)):
-        g = policy.rng.derive(index).generator() if policy.kind == "uniform-random" else None
+        g = None if rng is None else rng.derive(index).generator()
         perm, deficit = _class_matching(target, aligned, g)
         perm.setflags(write=False)
         perms.append(perm)
@@ -182,11 +183,11 @@ def resort_cascade(data: SubRunDataset, policy: ResortPolicy = STABLE) -> Resort
     c2, d4, b3 = dragged
 
     hamming = int(np.count_nonzero(b1 != b3))
-    feasible = tuple(deficit == 0 for deficit in deficits)
+    feasible = (deficits[0] == 0, deficits[1] == 0, deficits[2] == 0)
     factored = None
     if all(feasible):
         # The factorized grouping <a1*(b1 + c2) + d4*(b3 - c2)>.
-        factored = int(np.sum(a1 * (b1 + c2) + d4 * (b3 - c2), dtype=np.int64)) / len(a1)
+        factored = int((a1 * (b1 + c2) + d4 * (b3 - c2)).sum(dtype=np.int64)) / a1.size
     return ResortReport(
         feasible=feasible,
         perms=tuple(perms),
@@ -260,6 +261,7 @@ def closure_probability(
 def trim_to_shortest(data: SubRunDataset) -> SubRunDataset:
     """Truncate all four lists to the shortest length.  Lossy."""
     m = min(data.counts)
-    lists = (SubRunPairs(OutcomeSequence(p.a.values[:m]), OutcomeSequence(p.b.values[:m]))
+    # Slices of frozen arrays are frozen too.
+    lists = (SubRunPairs(OutcomeSequence._of(p.a.values[:m]), OutcomeSequence._of(p.b.values[:m]))
              for _, p in data.items())
     return SubRunDataset(*lists, settings=data.settings)

@@ -109,7 +109,7 @@ class LhvModel:
 
 def _sign_malus_response(theta: float, lam: np.ndarray) -> np.ndarray:
     # +1 wherever the Malus intensity factor cos 2(theta-lam) is >= 0.
-    return np.where(np.cos(2.0 * (theta - lam)) >= 0.0, 1, -1).astype(np.int8)
+    return (np.cos(2.0 * (theta - lam)) >= 0.0).view(np.int8) * 2 - 1
 
 
 SIGN_MALUS = LhvModel("sign-malus", _sign_malus_response)
@@ -143,10 +143,10 @@ def qm_generate(
         raise ValueError(f"trial count must be an integer >= 1, got {n}")
     e = law.pair_correlation(alpha, beta)
     g = rng.generator()
-    s = (g.integers(0, 2, size=n, dtype=np.int8) * 2 - 1).astype(np.int8)
-    agree = g.random(n) < (1.0 + e) / 2.0
-    t = np.where(agree, s, -s).astype(np.int8)
-    return SubRunPairs(OutcomeSequence(s), OutcomeSequence(t))
+    s = g.integers(0, 2, size=n, dtype=np.int8) * 2 - 1
+    # t is s times +1 where the arms agree and -1 where they do not.
+    t = s * ((g.random(n) < (1.0 + e) / 2.0).view(np.int8) * 2 - 1)
+    return SubRunPairs(OutcomeSequence._of(s), OutcomeSequence._of(t))
 
 
 def generate_subruns(
@@ -376,10 +376,11 @@ def _split_block(block: bytes, positions: list[int], n_fields: int) -> tuple | N
 
 
 def _csv_fields(blocks: Iterator[bytes], positions: list[int], n_fields: int) -> Iterator[tuple]:
-    """Tokenize blocks with csv.reader, one batch of rows per block read.
+    """Tokenize with csv.reader, as one batch of rows, the first block and
+    each further block that a record still open at a block's end runs into.
 
     A quoted field may span lines and blocks.  A line that is not UTF-8,
-    or a csv error, ends the last batch with the message for its row.
+    or a csv error, ends the batch with the message for its row.
     """
     totals: list[int] = []  # lines handed to the reader up to each block's end
 
@@ -406,7 +407,7 @@ def _csv_fields(blocks: Iterator[bytes], positions: list[int], n_fields: int) ->
             rows.append(row)
             if reader.line_num == totals[-1]:
                 yield *batch(rows), None
-                rows = []
+                return
     except UnicodeDecodeError:
         error = "invalid UTF-8"
     except csv.Error as exc:
@@ -417,13 +418,15 @@ def _csv_fields(blocks: Iterator[bytes], positions: list[int], n_fields: int) ->
 
 def _tokenize(blocks: Iterator[bytes], positions: list[int], n_fields: int) -> Iterator[tuple]:
     """Each block's data rows, as :func:`_columns` gives them with the error
-    that ends the input or None, split in bulk until a block needs csv.reader.
+    that ends the input or None.
 
     A block of equal lines is read by byte columns, any other split at its
     delimiters.  Quoted fields cannot be split by byte (``a"b`` is a
     literal quote and ``"ab"x`` reads ``abx``), and csv.reader alone
-    decodes UTF-8 and applies its field limit, so it reads from the first
-    block that holds a quote, non-ASCII text or a field over the limit on.
+    decodes UTF-8 and applies its field limit, so it reads a block that
+    holds a quote, non-ASCII text or a field over the limit, and the
+    blocks an open record runs into.  The block after those is split in
+    bulk again.
     """
     for block in blocks:
         if b'"' not in block:
@@ -432,7 +435,6 @@ def _tokenize(blocks: Iterator[bytes], positions: list[int], n_fields: int) -> I
                 yield *rows, None
                 continue
         yield from _csv_fields(itertools.chain([block], blocks), positions, n_fields)
-        return
 
 
 #: Code of a text its column's rule rejects, and of a text too long for a key.
@@ -600,11 +602,12 @@ def _ingest(source, kind: str | None) -> tuple[str, list[np.ndarray]]:
 def _read_trials(source, kind: str | None = None) -> tuple[str, SubRunDataset | CounterfactualDataset]:
     """A trial CSV's kind and dataset; without a ``kind``, its header decides."""
     kind, columns = _ingest(source, kind)
+    trusted = OutcomeSequence._of  # each column is fresh int8 codes that its rules checked
     if kind == "counterfactual":
-        return kind, CounterfactualDataset(*map(OutcomeSequence, columns))
+        return kind, CounterfactualDataset(*map(trusted, columns))
     pair, a, b = columns
     masks = [pair == code for code in range(len(PAIR_LABELS))]
-    return kind, SubRunDataset(*(SubRunPairs(OutcomeSequence(a[m]), OutcomeSequence(b[m])) for m in masks))
+    return kind, SubRunDataset(*(SubRunPairs(trusted(a[m]), trusted(b[m])) for m in masks))
 
 
 def ingest_csv(source) -> SubRunDataset:

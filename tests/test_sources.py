@@ -378,6 +378,48 @@ class TestSubrunCsv:
         for (_, p), (_, q) in zip(data.items(), back.items()):
             assert np.array_equal(p.a.values, q.a.values) and np.array_equal(p.b.values, q.b.values)
 
+    @staticmethod
+    def _counting_csv_fields(mp) -> list[bytes]:
+        """Patch ``_csv_fields`` to record each block it reads."""
+        read, csv_fields = [], sources._csv_fields
+
+        def counting(blocks, *args):
+            def counted():
+                for block in blocks:
+                    read.append(block)
+                    yield block
+
+            return csv_fields(counted(), *args)
+
+        mp.setattr(sources, "_csv_fields", counting)
+        return read
+
+    def test_quoted_cell_leaves_later_blocks_to_bulk_splitting(self):
+        data = generate_subruns(PHOTON_OPTIMAL_QUAD, CorrelationLaw.PHOTON_MALUS, 20_000, RngSpec(9))
+        buf = io.StringIO()
+        write_subrun_csv(data, buf)
+        lines = buf.getvalue().split("\n")
+        lines[5] = f'"{lines[5][:2]}"{lines[5][2:]}'  # data row 5, as "ab",+1,-1
+        text = "\n".join(lines)
+        blocks = _data_blocks(text.encode())
+        assert len(blocks) >= 5 and b'"' in blocks[0]
+        with pytest.MonkeyPatch.context() as mp:
+            read = self._counting_csv_fields(mp)
+            got = _subrun_columns(text)
+        assert read == blocks[:1]
+        assert got == reference_ingest_subruns(text)
+
+    def test_csv_reader_reads_on_while_a_record_spans_blocks(self):
+        # The quoted outcome holds a line break at the first block's end.
+        blocks = [b'ab,+1,-1\nac,"+1\n', b'",-1\ndb,+1,+1\n', b"dc,-1,-1\n" * 3, b"ab,+1,+1\n"]
+        text = (f"{SUBRUN_HEADER}\n".encode() + b"".join(blocks)).decode()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sources, "_header", lambda _: (SUBRUN_HEADER.split(","), iter(blocks)))
+            read = self._counting_csv_fields(mp)
+            got = _subrun_columns(text)
+        assert read == blocks[:2]
+        assert got == reference_ingest_subruns(text)
+
     def test_blank_line_before_the_header_is_an_empty_header(self):
         with pytest.raises(CsvFormatError, match=r"^missing column\(s\): pair, outcome_a, outcome_b$"):
             ingest_csv(f"\n{SUBRUN_HEADER}\nab,+1,+1\n".encode())
