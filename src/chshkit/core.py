@@ -48,7 +48,8 @@ def _as_outcome_array(values) -> np.ndarray:
     if arr.ndim != 1:
         raise ValueError("outcome sequence must be one-dimensional")
     try:
-        ok = bool(np.all((arr == 1) | (arr == -1))) if arr.size else True
+        # True == 1, so a bool array is turned away by its dtype.
+        ok = arr.dtype != bool and (not arr.size or bool(np.all((arr == 1) | (arr == -1))))
     except TypeError:
         raise ValueError("outcomes must be +1 or -1") from None
     if not ok:

@@ -157,18 +157,9 @@ def generate_subruns(
     Each setting pair runs on its own derived stream, so the four lists
     are statistically independent even under one seed.
     """
-    if not _is_count(n_per) or n_per < 1:
-        raise ValueError(f"trial count must be an integer >= 1, got {n_per}")
-    combos = (
-        (settings.a, settings.b),
-        (settings.a, settings.c),
-        (settings.d, settings.b),
-        (settings.d, settings.c),
-    )
-    lists = [
-        qm_generate(alpha, beta, law, n_per, rng.derive(i))
-        for i, (alpha, beta) in enumerate(combos)
-    ]
+    # The setting pairs in PAIR_LABELS order: ab, ac, db, dc.
+    combos = itertools.product((settings.a, settings.d), (settings.b, settings.c))
+    lists = [qm_generate(x, y, law, n_per, rng.derive(i)) for i, (x, y) in enumerate(combos)]
     return SubRunDataset(*lists, settings=settings)
 
 
@@ -437,67 +428,65 @@ def _tokenize(blocks: Iterator[bytes], positions: list[int], n_fields: int) -> I
         yield from _csv_fields(itertools.chain([block], blocks), positions, n_fields)
 
 
-#: Code of a text its column's rule rejects, and of a text too long for a key.
-_REJECTED, _LONG = -128, -127
+#: Code of a cell its column's table does not decide: a text its rule rejects,
+#: one of 8 bytes or more, or one first seen after the table was full.
+_UNDECIDED = -128
 #: Masks that keep the first n bytes of a little-endian word, n = 0..8; a
 #: text of 8 bytes or more keeps none, so all such texts share one key.
 _BYTE_MASKS = np.array([(1 << 8 * n) - 1 for n in range(8)] + [0], dtype=np.uint64)
 _LONG_KEY = np.uint64(8 << 56)
-#: Most keys a table may hold and still find keys by counting, at rows x keys.
-_COUNTED_KEYS = 8
+#: Most keys a table holds; a lookup counts, at rows x keys.
+_TABLE_KEYS = 8
 
 
 class _Table:
-    """One column's codes by text; each distinct text is parsed once.
+    """One column's codes by text, for at most ``_TABLE_KEYS`` texts; each is parsed once.
 
     A text of up to 7 bytes is found by a packed key (its bytes, with its
-    length in the top byte), in bulk; a longer one by its text.
+    length in the top byte), in bulk.  All longer texts share one key, held
+    from the start as undecided.
     """
 
     def __init__(self, name: str, rule: Callable[[str, str], int]) -> None:
         self.name, self.rule = name, rule
         self.keys = np.array([_LONG_KEY])
-        self.codes = np.array([_LONG], dtype=np.int8)
-        self.long: dict[str, int] = {}
+        self.codes = np.array([_UNDECIDED], dtype=np.int8)
 
     def _parse(self, text: str) -> int:
         try:
             return self.rule(text, self.name)
         except CsvFormatError:
-            return _REJECTED
+            return _UNDECIDED
 
     def _slots(self, keys: np.ndarray) -> np.ndarray:
         """Each key's index in the table; a key not in it gets one of another key.
 
-        A short table counts the table keys each key reaches, which gives
-        ``np.searchsorted``'s index at about half its cost; a crafted file
-        can make a table of thousands of keys, which binary-searches.
+        Counting the table keys each key reaches gives a binary search's
+        index at about half its cost.
         """
-        if len(self.keys) > _COUNTED_KEYS:
-            return np.searchsorted(self.keys, keys)
         at = np.zeros(len(keys), np.intp)
         for key in self.keys[1:]:
             at += keys >= key
         return at
 
     def codes_of(self, column: _Column | _FixedColumn) -> np.ndarray:
+        """Each field's code, ``_UNDECIDED`` where the table does not hold its text."""
         keys = column.keys()
         at = self._slots(keys)
         new = self.keys[at] != keys
-        if new.any():
+        if not new.any():
+            return self.codes[at]
+        if (room := _TABLE_KEYS - len(self.keys)) > 0:
             fresh, where = np.unique(keys[new], return_index=True)
-            texts = map(column.text, np.flatnonzero(new)[where])
-            keys_all = np.concatenate((self.keys, fresh))
+            texts = map(column.text, np.flatnonzero(new)[where[:room]])
+            keys_all = np.concatenate((self.keys, fresh[:room]))
             codes_all = np.concatenate((self.codes, [self._parse(t) for t in texts]))
             order = np.argsort(keys_all)
             self.keys, self.codes = keys_all[order], codes_all[order].astype(np.int8)
             at = self._slots(keys)
+            new = self.keys[at] != keys
         codes = self.codes[at]
-        for i in np.flatnonzero(codes == _LONG):
-            text = column.text(i)
-            if text not in self.long:
-                self.long[text] = self._parse(text)
-            codes[i] = self.long[text]
+        codes[new] = _UNDECIDED
         return codes
 
 
@@ -577,16 +566,18 @@ def _ingest(source, kind: str | None) -> tuple[str, list[np.ndarray]]:
             for (name, rule), column in zip(rules.items(), columns):
                 if name in tables:
                     codes[name] = found = tables[name].codes_of(column)
-                    suspects = np.flatnonzero(found == _REJECTED)
+                    suspects = np.flatnonzero(found == _UNDECIDED)
                 else:
-                    suspects = column.not_plain_digits()
-                # Only rows before an earlier column's failure count.
-                for i in suspects[suspects < stop]:
+                    found, suspects = None, column.not_plain_digits()
+                # The rule decides each suspect; only rows before an earlier column's failure count.
+                for i in suspects[suspects < stop].tolist():
                     try:
-                        rule(column.text(i), name)
+                        code = rule(column.text(i), name)
                     except CsvFormatError as exc:
-                        stop, failure = int(i), str(exc)
+                        stop, failure = i, str(exc)
                         break
+                    if found is not None:  # a trial index keeps no code
+                        found[i] = code
             if stop < rows:
                 raise CsvFormatError(f"{failure} at row {done + stop + 1}")
             for name in tables:

@@ -70,7 +70,7 @@ class TestSettingsQuad:
 
 class TestOutcomeSequence:
     def test_accepts_only_plus_minus_one(self):
-        for bad in ([0], [2], [1, -1, 3], ["x"], ["1", "-1"], "+1", [1j, -1], [0.6 + 0.8j]):
+        for bad in ([0], [2], [1, -1, 3], ["x"], ["1", "-1"], "+1", [1j, -1], [0.6 + 0.8j], [True, True]):
             with pytest.raises(ValueError):
                 OutcomeSequence(np.asarray(bad))
 

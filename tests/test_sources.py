@@ -847,25 +847,18 @@ def _column(texts: list[str]) -> sources._Column:
     return columns[0]
 
 
-class _SearchedTable(sources._Table):
-    """A table that finds every key by binary search, at any size."""
-
-    def _slots(self, keys):
-        return np.searchsorted(self.keys, keys)
-
-
 class TestTableLookup:
-    """A short table finds keys by counting, a long one by binary search;
-    either way each text gets the code the column's rule gives it."""
+    """A table holds at most ``_TABLE_KEYS`` keys and finds them by counting.
+    Each text it holds gets the code the column's rule gives it, every other
+    text ``_UNDECIDED``, and the ingest's row loop has the rule decide those."""
 
     @pytest.mark.parametrize("size", range(1, len(OUTCOME_SPELLINGS) + 1))
     def test_lookup_matches_a_binary_search(self, size):
         known = OUTCOME_SPELLINGS[: size - 1]  # and the key all long texts share
-        tables = [cls("outcome_a", sources._parse_outcome) for cls in (sources._Table, _SearchedTable)]
-        for table in tables:
-            table.codes_of(_column(known))
-        table, searched = tables
-        assert len(table.keys) == size and (table.keys == searched.keys).all()
+        table = sources._Table("outcome_a", sources._parse_outcome)
+        table.codes_of(_column(known))
+        assert len(table.keys) == min(size, sources._TABLE_KEYS)
+        assert (table.keys[:-1] < table.keys[1:]).all()
         # Texts absent from the table sort below, between and above its keys.
         absent = ["", "x", "2", "-2", "1_", "+-1", "1234567", *OUTCOME_SPELLINGS[size - 1 :]]
         texts = RngSpec(size).generator().permutation(known * 3 + absent + ["1" * 8, "-00000001"])
@@ -875,14 +868,16 @@ class TestTableLookup:
         assert (at[present] == np.searchsorted(table.keys, keys[present])).all()
         assert ((table.keys[at] != keys) == ~present).all()
         got = table.codes_of(_column(list(texts)))
-        assert got.tolist() == searched.codes_of(_column(list(texts))).tolist()
-        assert (table.keys == searched.keys).all() and (table.codes == searched.codes).all()
+        # Seven absent short texts fill any table that had room.
+        assert len(table.keys) == sources._TABLE_KEYS
+        held = set(table.keys.tolist()) - {int(sources._LONG_KEY)}
         expected = []
-        for text in texts:
+        for text, key in zip(texts, keys.tolist()):
             try:
-                expected.append(sources._parse_outcome(text, "outcome_a"))
+                code = sources._parse_outcome(text, "outcome_a") if key in held else None
             except CsvFormatError:
-                expected.append(sources._REJECTED)
+                code = None
+            expected.append(sources._UNDECIDED if code is None else code)
         assert got.tolist() == expected
 
     @pytest.mark.parametrize("bad_row", [None, 700])
@@ -913,10 +908,57 @@ class TestTableLookup:
             mp.setattr(sources, "_BLOCK_BYTES", block_bytes)
             mp.setattr(sources._Table, "_slots", counted_slots)
             got = _columns_or_error(_subrun_columns, text)
-        assert min(sizes) <= sources._COUNTED_KEYS < max(sizes)
+        assert max(sizes) == sources._TABLE_KEYS
         assert got == _columns_or_error(reference_ingest_subruns, text)
         if bad_row is not None:
             assert got == f"outcome outside {{+1, -1}}: '+2' in column 'outcome_b' at row {bad_row}"
+
+    def test_every_spelling_leaves_each_table_at_eight_keys(self):
+        labels = ["ab", "ac", "db", "dc"]
+        rows = [
+            f"{labels[i % 4]},{a},{b}"
+            for i, (a, b) in enumerate(itertools.product(OUTCOME_SPELLINGS, repeat=2))
+        ]
+        text = "\n".join([SUBRUN_HEADER, *rows]) + "\n"
+        tables = []
+        init = sources._Table.__init__
+
+        def recorded_init(table, *args):
+            init(table, *args)
+            tables.append(table)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sources._Table, "__init__", recorded_init)
+            got = _subrun_columns(text)
+        assert len(tables) == 3
+        assert [len(table.keys) for table in tables] == [5, 8, 8]  # pair: four labels and the long key
+        assert got == reference_ingest_subruns(text)
+
+    @pytest.mark.parametrize("bad_row", [None, 20_000])
+    @pytest.mark.parametrize("block_bytes", [64, sources._BLOCK_BYTES])
+    def test_column_of_long_texts_ingests_like_the_row_parser(self, block_bytes, bad_row):
+        g = RngSpec(32).generator()
+        labels = np.array(["ab", "ac", "db", "dc"])
+        padded = np.array(["+1      ", "-1      ", "     -1 ", "00000001", " +000001", "-1" + " " * 9])
+        rows = [
+            f"{label},{a},{b}"
+            for label, a, b in zip(
+                labels[g.integers(0, 4, 30_000)],
+                padded[g.integers(0, len(padded), 30_000)],
+                np.array(["+1", "-1"])[g.integers(0, 2, 30_000)],
+            )
+        ]
+        if bad_row is not None:
+            rows[bad_row - 1] = _edit_cell(rows[bad_row - 1], 0, 1, "+2      ")
+        text = "\n".join([SUBRUN_HEADER, *rows]) + "\n"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sources, "_BLOCK_BYTES", block_bytes)
+            blocks = _data_blocks(text.encode())
+            got = _columns_or_error(_subrun_columns, text)
+        assert got == _columns_or_error(reference_ingest_subruns, text)
+        if bad_row is not None:
+            assert len(blocks[0]) < text.index(rows[bad_row - 1])
+            assert got == f"outcome outside {{+1, -1}}: '+2      ' in column 'outcome_a' at row {bad_row}"
 
 
 def _subrun_step() -> int:
