@@ -20,6 +20,7 @@ All sums are accumulated in integer arithmetic and divided once, so the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -63,25 +64,26 @@ class GammaResult:
         """The raw correlations (<ab>, <ac>, <db>, <dc>)."""
         return tuple(s / m for s, m in zip(self.product_sums, self.n_used))
 
+    def _ratio(self) -> tuple[int, int]:
+        """Gamma's exact numerator over the least common multiple of the counts."""
+        n = math.lcm(*self.n_used)
+        (m0, m1, m2, m3), (s0, s1, s2, s3) = self.n_used, self.product_sums
+        return s0 * (n // m0) + s1 * (n // m1) + s2 * (n // m2) - s3 * (n // m3), n
+
     @property
     def value(self) -> float:
-        """Gamma with the minus on the dc term, as a float for display."""
-        s = self.product_sums
-        if len(set(self.n_used)) == 1:
-            # Shared divisor: divide the signed integer total once.
-            return (s[0] + s[1] + s[2] - s[3]) / self.n_used[0]
-        t = self.per_term
-        return t[0] + t[1] + t[2] - t[3]
+        """Gamma with the minus on the dc term: the exact ratio, rounded once."""
+        numerator, denominator = self._ratio()
+        return numerator / denominator
 
     @property
     def exact(self) -> Fraction:
         """Gamma as a rational number, which bound checks compare.
 
-        Summing four separately rounded terms can put ``value`` an ulp
-        past a bound the exact value meets.
+        ``value`` is this number correctly rounded, so a Gamma just above
+        2 can still read ``2.0``.
         """
-        e = [Fraction(s, m) for s, m in zip(self.product_sums, self.n_used)]
-        return e[0] + e[1] + e[2] - e[3]
+        return Fraction(*self._ratio())
 
 
 @dataclass(frozen=True)
@@ -104,13 +106,11 @@ def gamma_pooled(data: CounterfactualDataset) -> GammaResult:
     value = (1/N) * sum_j [a(j)b(j) + a(j)c(j) + d(j)b(j) - d(j)c(j)],
     guaranteed to lie in [-2, 2].
     """
-    n = data.n
-    if n == 0:
+    if data.n == 0:
         raise ValueError("empty dataset")
-    a, d = data.a_seq.values, data.d_seq.values
-    b, c = data.b_seq.values, data.c_seq.values
+    a, d, b, c = data.a_seq, data.d_seq, data.b_seq, data.c_seq
     arms = ((a, b), (a, c), (d, b), (d, c))
-    return GammaResult((n,) * 4, tuple(int(np.sum(x * y, dtype=np.int64)) for x, y in arms))
+    return GammaResult((data.n,) * 4, tuple(SubRunPairs(x, y).product_sum() for x, y in arms))
 
 
 def gamma_subruns(data: SubRunDataset) -> GammaResult:
@@ -162,9 +162,8 @@ def termwise_bound_check(data: CounterfactualDataset) -> BoundReport:
         # Unreachable for valid +/-1 data; guards against corrupted arrays.
         raise AssertionError("per-trial factorized value outside {+2, -2}")
     gamma = int(np.sum(per_trial, dtype=np.int64)) / n
-    frozen = per_trial.astype(np.int8)
-    frozen.setflags(write=False)
-    return BoundReport(per_trial_values=frozen, max_abs=2.0, gamma=gamma)
+    per_trial.setflags(write=False)  # int8 already: int8 +, - and * stay int8
+    return BoundReport(per_trial_values=per_trial, max_abs=2.0, gamma=gamma)
 
 
 def theory_gamma(settings: SettingsQuad, law: CorrelationLaw) -> float:

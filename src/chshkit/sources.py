@@ -366,7 +366,7 @@ def _split_block(block: bytes, positions: list[int], n_fields: int) -> tuple | N
     return _columns(buf, starts, ends, first, width, positions, n_fields)
 
 
-def _csv_fields(blocks: Iterator[bytes], positions: list[int], n_fields: int) -> Iterator[tuple]:
+def _csv_fields(blocks: Iterator[bytes], positions: list[int], n_fields: int) -> tuple:
     """Tokenize with csv.reader, as one batch of rows, the first block and
     each further block that a record still open at a block's end runs into.
 
@@ -382,14 +382,6 @@ def _csv_fields(blocks: Iterator[bytes], positions: list[int], n_fields: int) ->
             for line in block_lines:
                 yield line.decode("utf-8")
 
-    def batch(rows: list[list[str]]) -> tuple:
-        cells = [cell.encode("utf-8") for row in rows for cell in row]
-        lengths = np.fromiter(map(len, cells), np.intp, len(cells))
-        ends = np.cumsum(lengths + 1) - 1
-        width = np.fromiter(map(len, rows), np.intp, len(rows))
-        buf = np.frombuffer(b"".join(cell + b"," for cell in cells) + bytes(8), np.uint8)
-        return _columns(buf, ends - lengths, ends, np.cumsum(width) - width, width, positions, n_fields)
-
     reader = csv.reader(lines())
     rows: list[list[str]] = []
     error = None
@@ -397,14 +389,17 @@ def _csv_fields(blocks: Iterator[bytes], positions: list[int], n_fields: int) ->
         for row in reader:
             rows.append(row)
             if reader.line_num == totals[-1]:
-                yield *batch(rows), None
-                return
+                break
     except UnicodeDecodeError:
         error = "invalid UTF-8"
     except csv.Error as exc:
         error = str(exc)
-    if rows or error:
-        yield *batch(rows), error
+    cells = [cell.encode("utf-8") for row in rows for cell in row]
+    lengths = np.fromiter(map(len, cells), np.intp, len(cells))
+    ends = np.cumsum(lengths + 1) - 1
+    width = np.fromiter(map(len, rows), np.intp, len(rows))
+    buf = np.frombuffer(b"".join(cell + b"," for cell in cells) + bytes(8), np.uint8)
+    return *_columns(buf, ends - lengths, ends, np.cumsum(width) - width, width, positions, n_fields), error
 
 
 def _tokenize(blocks: Iterator[bytes], positions: list[int], n_fields: int) -> Iterator[tuple]:
@@ -425,7 +420,7 @@ def _tokenize(blocks: Iterator[bytes], positions: list[int], n_fields: int) -> I
             if rows is not None:
                 yield *rows, None
                 continue
-        yield from _csv_fields(itertools.chain([block], blocks), positions, n_fields)
+        yield _csv_fields(itertools.chain([block], blocks), positions, n_fields)
 
 
 #: Code of a cell its column's table does not decide: a text its rule rejects,

@@ -49,7 +49,7 @@ def pairs(a_side, b_side) -> SubRunPairs:
 
 
 def exact_two_dataset() -> SubRunDataset:
-    """Sub-runs whose Gamma is exactly 2 but sums to 2.0000000000000004 in floats.
+    """Sub-runs whose Gamma is exactly 2 but whose four float terms sum to 2.0000000000000004.
 
     Counts (24, 20, 10, 24), product sums (22, 14, 8, 10): 11/12 + 7/10
     + 4/5 - 5/12 = 2.

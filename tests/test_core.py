@@ -100,6 +100,15 @@ class TestOutcomeSequence:
         with pytest.raises(TypeError, match="unhashable"):
             hash(seq(1, -1, 1))
 
+    def test_equality_with_another_type_is_false(self):
+        assert (seq(1, -1) == 1) is False
+        assert seq(1, -1) != [1, -1]
+
+    def test_repr_shows_at_most_eight_outcomes(self):
+        assert repr(seq(1, -1, 1)) == "OutcomeSequence([+1,-1,+1], n=3)"
+        nine = seq(1, -1, 1, 1, -1, -1, 1, 1, -1)
+        assert repr(nine) == "OutcomeSequence([+1,-1,+1,+1,-1,-1,+1,+1,...], n=9)"
+
     def test_plus_count_and_tuple(self):
         s = seq(1, -1, 1, 1)
         assert s.plus_count() == 3

@@ -9,6 +9,7 @@ from hypothesis import given, settings as hyp_settings, strategies as st
 from chshkit import (
     CorrelationLaw,
     CounterfactualDataset,
+    GammaResult,
     PHOTON_OPTIMAL_QUAD,
     RngSpec,
     SIGN_MALUS,
@@ -57,6 +58,16 @@ class TestGammaPooled:
         with pytest.raises(ValueError, match="empty dataset"):
             gamma_pooled(empty)
 
+    @given(st.integers(1, 2_000), st.integers(0, 2**32 - 1))
+    @hyp_settings(max_examples=40, deadline=None)
+    def test_product_sums_match_the_sum_of_products(self, n, seed):
+        data = random_counterfactual(RngSpec(seed), n)
+        a, d = data.a_seq.values, data.d_seq.values
+        b, c = data.b_seq.values, data.c_seq.values
+        arms = ((a, b), (a, c), (d, b), (d, c))
+        oracle = tuple(int(np.sum(x * y, dtype=np.int64)) for x, y in arms)
+        assert gamma_pooled(data).product_sums == oracle
+
     @given(st.integers(1, 64), st.integers(0, 2**32 - 1))
     @hyp_settings(max_examples=60, deadline=None)
     def test_bound_holds_on_random_data(self, n, seed):
@@ -77,6 +88,8 @@ class TestTermwiseBoundCheck:
     def test_hand_values(self, trial, expected):
         report = termwise_bound_check(one_trial(*trial))
         assert report.per_trial_values.tolist() == [expected]
+        assert report.per_trial_values.dtype == np.int8
+        assert not report.per_trial_values.flags.writeable
         assert report.max_abs == 2.0
 
     def test_exhaustive_single_trial(self):
@@ -130,8 +143,21 @@ class TestGammaSubruns:
     def test_exact_value_decides_the_bound(self):
         r = gamma_subruns(exact_two_dataset())
         assert r.n_used == (24, 20, 10, 24)
-        assert r.value == 2.0000000000000004  # four rounded terms
+        assert r.value == 2.0  # the exact ratio, rounded once
         assert r.exact == 2
+
+    @given(st.data())
+    @hyp_settings(max_examples=200, deadline=None)
+    def test_value_is_the_exact_ratio_rounded_once(self, data):
+        counts = data.draw(st.lists(st.integers(1, 10**6), min_size=4, max_size=4), "counts")
+        equal = data.draw(st.booleans(), "equal counts")
+        if equal:
+            counts = [counts[0]] * 4
+        sums = [m - 2 * data.draw(st.integers(0, m), "disagree") for m in counts]
+        r = GammaResult(tuple(counts), tuple(sums))
+        assert r.value == float(r.exact)
+        if equal:
+            assert r.value == (sums[0] + sums[1] + sums[2] - sums[3]) / counts[0]
 
     def test_empty_list_error_names_pair(self):
         data = SubRunDataset(
