@@ -184,10 +184,14 @@ def _equal_subruns(dataset, trim: bool):
 
 
 def _report_dict(report) -> dict:
-    out = report.to_json_dict()
-    out["gamma_subruns"] = _round6(out["gamma_subruns"])
-    out["gamma_resorted"] = _round6(out["gamma_resorted"])
-    return out
+    return {
+        "feasible": list(report.feasible),
+        "closure": report.closure,
+        "hamming_b": report.hamming_b,
+        "gamma_subruns": _round6(report.gamma_subruns),
+        "gamma_resorted": _round6(report.gamma_resorted),
+        "count_deficits": list(report.count_deficits),
+    }
 
 
 def cmd_resort(args: argparse.Namespace) -> int:

@@ -53,8 +53,9 @@ class ResortPolicy:
     """How to choose among the many valid re-sortings.
 
     ``stable`` preserves source order within each value class and is
-    fully deterministic; ``uniform-random`` draws the within-class
-    bijection uniformly from ``rng`` (required for that kind).
+    fully deterministic (it takes no ``rng``); ``uniform-random`` draws
+    the within-class bijection uniformly from ``rng`` (required for that
+    kind).
     """
 
     kind: str
@@ -65,6 +66,8 @@ class ResortPolicy:
             raise ValueError(f"unknown resort policy {self.kind!r}")
         if self.kind == "uniform-random" and self.rng is None:
             raise ValueError("uniform-random policy requires an rng")
+        if self.kind == "stable" and self.rng is not None:
+            raise ValueError("stable policy takes no rng")
 
     @classmethod
     def uniform_random(cls, rng: RngSpec) -> ResortPolicy:
@@ -119,37 +122,34 @@ class ResortReport:
     """Everything the cascade found.
 
     Step order is the cascade order: the re-sorted terms are ac, dc, db
-    (terms 2, 4, 3 of the four-term sum), and ``feasible``, ``perms``
-    and ``count_deficits`` follow it.  Each permutation is a read-only
-    int64 array whose entry i says which source trial lands at slot i;
-    with arrays inside, reports do not compare with ``==``.  A deficit
-    is the target's +1-count minus the source's, so 0 means the step was
-    exactly alignable.  ``closure`` compares the ab list's b-side with
-    the dragged-along b-side of the final step; ``gamma_resorted`` is
-    the factorized evaluation and is None unless every step was feasible.
+    (terms 2, 4, 3 of the four-term sum), and ``perms``,
+    ``count_deficits`` and ``feasible`` follow it.  Each permutation is a
+    read-only int64 array whose entry i says which source trial lands at
+    slot i; with arrays inside, reports do not compare with ``==``.  A
+    deficit is the target's +1-count minus the source's, and a step is
+    ``feasible`` (exactly alignable) when it is 0.  ``hamming_b`` compares
+    the ab list's b-side with the dragged-along b-side of the final step,
+    and the cascade reaches ``closure`` when it is 0.  ``gamma_resorted``
+    is the factorized evaluation and is None unless every step was feasible.
     """
 
-    feasible: tuple[bool, bool, bool]
     perms: tuple[np.ndarray, np.ndarray, np.ndarray]
     count_deficits: tuple[int, int, int]
-    closure: bool
     hamming_b: int
     gamma_subruns: float
     gamma_resorted: float | None
 
     @property
+    def feasible(self) -> tuple[bool, bool, bool]:
+        return tuple(deficit == 0 for deficit in self.count_deficits)
+
+    @property
     def all_feasible(self) -> bool:
         return all(self.feasible)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "feasible": list(self.feasible),
-            "closure": self.closure,
-            "hamming_b": self.hamming_b,
-            "gamma_subruns": self.gamma_subruns,
-            "gamma_resorted": self.gamma_resorted,
-            "count_deficits": list(self.count_deficits),
-        }
+    @property
+    def closure(self) -> bool:
+        return self.hamming_b == 0
 
 
 def resort_cascade(data: SubRunDataset, policy: ResortPolicy = STABLE) -> ResortReport:
@@ -165,7 +165,6 @@ def resort_cascade(data: SubRunDataset, policy: ResortPolicy = STABLE) -> Resort
         raise ValueError(f"cascade requires equal sub-run lengths, got {counts}")
     gamma_plain = gamma_subruns(data).value  # also rejects empty lists
     (a1, b1), ac, db, dc = [(p.a.values, p.b.values) for p in (data.ab, data.ac, data.db, data.dc)]
-    rng = policy.rng if policy.kind == "uniform-random" else None
 
     # Each step as (aligned side, dragged side), in cascade order: ac on
     # its a-side, dc on its c-side (to the dragged-along c), db on its
@@ -173,7 +172,7 @@ def resort_cascade(data: SubRunDataset, policy: ResortPolicy = STABLE) -> Resort
     # pairs, is the next step's target.
     target, perms, deficits, dragged = a1, [], [], []
     for index, (aligned, drag) in enumerate((ac, dc[::-1], db)):
-        g = None if rng is None else rng.derive(index).generator()
+        g = None if policy.rng is None else policy.rng.derive(index).generator()
         perm, deficit = _class_matching(target, aligned, g)
         perm.setflags(write=False)
         perms.append(perm)
@@ -182,18 +181,14 @@ def resort_cascade(data: SubRunDataset, policy: ResortPolicy = STABLE) -> Resort
         dragged.append(target)
     c2, d4, b3 = dragged
 
-    hamming = int(np.count_nonzero(b1 != b3))
-    feasible = (deficits[0] == 0, deficits[1] == 0, deficits[2] == 0)
     factored = None
-    if all(feasible):
-        # The factorized grouping <a1*(b1 + c2) + d4*(b3 - c2)>.
+    if not any(deficits):
+        # Every step feasible: the factorized grouping <a1*(b1 + c2) + d4*(b3 - c2)>.
         factored = int((a1 * (b1 + c2) + d4 * (b3 - c2)).sum(dtype=np.int64)) / a1.size
     return ResortReport(
-        feasible=feasible,
         perms=tuple(perms),
         count_deficits=tuple(deficits),
-        closure=hamming == 0,
-        hamming_b=hamming,
+        hamming_b=int(np.count_nonzero(b1 != b3)),
         gamma_subruns=gamma_plain,
         gamma_resorted=factored,
     )

@@ -29,7 +29,6 @@ import math
 import os
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import IO, Callable, Iterator, NamedTuple
@@ -50,7 +49,6 @@ from .rng import RngSpec
 
 __all__ = [
     "CorrelationLaw",
-    "LhvModel",
     "SIGN_MALUS",
     "PHOTON_OPTIMAL_QUAD",
     "SPIN_OPTIMAL_QUAD",
@@ -93,40 +91,28 @@ PHOTON_OPTIMAL_QUAD = SettingsQuad.from_degrees(0.0, 45.0, 22.5, -22.5)
 SPIN_OPTIMAL_QUAD = SettingsQuad.from_degrees(90.0, 0.0, 45.0, 135.0)
 
 
-@dataclass(frozen=True)
-class LhvModel:
-    """A local deterministic response rule A(theta, lambda) -> +1/-1.
-
-    ``response`` maps (analyzer angle in radians, array of hidden
-    variables in [0, pi)) to an int8 array of outcomes.  Locality is
-    structural: the rule sees only its own arm's angle and the shared
-    lambda.
-    """
-
-    name: str
-    response: Callable[[float, np.ndarray], np.ndarray]
-
-
-def _sign_malus_response(theta: float, lam: np.ndarray) -> np.ndarray:
-    # +1 wherever the Malus intensity factor cos 2(theta-lam) is >= 0.
+def SIGN_MALUS(theta: float, lam: np.ndarray) -> np.ndarray:
+    """The sign-Malus response: +1 wherever the Malus intensity factor
+    cos 2(theta - lambda) is >= 0, else -1."""
     return (np.cos(2.0 * (theta - lam)) >= 0.0).view(np.int8) * 2 - 1
 
 
-SIGN_MALUS = LhvModel("sign-malus", _sign_malus_response)
-
-
 def lhv_generate(
-    model: LhvModel, settings: SettingsQuad, n: int, rng: RngSpec
+    response: Callable[[float, np.ndarray], np.ndarray], settings: SettingsQuad, n: int, rng: RngSpec
 ) -> CounterfactualDataset:
-    """Draw n trials from the model, lambda uniform on [0, pi) per trial.
+    """Draw n trials from a local deterministic response rule, lambda
+    uniform on [0, pi) per trial.
 
-    All four sequences come from the same lambda array -- this sharing is
-    what makes the dataset counterfactual.
+    ``response`` is A(theta, lambda): it maps (analyzer angle in radians,
+    array of hidden variables in [0, pi)) to an array of +1/-1 outcomes.
+    Locality is structural: the rule sees only its own arm's angle and
+    the shared lambda.  All four sequences come from the same lambda
+    array -- this sharing is what makes the dataset counterfactual.
     """
     if not _is_count(n) or n < 1:
         raise ValueError(f"trial count must be an integer >= 1, got {n}")
     lam = rng.generator().uniform(0.0, math.pi, size=n)
-    a, d, b, c = (OutcomeSequence(model.response(x.radians, lam))
+    a, d, b, c = (OutcomeSequence(response(x.radians, lam))
                   for x in (settings.a, settings.d, settings.b, settings.c))
     return CounterfactualDataset(a, d, b, c, settings=settings)
 
@@ -631,7 +617,11 @@ def _output(dest) -> Iterator[IO[str]]:
     path = path.resolve()
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as stream:
+        try:
+            stream = open(tmp, "w", encoding="utf-8", newline="")
+        except OSError as exc:  # name the path as given, not the temporary file
+            raise type(exc)(exc.errno, exc.strerror, str(dest)) from None
+        with stream:
             yield stream
         os.replace(tmp, path)
     finally:

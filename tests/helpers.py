@@ -297,15 +297,17 @@ def reference_resort_cascade(data: SubRunDataset, policy: ResortPolicy = STABLE)
     factored = (
         _reference_factored_gamma(a1, b1, ac_rs.b, dc_rs.a, b3_rs) if all(feasible) else None
     )
-    return ResortReport(
-        feasible=feasible,
+    report = ResortReport(
         perms=(perm2, perm4, perm3),
         count_deficits=(deficit2, deficit4, deficit3),
-        closure=closure,
         hamming_b=hamming,
         gamma_subruns=gamma_plain,
         gamma_resorted=factored,
     )
+    # The report derives both verdicts; they must agree with this
+    # reference's own rules.
+    assert report.feasible == feasible and report.closure == closure
+    return report
 
 
 # Reference Monte-Carlo closure odds: the loop closure_probability ran
@@ -426,6 +428,7 @@ CLI_CASES = {
     "estimate-spin-half": "estimate --in spin.csv",
     "estimate-lhv-angles": "estimate --in lhv-angles.csv",
     "estimate-missing-file": "estimate --in absent.csv",
+    "estimate-out-missing-dir": "estimate --in qm.csv --out absent/estimate.json",
     "estimate-empty": "estimate --in empty.csv",
     "estimate-blank-first-line": "estimate --in blank-first-line.csv",
     "estimate-header-x-y": "estimate --in header-x-y.csv",

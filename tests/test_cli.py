@@ -4,6 +4,7 @@ import csv
 import gc
 import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -104,11 +105,13 @@ class TestDigestManifest:
     ``tests/data/cli_digests.json`` was computed at commit 95f8653 with
     ``helpers.regen_cli_digests()``; the two ``header-field-over-limit``
     cases were added when ``estimate`` came to give ``resort``'s error
-    for such a header.  Its qm, lhv and split files keep the digests
-    first pinned at 8c57a30, whose writers built one Python string per
-    row.  The digests pin numpy's Generator streams, which
-    numpy does not promise to keep across releases, and argparse's usage
-    text, so a failure names the versions the manifest was computed with.
+    for such a header, and ``estimate-out-missing-dir`` when an ``--out``
+    error came to name the path as given.  Its qm, lhv and split files
+    keep the digests first pinned at 8c57a30, whose writers built one
+    Python string per row.  The digests pin numpy's Generator streams,
+    which numpy does not promise to keep across releases, and argparse's
+    usage text, so a failure names the versions the manifest was computed
+    with.
     """
 
     def test_every_case_matches_the_manifest(self, tmp_path, capsys):
@@ -167,6 +170,18 @@ class TestEstimate:
             _emit("{\n  \"unencodable\": \"\ud800\"\n}\n", str(out))
         assert out.read_bytes() == b"earlier report\n"
         assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+    def test_out_error_names_the_path_as_given(self, cf_csv, tmp_path, capsys, monkeypatch):
+        # The temporary file's name holds the process id; the message must not.
+        monkeypatch.chdir(tmp_path)
+        errors = []
+        for pid in (28720, 28762):
+            monkeypatch.setattr(os, "getpid", lambda pid=pid: pid)
+            assert main(["estimate", "--in", str(cf_csv), "--out", "nodir/report.json"]) == 1
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[0] == "error: [Errno 2] No such file or directory: 'nodir/report.json'\n"
+        assert ".tmp" not in errors[0]
 
     def test_out_dev_stdout_writes_to_the_pipe(self):
         proc = run_proc(

@@ -27,6 +27,7 @@ from chshkit import (
     trim_to_shortest,
 )
 from chshkit import resort
+from chshkit.cli import _report_dict
 from helpers import (
     feasible_dataset,
     pairs,
@@ -47,6 +48,12 @@ class TestResortPolicy:
         with pytest.raises(ValueError, match="requires an rng"):
             ResortPolicy("uniform-random")
         assert ResortPolicy.uniform_random(RngSpec(1)).kind == "uniform-random"
+
+    def test_stable_takes_no_rng(self):
+        # A stable policy would ignore the rng: its cascade is STABLE's.
+        with pytest.raises(ValueError, match="stable policy takes no rng"):
+            ResortPolicy("stable", RngSpec(1))
+        assert ResortPolicy("stable") == STABLE
 
 
 def first_step(target: OutcomeSequence, source: OutcomeSequence, policy: ResortPolicy = STABLE):
@@ -142,7 +149,7 @@ class TestResortCascade:
         assert report.feasible == (True, False, False)
         assert report.count_deficits == (0, -1, -1)
         assert report.gamma_resorted is None
-        d = report.to_json_dict()
+        d = _report_dict(report)
         assert d["gamma_resorted"] is None
         assert d["feasible"] == [True, False, False]
 
@@ -188,7 +195,7 @@ class TestResortCascade:
         r1 = resort_cascade(data, policy)
         r2 = resort_cascade(data, policy)
         assert all(np.array_equal(p, q) for p, q in zip(r1.perms, r2.perms))
-        assert r1.to_json_dict() == r2.to_json_dict()
+        assert _report_dict(r1) == _report_dict(r2)
 
     @pytest.mark.parametrize("policy", [STABLE, ResortPolicy.uniform_random(RngSpec(3))],
                              ids=["stable", "uniform-random"])
@@ -212,7 +219,7 @@ class TestResortCascade:
 
     def test_report_json_schema(self):
         report = resort_cascade(identical_copies_dataset(8, rng_seed=5))
-        d = report.to_json_dict()
+        d = _report_dict(report)
         assert list(d) == [
             "feasible",
             "closure",
@@ -225,6 +232,37 @@ class TestResortCascade:
         assert isinstance(d["count_deficits"], list) and len(d["count_deficits"]) == 3
         assert isinstance(d["closure"], bool)
         assert isinstance(d["hamming_b"], int)
+        assert all(type(v) is bool for v in d["feasible"])
+        assert all(type(v) is int for v in d["count_deficits"])
+        assert all(type(d[k]) is float for k in ("gamma_subruns", "gamma_resorted"))
+
+
+def hand_report(count_deficits, hamming_b) -> ResortReport:
+    perm = np.arange(4)
+    return ResortReport(perms=(perm, perm, perm), count_deficits=count_deficits,
+                        hamming_b=hamming_b, gamma_subruns=0.0, gamma_resorted=None)
+
+
+class TestDerivedVerdicts:
+    """Feasibility and closure are read off the deficits and the Hamming distance."""
+
+    def test_report_stores_measurements_only(self):
+        assert [f.name for f in dataclasses.fields(ResortReport)] == [
+            "perms", "count_deficits", "hamming_b", "gamma_subruns", "gamma_resorted"
+        ]
+
+    def test_a_deficit_and_a_distance_fail(self):
+        report = hand_report((0, 1, 0), 3)
+        assert report.feasible == (True, False, True)
+        assert report.all_feasible is False
+        assert report.closure is False
+
+    def test_no_deficit_and_no_distance_hold(self):
+        report = hand_report((0, 0, 0), 0)
+        assert report.feasible == (True, True, True)
+        assert all(type(v) is bool for v in report.feasible)
+        assert report.all_feasible is True
+        assert report.closure is True
 
 
 @st.composite
@@ -256,7 +294,9 @@ class TestCascadeMatchesReference:
         for field in dataclasses.fields(ResortReport):
             if field.name != "perms":
                 assert getattr(got, field.name) == getattr(want, field.name), field.name
-        assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
+        assert got.feasible == want.feasible
+        assert got.closure == want.closure
+        assert json.dumps(_report_dict(got)) == json.dumps(_report_dict(want))
 
 
 @st.composite

@@ -96,7 +96,7 @@ class TestLhvModel:
     def test_sign_malus_hand_values(self):
         lam = np.array([0.0, math.pi / 3, math.pi / 2])
         # cos(0)=1, cos(-2pi/3)=-1/2, cos(-pi)=-1 at theta=0.
-        assert SIGN_MALUS.response(0.0, lam).tolist() == [1, -1, -1]
+        assert SIGN_MALUS(0.0, lam).tolist() == [1, -1, -1]
 
     def test_forced_lambda_zero_example(self):
         # One trial, lambda forced to 0, settings (0, 45, 22.5, 67.5)
@@ -104,7 +104,7 @@ class TestLhvModel:
         quad = SettingsQuad.from_degrees(0.0, 45.0, 22.5, 67.5)
         lam = np.array([0.0])
         settings = (quad.a, quad.d, quad.b, quad.c)
-        assert [SIGN_MALUS.response(x.radians, lam)[0] for x in settings] == [1, 1, 1, -1]
+        assert [SIGN_MALUS(x.radians, lam)[0] for x in settings] == [1, 1, 1, -1]
 
     def test_closed_form_matches_grid_integration(self):
         # Midpoint-rule average of the response product over a dense
@@ -115,8 +115,8 @@ class TestLhvModel:
             alpha, beta = deg(a_deg), deg(b_deg)
             grid = float(
                 np.mean(
-                    SIGN_MALUS.response(alpha.radians, lam)
-                    * SIGN_MALUS.response(beta.radians, lam),
+                    SIGN_MALUS(alpha.radians, lam)
+                    * SIGN_MALUS(beta.radians, lam),
                     dtype=np.float64,
                 )
             )

@@ -16,7 +16,6 @@ import pytest
 from chshkit import (
     Angle,
     CorrelationLaw,
-    LhvModel,
     OutcomeSequence,
     PHOTON_OPTIMAL_QUAD,
     RngSpec,
@@ -109,7 +108,9 @@ class TestPublicConstructorStillChecks:
         assert mine.flags.writeable
 
     def test_lhv_model_returning_zeros_still_raises(self):
-        zeros = LhvModel("zeros", lambda theta, lam: np.zeros(lam.shape, np.int8))
+        def zeros(theta, lam):
+            return np.zeros(lam.shape, np.int8)
+
         with pytest.raises(ValueError, match=r"\+1 or -1"):
             lhv_generate(zeros, PHOTON_OPTIMAL_QUAD, 10, RngSpec(1))
 
@@ -121,7 +122,7 @@ class TestPublicConstructorStillChecks:
             kept.append(out)
             return out
 
-        data = lhv_generate(LhvModel("kept", response), PHOTON_OPTIMAL_QUAD, 100, RngSpec(2))
+        data = lhv_generate(response, PHOTON_OPTIMAL_QUAD, 100, RngSpec(2))
         _assert_frozen_outcomes(_sides(data), kept)
 
 
