@@ -145,7 +145,7 @@ def _estimate_dict(kind: str, dataset) -> dict:
         extra: dict = {}
     else:
         result = gamma_pooled(dataset)
-        extra = {"per_trial_max_abs": termwise_bound_check(dataset).max_abs}
+        extra = {"per_trial_max_abs": float(np.abs(termwise_bound_check(dataset)).max())}
     return {
         "kind": kind,
         "gamma": _round6(result.value),
@@ -273,16 +273,6 @@ def cmd_audit(args: argparse.Namespace) -> int:
     return 0
 
 
-_HANDLERS = {
-    "simulate": cmd_simulate,
-    "split": cmd_split,
-    "estimate": cmd_estimate,
-    "resort": cmd_resort,
-    "sweep": cmd_sweep,
-    "audit": cmd_audit,
-}
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chshkit",
@@ -307,17 +297,21 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--law", type=_law, default=CorrelationLaw.PHOTON_MALUS,
                      help="pair-correlation law for qm mode (photon-malus | spin-half)")
     sim.add_argument("--out", required=True, dest="out_path")
+    sim.set_defaults(run=cmd_simulate)
 
     spl = sub.add_parser("split", help="split a counterfactual CSV into random sub-runs")
     spl.add_argument("--in", required=True, dest="in_path")
     spl.add_argument("--seed", type=_seed, required=True)
     spl.add_argument("--out", required=True, dest="out_path")
+    spl.set_defaults(run=cmd_split)
 
     est = sub.add_parser("estimate", help="gamma report from a trial CSV")
     est.add_argument("--in", required=True, dest="in_path")
     est.add_argument("--out", dest="out_path", help="report path (default: stdout)")
+    est.set_defaults(run=cmd_estimate)
 
-    sub.add_parser("resort", parents=[cascade], help="run the re-sorting cascade")
+    res = sub.add_parser("resort", parents=[cascade], help="run the re-sorting cascade")
+    res.set_defaults(run=cmd_resort)
 
     swp = sub.add_parser("sweep", help="angle-offset curve of theory vs empirical gamma")
     swp.add_argument("--steps", type=_positive_int, default=16,
@@ -330,9 +324,11 @@ def _build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--angles", type=_angles, metavar="A,D,B,C",
                      help="base quad in degrees (default: optimal quad for the law)")
     swp.add_argument("--out", required=True, dest="out_path")
+    swp.set_defaults(run=cmd_sweep)
 
-    sub.add_parser("audit", parents=[cascade],
-                   help="estimate + cascade + closure odds, one JSON verdict")
+    aud = sub.add_parser("audit", parents=[cascade],
+                         help="estimate + cascade + closure odds, one JSON verdict")
+    aud.set_defaults(run=cmd_audit)
 
     return parser
 
@@ -350,7 +346,7 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "policy", "stable") == "uniform-random" and args.seed is None:
         parser.error("--seed is required with --policy uniform-random")
     try:
-        return _HANDLERS[args.command](args)
+        return args.run(args)
     except (CsvFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -34,6 +34,8 @@ __all__ = [
 
 #: Canonical order of the four setting-pair labels.
 PAIR_LABELS = ("ab", "ac", "db", "dc")
+# Each setting pair as indices into (a, d, b, c), in PAIR_LABELS order.
+_PAIR_ARMS = ((0, 2), (0, 3), (1, 2), (1, 3))
 
 
 def _is_count(x) -> bool:

@@ -33,13 +33,13 @@ from .core import (
     SettingsQuad,
     SubRunDataset,
     SubRunPairs,
+    _PAIR_ARMS,
 )
 from .rng import RngSpec
 from .sources import CorrelationLaw
 
 __all__ = [
     "GammaResult",
-    "BoundReport",
     "gamma_pooled",
     "gamma_subruns",
     "split_random",
@@ -86,20 +86,6 @@ class GammaResult:
         return Fraction(*self._ratio())
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """Per-trial values of the factorized form a(b+c) + d(b-c).
-
-    For two-valued outcomes, b+c is 0 exactly when b-c is not, so every
-    per-trial value is +/-2 and their mean (which equals the pooled
-    Gamma) can never leave [-2, 2].
-    """
-
-    per_trial_values: np.ndarray
-    max_abs: float
-    gamma: float
-
-
 def gamma_pooled(data: CounterfactualDataset) -> GammaResult:
     """Gamma over a counterfactual dataset: one shared trial index.
 
@@ -108,9 +94,9 @@ def gamma_pooled(data: CounterfactualDataset) -> GammaResult:
     """
     if data.n == 0:
         raise ValueError("empty dataset")
-    a, d, b, c = data.a_seq, data.d_seq, data.b_seq, data.c_seq
-    arms = ((a, b), (a, c), (d, b), (d, c))
-    return GammaResult((data.n,) * 4, tuple(SubRunPairs(x, y).product_sum() for x, y in arms))
+    arms = (data.a_seq, data.d_seq, data.b_seq, data.c_seq)
+    sums = tuple(SubRunPairs(arms[x], arms[y]).product_sum() for x, y in _PAIR_ARMS)
+    return GammaResult((data.n,) * 4, sums)
 
 
 def gamma_subruns(data: SubRunDataset) -> GammaResult:
@@ -137,23 +123,24 @@ def split_random(data: CounterfactualDataset, rng: RngSpec) -> SubRunDataset:
     if n < 4:
         raise ValueError(f"need at least 4 trials to split, got {n}")
     assignment = rng.generator().integers(0, 4, size=n)
-    a, d = data.a_seq.values, data.d_seq.values
-    b, c = data.b_seq.values, data.c_seq.values
+    arms = [s.values for s in (data.a_seq, data.d_seq, data.b_seq, data.c_seq)]
     lists = []
-    for code, (x, y) in enumerate(((a, b), (a, c), (d, b), (d, c))):
+    for code, (x, y) in enumerate(_PAIR_ARMS):
         mask = assignment == code
-        lists.append(SubRunPairs(OutcomeSequence._of(x[mask]), OutcomeSequence._of(y[mask])))
+        lists.append(SubRunPairs(OutcomeSequence._of(arms[x][mask]),
+                                 OutcomeSequence._of(arms[y][mask])))
     return SubRunDataset(*lists, settings=data.settings)
 
 
-def termwise_bound_check(data: CounterfactualDataset) -> BoundReport:
+def termwise_bound_check(data: CounterfactualDataset) -> np.ndarray:
     """Evaluate a(b+c) + d(b-c) per trial and verify every value is +/-2.
 
-    The mean of the per-trial values equals the pooled Gamma exactly
-    (same integer sum, same single division).
+    For two-valued outcomes, b+c is 0 exactly when b-c is not, so every
+    per-trial value is +/-2 and their mean (which equals the pooled
+    Gamma exactly: the same integer sum over the same n) can never leave
+    [-2, 2].  Returns the values as a read-only int8 array.
     """
-    n = data.n
-    if n == 0:
+    if data.n == 0:
         raise ValueError("empty dataset")
     a, d = data.a_seq.values, data.d_seq.values
     b, c = data.b_seq.values, data.c_seq.values
@@ -161,17 +148,12 @@ def termwise_bound_check(data: CounterfactualDataset) -> BoundReport:
     if not bool(np.all(np.abs(per_trial) == 2)):
         # Unreachable for valid +/-1 data; guards against corrupted arrays.
         raise AssertionError("per-trial factorized value outside {+2, -2}")
-    gamma = int(np.sum(per_trial, dtype=np.int64)) / n
     per_trial.setflags(write=False)  # int8 already: int8 +, - and * stay int8
-    return BoundReport(per_trial_values=per_trial, max_abs=2.0, gamma=gamma)
+    return per_trial
 
 
 def theory_gamma(settings: SettingsQuad, law: CorrelationLaw) -> float:
     """Closed-form Gamma: E(a,b) + E(a,c) + E(d,b) - E(d,c)."""
-    e = law.pair_correlation
-    return (
-        e(settings.a, settings.b)
-        + e(settings.a, settings.c)
-        + e(settings.d, settings.b)
-        - e(settings.d, settings.c)
-    )
+    arms = (settings.a, settings.d, settings.b, settings.c)
+    ab, ac, db, dc = (law.pair_correlation(arms[x], arms[y]) for x, y in _PAIR_ARMS)
+    return ab + ac + db - dc

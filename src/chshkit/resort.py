@@ -52,29 +52,26 @@ __all__ = [
 class ResortPolicy:
     """How to choose among the many valid re-sortings.
 
-    ``stable`` preserves source order within each value class and is
-    fully deterministic (it takes no ``rng``); ``uniform-random`` draws
-    the within-class bijection uniformly from ``rng`` (required for that
-    kind).
+    Without an ``rng`` the policy is stable (:data:`STABLE`): it preserves
+    source order within each value class and is fully deterministic.
+    With one it is uniform-random (:meth:`uniform_random`): it draws the
+    within-class bijection uniformly from ``rng``.
     """
 
-    kind: str
     rng: RngSpec | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("stable", "uniform-random"):
-            raise ValueError(f"unknown resort policy {self.kind!r}")
-        if self.kind == "uniform-random" and self.rng is None:
-            raise ValueError("uniform-random policy requires an rng")
-        if self.kind == "stable" and self.rng is not None:
-            raise ValueError("stable policy takes no rng")
+        if self.rng is not None and not isinstance(self.rng, RngSpec):
+            raise TypeError(f"resort policy rng must be an RngSpec or None, got {self.rng!r}")
 
     @classmethod
     def uniform_random(cls, rng: RngSpec) -> ResortPolicy:
-        return cls("uniform-random", rng)
+        if rng is None:
+            raise ValueError("uniform-random policy requires an rng")
+        return cls(rng)
 
 
-STABLE = ResortPolicy("stable")
+STABLE = ResortPolicy()
 
 # Uniform draws per piece of a Monte-Carlo chunk: while n <= 2**15 a
 # piece's doubles and their argsort take at most 512 KiB, so the working

@@ -43,6 +43,7 @@ from .core import (
     SettingsQuad,
     SubRunDataset,
     SubRunPairs,
+    _PAIR_ARMS,
     _is_count,
 )
 from .rng import RngSpec
@@ -143,9 +144,9 @@ def generate_subruns(
     Each setting pair runs on its own derived stream, so the four lists
     are statistically independent even under one seed.
     """
-    # The setting pairs in PAIR_LABELS order: ab, ac, db, dc.
-    combos = itertools.product((settings.a, settings.d), (settings.b, settings.c))
-    lists = [qm_generate(x, y, law, n_per, rng.derive(i)) for i, (x, y) in enumerate(combos)]
+    arms = (settings.a, settings.d, settings.b, settings.c)
+    lists = [qm_generate(arms[x], arms[y], law, n_per, rng.derive(i))
+             for i, (x, y) in enumerate(_PAIR_ARMS)]
     return SubRunDataset(*lists, settings=settings)
 
 

@@ -275,7 +275,7 @@ def reference_resort_cascade(data: SubRunDataset, policy: ResortPolicy = STABLE)
 
     def step(index, target, source_pairs, source_side):
         source = source_pairs.a if source_side == "a" else source_pairs.b
-        random = policy.kind == "uniform-random"
+        random = policy.rng is not None
         g = policy.rng.derive(index).generator() if random else None
         perm = _reference_class_matching(target.values, source.values, g)
         deficit = target.plus_count() - source.plus_count()

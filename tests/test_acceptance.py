@@ -59,8 +59,8 @@ def test_criterion_1_pooled_bound_exhaustive():
         for a, d, b, c in itertools.product(seqs, repeat=4):
             data = CounterfactualDataset(a, d, b, c)
             value = gamma_pooled(data).value
-            check = termwise_bound_check(data)
-            if abs(value) > 2.0 or np.any(np.abs(check.per_trial_values) != 2):
+            values = termwise_bound_check(data)
+            if abs(value) > 2.0 or np.any(np.abs(values) != 2):
                 violations += 1
             best = max(best, abs(value))
             total += 1

@@ -16,6 +16,7 @@ from chshkit import (
     SubRunPairs,
     gamma_subruns,
 )
+from chshkit.core import _PAIR_ARMS
 from helpers import all_sign_rows, pairs, seq, switch_pattern
 
 sign_lists = st.lists(st.sampled_from((1, -1)), min_size=1, max_size=50)
@@ -147,6 +148,9 @@ class TestDatasets:
         d = SubRunDataset(pairs([1], [1]), pairs([1], [-1]), pairs([-1], [1]), pairs([-1], [-1]))
         assert tuple(label for label, _ in d.items()) == PAIR_LABELS
         assert d.counts == (1, 1, 1, 1)
+
+    def test_pair_arms_follow_the_labels(self):
+        assert ["adbc"[i] + "adbc"[j] for i, j in _PAIR_ARMS] == list(PAIR_LABELS)
 
     def test_subrun_lists_may_differ_in_length(self):
         d = SubRunDataset(

@@ -10,6 +10,7 @@ from chshkit import (
     CorrelationLaw,
     CounterfactualDataset,
     GammaResult,
+    OutcomeSequence,
     PHOTON_OPTIMAL_QUAD,
     RngSpec,
     SIGN_MALUS,
@@ -86,22 +87,30 @@ class TestTermwiseBoundCheck:
         ],
     )
     def test_hand_values(self, trial, expected):
-        report = termwise_bound_check(one_trial(*trial))
-        assert report.per_trial_values.tolist() == [expected]
-        assert report.per_trial_values.dtype == np.int8
-        assert not report.per_trial_values.flags.writeable
-        assert report.max_abs == 2.0
+        values = termwise_bound_check(one_trial(*trial))
+        assert values.tolist() == [expected]
+        assert values.dtype == np.int8
+        assert not values.flags.writeable
+        assert float(np.abs(values).max()) == 2.0
 
     def test_exhaustive_single_trial(self):
         for m in range(16):
             signs = [1 if (m >> i) & 1 else -1 for i in range(4)]
-            report = termwise_bound_check(one_trial(*signs))
-            assert set(np.abs(report.per_trial_values).tolist()) == {2}
-            assert report.gamma == gamma_pooled(one_trial(*signs)).value
+            values = termwise_bound_check(one_trial(*signs))
+            assert set(np.abs(values).tolist()) == {2}
+            assert int(values.sum()) / values.size == gamma_pooled(one_trial(*signs)).value
 
     def test_gamma_equals_pooled_exactly(self):
         data = random_counterfactual(RngSpec(21), 997)
-        assert termwise_bound_check(data).gamma == gamma_pooled(data).value
+        values = termwise_bound_check(data)
+        assert int(values.sum()) / values.size == gamma_pooled(data).value
+
+    def test_value_off_two_is_an_assertion_error(self):
+        # Only a corrupted array can hold a 0; the trusted constructor lets one in.
+        zero = OutcomeSequence._of(np.array([0], dtype=np.int8))
+        data = CounterfactualDataset(zero, seq(1), seq(1), seq(1))
+        with pytest.raises(AssertionError, match="outside"):
+            termwise_bound_check(data)
 
     def test_empty_dataset_error(self):
         empty = CounterfactualDataset(seq(), seq(), seq(), seq())

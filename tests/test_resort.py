@@ -41,19 +41,25 @@ from helpers import (
 
 class TestResortPolicy:
     def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown resort policy"):
-            ResortPolicy("sorted")
+        for rng in ("sorted", 5, np.random.default_rng(1)):
+            with pytest.raises(TypeError, match="must be an RngSpec or None"):
+                ResortPolicy(rng)
+
+    def test_rejects_a_kind_string(self):
+        # The policy is its rng: a kind string would otherwise fail later, in derive.
+        for kind in ("stable", "uniform-random"):
+            with pytest.raises(TypeError, match="must be an RngSpec or None"):
+                ResortPolicy(kind)
 
     def test_uniform_random_requires_rng(self):
         with pytest.raises(ValueError, match="requires an rng"):
-            ResortPolicy("uniform-random")
-        assert ResortPolicy.uniform_random(RngSpec(1)).kind == "uniform-random"
+            ResortPolicy.uniform_random(None)
+        assert ResortPolicy.uniform_random(RngSpec(1)).rng == RngSpec(1)
 
     def test_stable_takes_no_rng(self):
-        # A stable policy would ignore the rng: its cascade is STABLE's.
-        with pytest.raises(ValueError, match="stable policy takes no rng"):
-            ResortPolicy("stable", RngSpec(1))
-        assert ResortPolicy("stable") == STABLE
+        # A policy with an rng draws from it, so no stable policy can ignore one.
+        assert ResortPolicy() == STABLE and STABLE.rng is None
+        assert ResortPolicy(RngSpec(1)) == ResortPolicy.uniform_random(RngSpec(1)) != STABLE
 
 
 def first_step(target: OutcomeSequence, source: OutcomeSequence, policy: ResortPolicy = STABLE):
