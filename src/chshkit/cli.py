@@ -237,7 +237,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         empirical = gamma_subruns(
             generate_subruns(quad, args.law, args.n_per, rng.derive(i))
         ).value
-        lines.append(f"{offset:.2f},{theory:.6f},{empirical:.6f}")
+        lines.append(f"{float(offset)!r},{theory:.6f},{empirical:.6f}")
     _emit("\n".join(lines) + "\n", args.out_path)
     return 0
 

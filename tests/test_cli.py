@@ -10,6 +10,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from chshkit import RngSpec, write_subrun_csv
@@ -106,7 +107,9 @@ class TestDigestManifest:
     ``helpers.regen_cli_digests()``; the two ``header-field-over-limit``
     cases were added when ``estimate`` came to give ``resort``'s error
     for such a header, and ``estimate-out-missing-dir`` when an ``--out``
-    error came to name the path as given.  Its qm, lhv and split files
+    error came to name the path as given.  The three ``sweep`` cases were
+    recomputed when ``sweep`` came to print each offset as the shortest
+    text that reads back as it.  Its qm, lhv and split files
     keep the digests first pinned at 8c57a30, whose writers built one
     Python string per row.  The digests pin numpy's Generator streams,
     which numpy does not promise to keep across releases, and argparse's
@@ -301,12 +304,21 @@ class TestSweep:
         offsets = [float(r[0]) for r in rows]
         assert offsets == [0.0, 22.5, 45.0, 67.5, 90.0]
         theory = {r[0]: float(r[1]) for r in rows}
-        assert theory["0.00"] == pytest.approx(2 * math.sqrt(2), abs=1e-6)
-        assert theory["22.50"] == pytest.approx(2.0, abs=1e-6)
-        assert theory["45.00"] == pytest.approx(0.0, abs=1e-6)
-        assert theory["90.00"] == pytest.approx(-2 * math.sqrt(2), abs=1e-6)
+        assert theory["0.0"] == pytest.approx(2 * math.sqrt(2), abs=1e-6)
+        assert theory["22.5"] == pytest.approx(2.0, abs=1e-6)
+        assert theory["45.0"] == pytest.approx(0.0, abs=1e-6)
+        assert theory["90.0"] == pytest.approx(-2 * math.sqrt(2), abs=1e-6)
         for r in rows:
             assert abs(float(r[2]) - float(r[1])) <= 0.15
+
+    def test_offsets_print_exactly(self, tmp_path):
+        # Two decimals printed these five offsets as 0.00 twice and 0.01 three times.
+        out = tmp_path / "sweep.csv"
+        main(["sweep", "--steps", "4", "--offset-max", "0.01", "--n-per", "10", "--seed", "1",
+              "--out", str(out)])
+        texts = [line.split(",")[0] for line in out.read_text().splitlines()[1:]]
+        assert [float(t) for t in texts] == np.linspace(0, 0.01, 5).tolist()
+        assert len(set(texts)) == 5
 
     def test_offset_range_keeps_theory_in_band(self, tmp_path):
         # A quarter-turn offset on arm B walks gamma across [-2sqrt2, 2sqrt2];
