@@ -284,7 +284,8 @@ def _build_parser() -> argparse.ArgumentParser:
     cascade.add_argument("--trim", action="store_true",
                          help="truncate unequal sub-run lists to the shortest (lossy)")
     cascade.add_argument("--policy", choices=("stable", "uniform-random"), default="stable")
-    cascade.add_argument("--seed", type=_seed, help="required with --policy uniform-random")
+    cascade.add_argument("--seed", type=_seed,
+                         help="required with, and only with, --policy uniform-random")
     cascade.add_argument("--out", dest="out_path", help="report path (default: stdout)")
 
     sim = sub.add_parser("simulate", help="generate a trial CSV")
@@ -337,14 +338,19 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.command == "simulate":
-        if args.mode == "lhv" and args.n is None:
-            parser.error("--mode lhv requires --n")
-        if args.mode == "qm" and args.n_per is None:
-            parser.error("--mode qm requires --n-per")
+        counts = {"--n": args.n, "--n-per": args.n_per}
+        needed, unused = ("--n", "--n-per") if args.mode == "lhv" else ("--n-per", "--n")
+        if counts[needed] is None:
+            parser.error(f"--mode {args.mode} requires {needed}")
+        if counts[unused] is not None:
+            parser.error(f"--mode {args.mode} takes no {unused}")
     if args.command == "sweep":
         args.offsets = _sweep_offsets(args, parser)
-    if getattr(args, "policy", "stable") == "uniform-random" and args.seed is None:
+    policy = getattr(args, "policy", None)
+    if policy == "uniform-random" and args.seed is None:
         parser.error("--seed is required with --policy uniform-random")
+    if policy == "stable" and args.seed is not None:
+        parser.error("--seed is used only with --policy uniform-random")
     try:
         return args.run(args)
     except (CsvFormatError, ValueError, OSError) as exc:

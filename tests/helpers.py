@@ -479,6 +479,9 @@ CLI_CASES = {
     "usage-negative-seed": "simulate --mode qm --n-per 2 --seed -1 --out x.csv",
     "usage-seed-over-64-bits": "split --in lhv.csv --seed 18446744073709551616 --out x.csv",
     "usage-uniform-without-seed": "resort --in qm-small.csv --policy uniform-random",
+    "usage-stable-with-seed": "audit --in qm-small.csv --seed 5",
+    "usage-qm-with-n": "simulate --mode qm --n 10 --n-per 10 --seed 1 --out x.csv",
+    "usage-lhv-with-n-per": "simulate --mode lhv --n 10 --n-per 10 --seed 1 --out x.csv",
     "usage-unknown-policy": "audit --in qm-small.csv --policy random",
     "usage-sweep-steps-zero": "sweep --steps 0 --seed 1 --out x.csv",
     "usage-sweep-nan-offset": "sweep --steps 1 --n-per 10 --seed 1 --offset-min=nan --out x.csv",

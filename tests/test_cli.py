@@ -80,6 +80,17 @@ class TestSimulate:
             main(["simulate", "--mode", "qm", "--seed", "1", "--out", str(tmp_path / "x.csv")])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("mode, flag", [("qm", "--n"), ("lhv", "--n-per")])
+    def test_count_flag_of_the_other_mode_is_usage_error(self, tmp_path, capsys, mode, flag):
+        # The mode would ignore the flag, so taking it silently would mislead.
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--mode", mode, "--n", "10", "--n-per", "10", "--seed", "1",
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"--mode {mode} takes no {flag}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_seed_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--mode", "lhv", "--n", "10", "--out", str(tmp_path / "x.csv")])
@@ -109,12 +120,14 @@ class TestDigestManifest:
     for such a header, and ``estimate-out-missing-dir`` when an ``--out``
     error came to name the path as given.  The three ``sweep`` cases were
     recomputed when ``sweep`` came to print each offset as the shortest
-    text that reads back as it.  Its qm, lhv and split files
-    keep the digests first pinned at 8c57a30, whose writers built one
-    Python string per row.  The digests pin numpy's Generator streams,
-    which numpy does not promise to keep across releases, and argparse's
-    usage text, so a failure names the versions the manifest was computed
-    with.
+    text that reads back as it, and the ``usage-stable-with-seed``,
+    ``usage-qm-with-n`` and ``usage-lhv-with-n-per`` cases were added when
+    a flag the command would ignore became a usage error.  Its qm, lhv
+    and split files keep the digests first pinned at 8c57a30, whose
+    writers built one Python string per row.  The digests pin numpy's
+    Generator streams, which numpy does not promise to keep across
+    releases, and argparse's usage text, so a failure names the versions
+    the manifest was computed with.
     """
 
     def test_every_case_matches_the_manifest(self, tmp_path, capsys):
@@ -281,6 +294,14 @@ class TestResort:
         with pytest.raises(SystemExit) as exc:
             main(["resort", "--in", str(qm_csv), "--policy", "uniform-random"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["resort", "audit"])
+    def test_stable_policy_rejects_seed(self, qm_csv, capsys, command):
+        # The stable policy draws nothing: a seed would be ignored.
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--in", str(qm_csv), "--seed", "5"])
+        assert exc.value.code == 2
+        assert "--seed is used only with --policy uniform-random" in capsys.readouterr().err
 
     def test_uniform_policy_deterministic(self, qm_csv):
         runs = [
