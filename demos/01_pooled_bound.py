@@ -32,7 +32,8 @@ print()
 values = termwise_bound_check(data)
 print("per-trial values of a(b+c) + d(b-c):")
 print(f"  +2 in {int((values == 2).sum())} trials, -2 in {int((values == -2).sum())} trials")
-print(f"  max |value| = {float(abs(values).max())}, mean = {values.mean():+.4f} (equals pooled gamma)")
+print(f"  max |value| = {float(abs(values).max())}, mean = {values.mean():+.4f}"
+      " (equals pooled gamma)")
 print()
 
 print("same data, three different seeds of the model:")
