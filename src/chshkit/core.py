@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -51,7 +50,7 @@ def _as_outcome_array(values) -> np.ndarray:
         raise ValueError("outcome sequence must be one-dimensional")
     try:
         # True == 1, so a bool array is turned away by its dtype.
-        ok = arr.dtype != bool and (not arr.size or bool(np.all((arr == 1) | (arr == -1))))
+        ok = arr.dtype != bool and np.count_nonzero((arr == 1) | (arr == -1)) == arr.size
     except TypeError:
         raise ValueError("outcomes must be +1 or -1") from None
     if not ok:
@@ -137,12 +136,6 @@ class OutcomeSequence:
     def __len__(self) -> int:
         return self.values.size
 
-    def __iter__(self) -> Iterator[int]:
-        return (int(v) for v in self.values)
-
-    def __getitem__(self, index: int) -> int:
-        return int(self.values[index])
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, OutcomeSequence):
             return NotImplemented
@@ -201,10 +194,13 @@ class CounterfactualDataset:
     settings: SettingsQuad | None = None
 
     def __post_init__(self) -> None:
-        n = len(self.a_seq)
-        for name in ("d_seq", "b_seq", "c_seq"):
-            if len(getattr(self, name)) != n:
-                raise ValueError("all four outcome sequences must have equal length")
+        if len({len(s) for s in self.sequences}) != 1:
+            raise ValueError("all four outcome sequences must have equal length")
+
+    @property
+    def sequences(self) -> tuple[OutcomeSequence, ...]:
+        """(a_seq, d_seq, b_seq, c_seq), the order ``_PAIR_ARMS`` indexes."""
+        return (self.a_seq, self.d_seq, self.b_seq, self.c_seq)
 
     @property
     def n(self) -> int:
@@ -226,9 +222,10 @@ class SubRunDataset:
     dc: SubRunPairs
     settings: SettingsQuad | None = None
 
-    def items(self) -> tuple[tuple[str, SubRunPairs], ...]:
-        """The four lists with their labels, in canonical order."""
-        return tuple(zip(PAIR_LABELS, (self.ab, self.ac, self.db, self.dc)))
+    @property
+    def lists(self) -> tuple[SubRunPairs, ...]:
+        """(ab, ac, db, dc), in PAIR_LABELS order."""
+        return (self.ab, self.ac, self.db, self.dc)
 
     @property
     def counts(self) -> tuple[int, int, int, int]:

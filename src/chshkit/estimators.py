@@ -94,7 +94,7 @@ def gamma_pooled(data: CounterfactualDataset) -> GammaResult:
     """
     if data.n == 0:
         raise ValueError("empty dataset")
-    arms = (data.a_seq, data.d_seq, data.b_seq, data.c_seq)
+    arms = data.sequences
     sums = tuple(SubRunPairs(arms[x], arms[y]).product_sum() for x, y in _PAIR_ARMS)
     return GammaResult((data.n,) * 4, sums)
 
@@ -108,7 +108,7 @@ def gamma_subruns(data: SubRunDataset) -> GammaResult:
     counts = data.counts
     if 0 in counts:
         raise ValueError(f"empty sub-run list: {PAIR_LABELS[counts.index(0)]}")
-    return GammaResult(counts, tuple([pairs.product_sum() for _, pairs in data.items()]))
+    return GammaResult(counts, tuple([pairs.product_sum() for pairs in data.lists]))
 
 
 def split_random(data: CounterfactualDataset, rng: RngSpec) -> SubRunDataset:
@@ -123,7 +123,7 @@ def split_random(data: CounterfactualDataset, rng: RngSpec) -> SubRunDataset:
     if n < 4:
         raise ValueError(f"need at least 4 trials to split, got {n}")
     assignment = rng.generator().integers(0, 4, size=n)
-    arms = [s.values for s in (data.a_seq, data.d_seq, data.b_seq, data.c_seq)]
+    arms = [s.values for s in data.sequences]
     lists = []
     for code, (x, y) in enumerate(_PAIR_ARMS):
         mask = assignment == code
@@ -142,8 +142,7 @@ def termwise_bound_check(data: CounterfactualDataset) -> np.ndarray:
     """
     if data.n == 0:
         raise ValueError("empty dataset")
-    a, d = data.a_seq.values, data.d_seq.values
-    b, c = data.b_seq.values, data.c_seq.values
+    a, d, b, c = (s.values for s in data.sequences)
     per_trial = a * (b + c) + d * (b - c)
     if not bool(np.all(np.abs(per_trial) == 2)):
         # Unreachable for valid +/-1 data; guards against corrupted arrays.

@@ -161,7 +161,7 @@ def resort_cascade(data: SubRunDataset, policy: ResortPolicy = STABLE) -> Resort
     if len(set(counts)) != 1:
         raise ValueError(f"cascade requires equal sub-run lengths, got {counts}")
     gamma_plain = gamma_subruns(data).value  # also rejects empty lists
-    (a1, b1), ac, db, dc = [(p.a.values, p.b.values) for p in (data.ab, data.ac, data.db, data.dc)]
+    (a1, b1), ac, db, dc = [(p.a.values, p.b.values) for p in data.lists]
 
     # Each step as (aligned side, dragged side), in cascade order: ac on
     # its a-side, dc on its c-side (to the dragged-along c), db on its
@@ -255,5 +255,5 @@ def trim_to_shortest(data: SubRunDataset) -> SubRunDataset:
     m = min(data.counts)
     # Slices of frozen arrays are frozen too.
     lists = (SubRunPairs(OutcomeSequence._of(p.a.values[:m]), OutcomeSequence._of(p.b.values[:m]))
-             for _, p in data.items())
+             for p in data.lists)
     return SubRunDataset(*lists, settings=data.settings)

@@ -659,8 +659,8 @@ def write_subrun_csv(dataset: SubRunDataset, dest) -> None:
     """Write sub-run trials, lists in canonical order ab, ac, db, dc."""
     step = _BLOCK_BYTES // _SUBRUN_ROWS.shape[1]
     with _output(dest) as stream:
-        stream.write("pair,outcome_a,outcome_b\n")
-        for label, (_, pairs) in enumerate(dataset.items()):
+        stream.write(",".join(_RULES["subruns"]) + "\n")
+        for label, pairs in enumerate(dataset.lists):
             for start in range(0, len(pairs), step):
                 codes = _codes(label, (pairs.a, pairs.b), slice(start, start + step))
                 stream.write(_SUBRUN_ROWS.take(codes, axis=0).tobytes().decode("ascii"))
@@ -690,10 +690,9 @@ def _counterfactual_text(codes: np.ndarray, first: int) -> str:
 
 def write_counterfactual_csv(dataset: CounterfactualDataset, dest) -> None:
     """Write counterfactual trials with 1-based trial indices."""
-    seqs = (dataset.a_seq, dataset.d_seq, dataset.b_seq, dataset.c_seq)
     step = _BLOCK_BYTES // (len(str(dataset.n)) + _COUNTERFACTUAL_CELLS.shape[1])
     with _output(dest) as stream:
-        stream.write("j,a,d,b,c\n")
+        stream.write(",".join(_RULES["counterfactual"]) + "\n")
         for start in range(0, dataset.n, step):
-            codes = _codes(0, seqs, slice(start, start + step))
+            codes = _codes(0, dataset.sequences, slice(start, start + step))
             stream.write(_counterfactual_text(codes, start + 1))

@@ -347,7 +347,7 @@ _REFERENCE_COUNTERFACTUAL_CELLS = tuple(
 def reference_write_subrun_csv(dataset: SubRunDataset, dest) -> None:
     with _output(dest) as stream:
         stream.write("pair,outcome_a,outcome_b\n")
-        for label, (_, pairs) in enumerate(dataset.items()):
+        for label, pairs in enumerate(dataset.lists):
             for start in range(0, len(pairs), _REFERENCE_WRITE_ROWS):
                 a, b = (s.values[start : start + _REFERENCE_WRITE_ROWS] > 0 for s in (pairs.a, pairs.b))
                 codes = 4 * label + 2 * a + b

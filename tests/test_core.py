@@ -80,6 +80,11 @@ class TestOutcomeSequence:
         with pytest.raises(ValueError, match="^outcomes must be \\+1 or -1$"):
             OutcomeSequence(np.ones(3, dtype=[("x", np.int8)]))
 
+    def test_rejects_an_empty_structured_array(self):
+        # Empty or not, a structured array holds no +1/-1 outcomes.
+        with pytest.raises(ValueError, match="^outcomes must be \\+1 or -1$"):
+            OutcomeSequence(np.ones(0, dtype=[("x", np.int8)]))
+
     def test_rejects_two_dimensional(self):
         with pytest.raises(ValueError, match="one-dimensional"):
             OutcomeSequence(np.ones((2, 2), dtype=np.int8))
@@ -89,11 +94,11 @@ class TestOutcomeSequence:
         with pytest.raises(ValueError):
             s.values[0] = -1
 
-    def test_len_iter_getitem(self):
+    def test_len_and_values(self):
         s = seq(1, -1, 1)
         assert len(s) == 3
-        assert list(s) == [1, -1, 1]
-        assert s[1] == -1
+        assert s.values.tolist() == [1, -1, 1]
+        assert s.values[1] == -1
 
     def test_equality_by_content_and_unhashable(self):
         assert seq(1, -1) == seq(1, -1)
@@ -113,7 +118,7 @@ class TestOutcomeSequence:
     def test_plus_count_and_tuple(self):
         s = seq(1, -1, 1, 1)
         assert s.plus_count() == 3
-        assert tuple(s) == (1, -1, 1, 1)
+        assert tuple(s.values.tolist()) == (1, -1, 1, 1)
 
     def test_empty_sequence_allowed(self):
         assert len(OutcomeSequence(np.empty(0, dtype=np.int8))) == 0
@@ -144,10 +149,16 @@ class TestDatasets:
         d = CounterfactualDataset(seq(1, -1), seq(1, 1), seq(-1, -1), seq(1, -1))
         assert d.n == 2
 
-    def test_subrun_items_canonical_order(self):
+    def test_subrun_lists_canonical_order(self):
         d = SubRunDataset(pairs([1], [1]), pairs([1], [-1]), pairs([-1], [1]), pairs([-1], [-1]))
-        assert tuple(label for label, _ in d.items()) == PAIR_LABELS
+        assert list(d.lists) == [getattr(d, label) for label in PAIR_LABELS]
+        assert [p.product_sum() for p in d.lists] == [1, -1, -1, 1]
         assert d.counts == (1, 1, 1, 1)
+
+    def test_counterfactual_sequences_order(self):
+        d = CounterfactualDataset(seq(1, 1), seq(1, -1), seq(-1, 1), seq(-1, -1))
+        assert list(d.sequences) == [getattr(d, f"{arm}_seq") for arm in "adbc"]
+        assert [s.values.tolist() for s in d.sequences] == [[1, 1], [1, -1], [-1, 1], [-1, -1]]
 
     def test_pair_arms_follow_the_labels(self):
         assert ["adbc"[i] + "adbc"[j] for i, j in _PAIR_ARMS] == list(PAIR_LABELS)
@@ -178,7 +189,7 @@ class TestSequencesIdentical:
         # for every ordered pair of sign sequences of each length.
         rows = all_sign_rows(n)
         seqs = [OutcomeSequence(row) for row in rows]
-        feats = [(len(s), s.plus_count(), s[0], tuple(switch_pattern(s))) for s in seqs]
+        feats = [(len(s), s.plus_count(), s.values[0], tuple(switch_pattern(s))) for s in seqs]
         for i, s in enumerate(seqs):
             for j, t in enumerate(seqs):
                 assert (s == t) == (feats[i] == feats[j])
@@ -216,13 +227,13 @@ class TestSwitchPattern:
         # First element plus switch positions determine the sequence.
         s = seq(*values)
         rebuilt = []
-        current = s[0]
+        current = int(s.values[0])
         switches = set(switch_pattern(s))
         for i in range(len(s)):
             if i in switches:
                 current = -current
             rebuilt.append(current)
-        assert rebuilt == list(s)
+        assert rebuilt == s.values.tolist()
 
 
 def correlation(s: OutcomeSequence, t: OutcomeSequence) -> float:
@@ -266,4 +277,4 @@ class TestCorrelation:
         r = correlation(s, t)
         assert -1.0 <= r <= 1.0
         if abs(r) == 1.0:
-            assert list(t) == list(s) or list(t) == [-v for v in s]
+            assert t.values.tolist() in (s.values.tolist(), (-s.values).tolist())

@@ -200,7 +200,7 @@ class TestSplitRandom:
             (data.d_seq, data.b_seq),
             (data.d_seq, data.c_seq),
         )
-        for code, (_, plist) in enumerate(subruns.items()):
+        for code, plist in enumerate(subruns.lists):
             src = np.flatnonzero(assignment == code)  # ascending: order preserved
             x, y = column_pairs[code]
             assert plist.a.values.tolist() == x.values[src].tolist()
@@ -231,7 +231,7 @@ class TestSplitRandom:
         x = split_random(data, RngSpec(10))
         y = split_random(data, RngSpec(10))
         assert x.counts == y.counts
-        for (_, px), (_, py) in zip(x.items(), y.items()):
+        for px, py in zip(x.lists, y.lists):
             assert px.a == py.a and px.b == py.b
 
     def test_settings_carried_over(self):

@@ -242,7 +242,7 @@ class TestGenerateSubruns:
     def test_deterministic(self):
         x = generate_subruns(SPIN_OPTIMAL_QUAD, CorrelationLaw.SPIN_HALF, 64, RngSpec(3))
         y = generate_subruns(SPIN_OPTIMAL_QUAD, CorrelationLaw.SPIN_HALF, 64, RngSpec(3))
-        for (_, px), (_, py) in zip(x.items(), y.items()):
+        for px, py in zip(x.lists, y.lists):
             assert np.array_equal(px.a.values, py.a.values)
             assert np.array_equal(px.b.values, py.b.values)
 
@@ -263,7 +263,7 @@ class TestSubrunCsv:
         buf = io.StringIO()
         write_subrun_csv(src, buf)
         back = ingest_csv(io.StringIO(buf.getvalue()))
-        for (_, p), (_, q) in zip(src.items(), back.items()):
+        for p, q in zip(src.lists, back.lists):
             assert np.array_equal(p.a.values, q.a.values) and np.array_equal(p.b.values, q.b.values)
 
     def test_write_is_byte_stable(self):
@@ -375,7 +375,7 @@ class TestSubrunCsv:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sources, "_csv_fields", no_csv_reader)
             back = ingest_csv(text.encode())
-        for (_, p), (_, q) in zip(data.items(), back.items()):
+        for p, q in zip(data.lists, back.lists):
             assert np.array_equal(p.a.values, q.a.values) and np.array_equal(p.b.values, q.b.values)
 
     @staticmethod
@@ -427,10 +427,11 @@ class TestSubrunCsv:
     def test_failed_write_keeps_the_earlier_file(self, tmp_path):
         target = tmp_path / "trials.csv"
         target.write_bytes(b"earlier,file\n")
-        first_list = ("ab", pairs([1, -1, 1], [1, 1, -1]))
+        first_list = pairs([1, -1, 1], [1, 1, -1])
 
         class FailsAfterOneList:
-            def items(self):
+            @property
+            def lists(self):
                 yield first_list
                 raise RuntimeError("generator failed")
 
@@ -470,7 +471,7 @@ class TestCounterfactualCsv:
     def test_non_contiguous_indices_accepted(self):
         text = f"{CF_HEADER}\n10,+1,+1,+1,+1\n3,-1,-1,-1,-1\n"
         data = ingest_counterfactual_csv(text.encode())
-        assert data.n == 2 and tuple(data.a_seq) == (1, -1)
+        assert data.n == 2 and data.a_seq.values.tolist() == [1, -1]
 
     def test_invalid_index_rejected(self):
         text = f"{CF_HEADER}\nfirst,+1,+1,+1,+1\n"
@@ -483,9 +484,7 @@ class TestCounterfactualCsv:
         src = random_counterfactual(RngSpec(8), 6)
         # A c column shorter than the others makes the write fail part way.
         short_c = SimpleNamespace(values=src.c_seq.values[:3])
-        broken = SimpleNamespace(
-            n=6, a_seq=src.a_seq, d_seq=src.d_seq, b_seq=src.b_seq, c_seq=short_c
-        )
+        broken = SimpleNamespace(n=6, sequences=(src.a_seq, src.d_seq, src.b_seq, short_c))
         with pytest.raises((ValueError, IndexError)):
             write_counterfactual_csv(broken, target)
         assert target.read_bytes() == b"earlier,file\n"
@@ -646,7 +645,7 @@ def _columns_or_error(parse, text):
 
 def _subrun_columns(text):
     data = ingest_csv(text.encode())
-    return [side.values.tolist() for _, p in data.items() for side in (p.a, p.b)]
+    return [side.values.tolist() for p in data.lists for side in (p.a, p.b)]
 
 
 def _counterfactual_columns(text):

@@ -35,8 +35,8 @@ from helpers import pairs, random_counterfactual
 
 def _sides(data) -> list[np.ndarray]:
     if isinstance(data, SubRunDataset):
-        return [side.values for _, p in data.items() for side in (p.a, p.b)]
-    return [s.values for s in (data.a_seq, data.d_seq, data.b_seq, data.c_seq)]
+        return [side.values for p in data.lists for side in (p.a, p.b)]
+    return [s.values for s in data.sequences]
 
 
 def _assert_frozen_outcomes(arrays: list[np.ndarray], writable: list[np.ndarray]) -> None:
