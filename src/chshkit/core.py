@@ -115,6 +115,11 @@ class SettingsQuad:
             Angle.from_degrees(c),
         )
 
+    @property
+    def angles(self) -> tuple[Angle, ...]:
+        """(a, d, b, c), the order ``_PAIR_ARMS`` indexes."""
+        return (self.a, self.d, self.b, self.c)
+
 
 @dataclass(frozen=True, eq=False)
 class OutcomeSequence:
@@ -231,3 +236,14 @@ class SubRunDataset:
     def counts(self) -> tuple[int, int, int, int]:
         return (len(self.ab), len(self.ac), len(self.db), len(self.dc))
 
+    @classmethod
+    def _partition(cls, codes: np.ndarray, sides, settings: SettingsQuad | None = None) -> SubRunDataset:
+        """List k keeps ``sides[k]``'s two +1/-1 int8 arrays where ``codes == k``, in order.
+
+        Unchecked, like ``OutcomeSequence._of``; one mask at a time, and ``x[mask]`` copies.
+        """
+        lists = []
+        for k, (x, y) in enumerate(sides):
+            mask = codes == k
+            lists.append(SubRunPairs(OutcomeSequence._of(x[mask]), OutcomeSequence._of(y[mask])))
+        return cls(*lists, settings=settings)

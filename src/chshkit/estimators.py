@@ -28,7 +28,6 @@ import numpy as np
 
 from .core import (
     CounterfactualDataset,
-    OutcomeSequence,
     PAIR_LABELS,
     SettingsQuad,
     SubRunDataset,
@@ -122,14 +121,9 @@ def split_random(data: CounterfactualDataset, rng: RngSpec) -> SubRunDataset:
     n = data.n
     if n < 4:
         raise ValueError(f"need at least 4 trials to split, got {n}")
-    assignment = rng.generator().integers(0, 4, size=n)
     arms = [s.values for s in data.sequences]
-    lists = []
-    for code, (x, y) in enumerate(_PAIR_ARMS):
-        mask = assignment == code
-        lists.append(SubRunPairs(OutcomeSequence._of(arms[x][mask]),
-                                 OutcomeSequence._of(arms[y][mask])))
-    return SubRunDataset(*lists, settings=data.settings)
+    sides = [(arms[x], arms[y]) for x, y in _PAIR_ARMS]
+    return SubRunDataset._partition(rng.generator().integers(0, 4, size=n), sides, data.settings)
 
 
 def termwise_bound_check(data: CounterfactualDataset) -> np.ndarray:
@@ -153,6 +147,6 @@ def termwise_bound_check(data: CounterfactualDataset) -> np.ndarray:
 
 def theory_gamma(settings: SettingsQuad, law: CorrelationLaw) -> float:
     """Closed-form Gamma: E(a,b) + E(a,c) + E(d,b) - E(d,c)."""
-    arms = (settings.a, settings.d, settings.b, settings.c)
+    arms = settings.angles
     ab, ac, db, dc = (law.pair_correlation(arms[x], arms[y]) for x, y in _PAIR_ARMS)
     return ab + ac + db - dc

@@ -113,9 +113,8 @@ def lhv_generate(
     if not _is_count(n) or n < 1:
         raise ValueError(f"trial count must be an integer >= 1, got {n}")
     lam = rng.generator().uniform(0.0, math.pi, size=n)
-    a, d, b, c = (OutcomeSequence(response(x.radians, lam))
-                  for x in (settings.a, settings.d, settings.b, settings.c))
-    return CounterfactualDataset(a, d, b, c, settings=settings)
+    arms = (OutcomeSequence(response(x.radians, lam)) for x in settings.angles)
+    return CounterfactualDataset(*arms, settings=settings)
 
 
 def qm_generate(
@@ -144,7 +143,7 @@ def generate_subruns(
     Each setting pair runs on its own derived stream, so the four lists
     are statistically independent even under one seed.
     """
-    arms = (settings.a, settings.d, settings.b, settings.c)
+    arms = settings.angles
     lists = [qm_generate(arms[x], arms[y], law, n_per, rng.derive(i))
              for i, (x, y) in enumerate(_PAIR_ARMS)]
     return SubRunDataset(*lists, settings=settings)
@@ -540,7 +539,7 @@ def _ingest(source, kind: str | None) -> tuple[str, list[np.ndarray]]:
         # A trial index has one distinct text per row: no table, and plain
         # digit strings, valid for int(), are accepted in bulk.
         tables = {name: _Table(name, rule) for name, rule in rules.items() if rule is not _parse_index}
-        parts: dict[str, list[np.ndarray]] = {name: [] for name in tables}
+        parts = {name: bytearray() for name in tables}
         done = 0
         for rows, stop, columns, error in _tokenize(blocks, positions, len(header)):
             failure = "wrong number of fields"
@@ -563,24 +562,23 @@ def _ingest(source, kind: str | None) -> tuple[str, list[np.ndarray]]:
             if stop < rows:
                 raise CsvFormatError(f"{failure} at row {done + stop + 1}")
             for name in tables:
-                parts[name].append(codes[name])
+                parts[name].extend(codes[name])
             done += rows
             if error:
                 raise CsvFormatError(f"{error} at row {done + 1}")
     if done == 0:
         raise CsvFormatError("no trials")
-    return kind, [np.concatenate(parts[name]) for name in tables]
+    return kind, [np.frombuffer(parts[name], np.int8) for name in tables]
 
 
 def _read_trials(source, kind: str | None = None) -> tuple[str, SubRunDataset | CounterfactualDataset]:
     """A trial CSV's kind and dataset; without a ``kind``, its header decides."""
     kind, columns = _ingest(source, kind)
-    trusted = OutcomeSequence._of  # each column is fresh int8 codes that its rules checked
+    # Each column is fresh int8 codes that its rules checked.
     if kind == "counterfactual":
-        return kind, CounterfactualDataset(*map(trusted, columns))
+        return kind, CounterfactualDataset(*map(OutcomeSequence._of, columns))
     pair, a, b = columns
-    masks = [pair == code for code in range(len(PAIR_LABELS))]
-    return kind, SubRunDataset(*(SubRunPairs(trusted(a[m]), trusted(b[m])) for m in masks))
+    return kind, SubRunDataset._partition(pair, [(a, b)] * len(PAIR_LABELS))
 
 
 def ingest_csv(source) -> SubRunDataset:

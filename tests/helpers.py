@@ -48,18 +48,30 @@ def pairs(a_side, b_side) -> SubRunPairs:
     )
 
 
+def _agreeing(n: int, product_sum: int) -> SubRunPairs:
+    """n pairs whose products sum to ``product_sum``: the last ones disagree."""
+    disagree = (n - product_sum) // 2
+    return pairs([1] * n, [1] * (n - disagree) + [-1] * disagree)
+
+
 def exact_two_dataset() -> SubRunDataset:
     """Sub-runs whose Gamma is exactly 2 but whose four float terms sum to 2.0000000000000004.
 
     Counts (24, 20, 10, 24), product sums (22, 14, 8, 10): 11/12 + 7/10
     + 4/5 - 5/12 = 2.
     """
+    return SubRunDataset(_agreeing(24, 22), _agreeing(20, 14), _agreeing(10, 8), _agreeing(24, 10))
 
-    def agreeing(n: int, product_sum: int) -> SubRunPairs:
-        disagree = (n - product_sum) // 2
-        return pairs([1] * n, [1] * (n - disagree) + [-1] * disagree)
 
-    return SubRunDataset(agreeing(24, 22), agreeing(20, 14), agreeing(10, 8), agreeing(24, 10))
+def just_above_two_dataset() -> SubRunDataset:
+    """Sub-runs whose Gamma is 2 + 2/812702998307594909, which rounds to 2.0.
+
+    Counts (30011, 30013, 30029, 30047), whose least common multiple is
+    812702998307594909; the product sums (26167, 6455, 5503, -21927)
+    solve Gamma = 2 + 2/lcm by the Chinese remainder theorem.
+    """
+    counts, sums = (30011, 30013, 30029, 30047), (26167, 6455, 5503, -21927)
+    return SubRunDataset(*map(_agreeing, counts, sums))
 
 
 def switch_pattern(s: OutcomeSequence) -> list[int]:

@@ -20,6 +20,7 @@ from helpers import (
     cli_digest_versions,
     cli_digests,
     exact_two_dataset,
+    just_above_two_dataset,
     random_counterfactual,
     shared_run_dataset,
 )
@@ -178,6 +179,15 @@ class TestEstimate:
         report = read_json(capsys)
         assert report["gamma"] == 2.0
         assert report["bound_satisfied"] is True
+
+    def test_bound_flag_reads_the_exact_gamma_above_2(self, tmp_path, capsys):
+        # Exact gamma is 2 + 2/812702998307594909; its float is 2.0.
+        path = tmp_path / "above2.csv"
+        write_subrun_csv(just_above_two_dataset(), path)
+        assert main(["estimate", "--in", str(path)]) == 0
+        report = read_json(capsys)
+        assert report["gamma"] == 2.0
+        assert report["bound_satisfied"] is False
 
     def test_failed_report_write_keeps_the_earlier_file(self, tmp_path):
         out = tmp_path / "report.json"
