@@ -112,31 +112,23 @@ def _emit(text: str, out_path: str | None) -> None:
         stream.write(text)
 
 
-def _emit_json(obj: dict, out_path: str | None) -> None:
-    _emit(json.dumps(obj, indent=2) + "\n", out_path)
-
-
 def _default_quad(law: CorrelationLaw) -> SettingsQuad:
     return PHOTON_OPTIMAL_QUAD if law is CorrelationLaw.PHOTON_MALUS else SPIN_OPTIMAL_QUAD
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    settings = args.angles or _default_quad(args.law)
+def cmd_simulate(args: argparse.Namespace) -> None:
+    law = args.law or CorrelationLaw.PHOTON_MALUS
+    settings = args.angles or _default_quad(law)
     rng = RngSpec(args.seed)
     if args.mode == "lhv":
-        dataset = lhv_generate(SIGN_MALUS, settings, args.n, rng)
-        write_counterfactual_csv(dataset, args.out_path)
+        write_counterfactual_csv(lhv_generate(SIGN_MALUS, settings, args.n, rng), args.out_path)
     else:
-        dataset = generate_subruns(settings, args.law, args.n_per, rng)
-        write_subrun_csv(dataset, args.out_path)
-    return 0
+        write_subrun_csv(generate_subruns(settings, law, args.n_per, rng), args.out_path)
 
 
-def cmd_split(args: argparse.Namespace) -> int:
+def cmd_split(args: argparse.Namespace) -> None:
     dataset = ingest_counterfactual_csv(args.in_path)
-    subruns = split_random(dataset, RngSpec(args.seed))
-    write_subrun_csv(subruns, args.out_path)
-    return 0
+    write_subrun_csv(split_random(dataset, RngSpec(args.seed)), args.out_path)
 
 
 def _estimate_dict(kind: str, dataset) -> dict:
@@ -156,10 +148,8 @@ def _estimate_dict(kind: str, dataset) -> dict:
     }
 
 
-def cmd_estimate(args: argparse.Namespace) -> int:
-    kind, dataset = _read_trials(args.in_path)
-    _emit_json(_estimate_dict(kind, dataset), args.out_path)
-    return 0
+def cmd_estimate(args: argparse.Namespace) -> dict:
+    return _estimate_dict(*_read_trials(args.in_path))
 
 
 def _build_policy(args: argparse.Namespace) -> ResortPolicy:
@@ -194,12 +184,9 @@ def _report_dict(report) -> dict:
     }
 
 
-def cmd_resort(args: argparse.Namespace) -> int:
+def cmd_resort(args: argparse.Namespace) -> dict:
     dataset = _equal_subruns(ingest_csv(args.in_path), args.trim)
-    report = resort_cascade(dataset, _build_policy(args))
-    # Closure (or its absence) is a finding, not an error: always exit 0.
-    _emit_json(_report_dict(report), args.out_path)
-    return 0
+    return _report_dict(resort_cascade(dataset, _build_policy(args)))
 
 
 def _sweep_quad(args: argparse.Namespace, offset: float) -> SettingsQuad:
@@ -228,7 +215,7 @@ def _sweep_offsets(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
     return offsets
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def cmd_sweep(args: argparse.Namespace) -> str:
     rng = RngSpec(args.seed)
     lines = ["offset_deg,gamma_theory,gamma_empirical"]
     for i, offset in enumerate(args.offsets):
@@ -238,11 +225,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             generate_subruns(quad, args.law, args.n_per, rng.derive(i))
         ).value
         lines.append(f"{float(offset)!r},{theory:.6f},{empirical:.6f}")
-    _emit("\n".join(lines) + "\n", args.out_path)
-    return 0
+    return "\n".join(lines) + "\n"
 
 
-def cmd_audit(args: argparse.Namespace) -> int:
+def cmd_audit(args: argparse.Namespace) -> dict:
     loaded = ingest_csv(args.in_path)
     dataset = _equal_subruns(loaded, args.trim)
     # The estimate covers every loaded trial, before any trimming.
@@ -255,22 +241,18 @@ def cmd_audit(args: argparse.Namespace) -> int:
     counts_match = k_b1 == k_b3
     coincidence = closure_probability(n, k_b1) if counts_match else 0.0
     verdict = RESORTABLE if (report.all_feasible and report.closure) else NOT_RESORTABLE
-    _emit_json(
-        {
-            "estimate": estimate,
-            "resort": _report_dict(report),
-            "closure_context": {
-                "n": n,
-                "plus_count_b1": k_b1,
-                "plus_count_b3": k_b3,
-                "counts_match": counts_match,
-                "coincidence_probability": coincidence,
-            },
-            "verdict": verdict,
+    return {
+        "estimate": estimate,
+        "resort": _report_dict(report),
+        "closure_context": {
+            "n": n,
+            "plus_count_b1": k_b1,
+            "plus_count_b3": k_b3,
+            "counts_match": counts_match,
+            "coincidence_probability": coincidence,
         },
-        args.out_path,
-    )
-    return 0
+        "verdict": verdict,
+    }
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -295,7 +277,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=_seed, required=True)
     sim.add_argument("--angles", type=_angles, metavar="A,D,B,C",
                      help="analyzer angles in degrees (default: optimal quad for the law)")
-    sim.add_argument("--law", type=_law, default=CorrelationLaw.PHOTON_MALUS,
+    sim.add_argument("--law", type=_law,
                      help="pair-correlation law for qm mode (photon-malus | spin-half)")
     sim.add_argument("--out", required=True, dest="out_path")
     sim.set_defaults(run=cmd_simulate)
@@ -337,22 +319,30 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "simulate":
-        counts = {"--n": args.n, "--n-per": args.n_per}
-        needed, unused = ("--n", "--n-per") if args.mode == "lhv" else ("--n-per", "--n")
-        if counts[needed] is None:
-            parser.error(f"--mode {args.mode} requires {needed}")
-        if counts[unused] is not None:
-            parser.error(f"--mode {args.mode} takes no {unused}")
-    if args.command == "sweep":
-        args.offsets = _sweep_offsets(args, parser)
-    policy = getattr(args, "policy", None)
-    if policy == "uniform-random" and args.seed is None:
-        parser.error("--seed is required with --policy uniform-random")
-    if policy == "stable" and args.seed is not None:
-        parser.error("--seed is used only with --policy uniform-random")
     try:
-        return args.run(args)
-    except (CsvFormatError, ValueError, OSError) as exc:
+        if args.command == "simulate":
+            counts = {"--n": args.n, "--n-per": args.n_per}
+            needed, unused = ("--n", "--n-per") if args.mode == "lhv" else ("--n-per", "--n")
+            if counts[needed] is None:
+                parser.error(f"--mode {args.mode} requires {needed}")
+            if counts[unused] is not None:
+                parser.error(f"--mode {args.mode} takes no {unused}")
+            if args.mode == "lhv" and args.angles and args.law:
+                parser.error("--mode lhv takes no --law with --angles")
+        if args.command == "sweep":
+            args.offsets = _sweep_offsets(args, parser)
+        policy = getattr(args, "policy", None)
+        if policy == "uniform-random" and args.seed is None:
+            parser.error("--seed is required with --policy uniform-random")
+        if policy == "stable" and args.seed is not None:
+            parser.error("--seed is used only with --policy uniform-random")
+        output = args.run(args)
+        # A report's findings (an open cascade, a violated bound) are its
+        # content, not errors: a command that returns exits 0.
+        if output is not None:
+            _emit(output if isinstance(output, str) else json.dumps(output, indent=2) + "\n",
+                  args.out_path)
+        return 0
+    except (CsvFormatError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

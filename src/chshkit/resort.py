@@ -204,11 +204,14 @@ def closure_probability(
     Both sequences have n elements with k ones; each re-sorting is
     uniform over the C(n, k) distinct arrangements, so the exact answer
     is 1 / C(n, k).  Monte-Carlo mode estimates the same quantity by
-    simulating both shuffles (``trials`` and ``rng`` required).
+    simulating both shuffles (``trials`` and ``rng`` required; exact mode
+    rejects them).
     """
     if not (_is_count(n) and _is_count(k)) or n < 0 or k < 0 or k > n:
         raise ValueError(f"need integers 0 <= k <= n, got n={n}, k={k}")
     if mode == "exact":
+        if trials is not None or rng is not None:
+            raise ValueError("exact mode takes no trials or rng")
         # 1/C(n, k) rounds to 0.0 below half the smallest subnormal,
         # 2**-1075.  Past that, with a margin for lgamma's rounding, the
         # answer is 0.0 and building C(n, k) would only cost time.

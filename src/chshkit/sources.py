@@ -98,6 +98,9 @@ def SIGN_MALUS(theta: float, lam: np.ndarray) -> np.ndarray:
     return (np.cos(2.0 * (theta - lam)) >= 0.0).view(np.int8) * 2 - 1
 
 
+_LAMBDA_BLOCK = 1 << 16
+
+
 def lhv_generate(
     response: Callable[[float, np.ndarray], np.ndarray], settings: SettingsQuad, n: int, rng: RngSpec
 ) -> CounterfactualDataset:
@@ -109,12 +112,19 @@ def lhv_generate(
     Locality is structural: the rule sees only its own arm's angle and
     the shared lambda.  All four sequences come from the same lambda
     array -- this sharing is what makes the dataset counterfactual.
+    ``response`` must act elementwise: it is called once per block of at
+    most 2**16 lambdas, and each result is checked like any caller data.
     """
     if not _is_count(n) or n < 1:
         raise ValueError(f"trial count must be an integer >= 1, got {n}")
-    lam = rng.generator().uniform(0.0, math.pi, size=n)
-    arms = (OutcomeSequence(response(x.radians, lam)) for x in settings.angles)
-    return CounterfactualDataset(*arms, settings=settings)
+    g = rng.generator()
+    table = np.empty((4, n), np.int8)
+    for start in range(0, n, _LAMBDA_BLOCK):
+        block = table[:, start:start + _LAMBDA_BLOCK]
+        lam = g.uniform(0.0, math.pi, size=block.shape[1])
+        arms = [OutcomeSequence(response(x.radians, lam)).values for x in settings.angles]
+        np.stack(arms, out=block)  # no broadcast: each arm gives one outcome per lambda
+    return CounterfactualDataset(*map(OutcomeSequence._of, table), settings=settings)
 
 
 def qm_generate(

@@ -494,6 +494,7 @@ CLI_CASES = {
     "usage-stable-with-seed": "audit --in qm-small.csv --seed 5",
     "usage-qm-with-n": "simulate --mode qm --n 10 --n-per 10 --seed 1 --out x.csv",
     "usage-lhv-with-n-per": "simulate --mode lhv --n 10 --n-per 10 --seed 1 --out x.csv",
+    "usage-lhv-angles-with-law": "simulate --mode lhv --angles 10,50,30,70 --law spin-half --n 10 --seed 1 --out x.csv",
     "usage-unknown-policy": "audit --in qm-small.csv --policy random",
     "usage-sweep-steps-zero": "sweep --steps 0 --seed 1 --out x.csv",
     "usage-sweep-nan-offset": "sweep --steps 1 --n-per 10 --seed 1 --offset-min=nan --out x.csv",

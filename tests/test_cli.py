@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 from chshkit import RngSpec, write_subrun_csv
+from chshkit import cli
 from chshkit.cli import _emit, main
 from helpers import (
     CLI_DIGESTS,
@@ -92,6 +94,26 @@ class TestSimulate:
         assert f"--mode {mode} takes no {flag}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_law_with_lhv_angles_is_usage_error(self, tmp_path, capsys):
+        # The angles fix all four settings, so lhv mode would ignore the law.
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--mode", "lhv", "--angles", "10,50,30,70", "--law", "spin-half",
+                  "--n", "10", "--seed", "1", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--mode lhv takes no --law with --angles" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_law_picks_the_lhv_default_quad(self, tmp_path):
+        written = {}
+        for name, flags in (("law", ["--law", "spin-half"]), ("angles", ["--angles", "90,0,45,135"]),
+                            ("default", [])):
+            out = tmp_path / f"{name}.csv"
+            assert main(["simulate", "--mode", "lhv", "--n", "500", "--seed", "3", *flags,
+                         "--out", str(out)]) == 0
+            written[name] = out.read_bytes()
+        assert written["law"] == written["angles"] != written["default"]
+
     def test_missing_seed_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--mode", "lhv", "--n", "10", "--out", str(tmp_path / "x.csv")])
@@ -112,6 +134,53 @@ class TestSimulate:
 
 
 
+class TestSizeBeyondTheHost:
+    """A size no host can allocate exits 1 with one error line.
+
+    10^16 trials or rows need petabytes, more than a process's address
+    space, so the first allocation fails at once under any overcommit
+    setting, before anything is drawn or written.
+    """
+
+    @pytest.mark.parametrize("argv", [
+        "simulate --mode lhv --n 10000000000000000 --seed 1",
+        "simulate --mode qm --n-per 10000000000000000 --seed 1",
+        "sweep --steps 10000000000000000 --n-per 10 --seed 1",
+    ])
+    def test_exits_1_with_one_error_line(self, tmp_path, capsys, argv):
+        out = tmp_path / "x.csv"
+        start = time.perf_counter()
+        code = main([*argv.split(), "--out", str(out)])
+        # Each takes a few ms; tracemalloc cannot show it, as it counts the
+        # failed petabyte request.
+        assert time.perf_counter() - start < 1.0
+        stdout, err = capsys.readouterr()
+        assert code == 1 and stdout == ""
+        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+        assert not out.exists()
+
+
+class TestCommandsReturnTheirOutput:
+    """A command returns its report; ``main`` alone writes it."""
+
+    @pytest.mark.parametrize("command", [
+        ["estimate", "--in", "{qm}"],
+        ["resort", "--in", "{qm}"],
+        ["audit", "--in", "{qm}", "--policy", "uniform-random", "--seed", "4"],
+        ["sweep", "--steps", "2", "--n-per", "50", "--seed", "4"],
+    ], ids=["estimate", "resort", "audit", "sweep"])
+    def test_main_writes_what_the_command_returns(self, qm_csv, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        argv = [a.format(qm=qm_csv) for a in command] + ["--out", str(out)]
+        args = cli._build_parser().parse_args(argv)
+        args.offsets = np.linspace(0.0, 90.0, 3)  # main's for sweep; the rest ignore it
+        output = args.run(args)
+        assert capsys.readouterr() == ("", "") and not out.exists()
+        assert main(argv) == 0
+        text = output if command[0] == "sweep" else json.dumps(output, indent=2) + "\n"
+        assert out.read_text() == text
+
+
 class TestDigestManifest:
     """Every CLI case's stdout, stderr, exit code and written files, pinned.
 
@@ -123,7 +192,8 @@ class TestDigestManifest:
     recomputed when ``sweep`` came to print each offset as the shortest
     text that reads back as it, and the ``usage-stable-with-seed``,
     ``usage-qm-with-n`` and ``usage-lhv-with-n-per`` cases were added when
-    a flag the command would ignore became a usage error.  Its qm, lhv
+    a flag the command would ignore became a usage error, and
+    ``usage-lhv-angles-with-law`` when ``--law`` joined them.  Its qm, lhv
     and split files keep the digests first pinned at 8c57a30, whose
     writers built one Python string per row.  The digests pin numpy's
     Generator streams, which numpy does not promise to keep across
@@ -592,3 +662,11 @@ class TestEntryPoint:
         pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
         scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
         assert scripts == {"chshkit": "chshkit.__main__:run"}
+
+    def test_version_is_stated_once(self):
+        # The package metadata reads chshkit.__version__; pyproject names none.
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        config = tomllib.loads(pyproject.read_text())
+        assert "version" not in config["project"] and config["project"]["dynamic"] == ["version"]
+        assert config["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "chshkit.__version__"}

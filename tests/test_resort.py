@@ -458,6 +458,10 @@ class TestClosureProbability:
             closure_probability(4, 2, mode="monte-carlo", rng=RngSpec(1))
         with pytest.raises(ValueError, match="rng"):
             closure_probability(4, 2, mode="monte-carlo", trials=10)
+        # Exact mode draws nothing, so a trial count or an rng would be ignored.
+        for extra in ({"trials": -3}, {"trials": 10}, {"rng": RngSpec(1)}):
+            with pytest.raises(ValueError, match="exact mode takes no trials or rng"):
+                closure_probability(10, 5, "exact", **extra)
 
     @pytest.mark.parametrize("n,k", [(5.0, 2), (5, 2.0), (True, True), (2, False), (np.bool_(1), 0)])
     @pytest.mark.parametrize("mode", ["exact", "monte-carlo"])

@@ -166,6 +166,16 @@ class TestLhvGenerate:
         for s in (data.a_seq, data.d_seq, data.b_seq, data.c_seq):
             assert abs(float(np.mean(s.values, dtype=np.float64))) < 0.02
 
+    @pytest.mark.parametrize("n", [1, 65_536, 65_537, 1_000_000, 1_000_003])
+    def test_same_outcomes_as_drawing_lambda_whole(self, n):
+        # lambda is drawn a block at a time; an elementwise response gives
+        # the outcomes one draw of all n lambdas gives, past every block edge.
+        for quad in (PHOTON_OPTIMAL_QUAD, SPIN_OPTIMAL_QUAD):
+            data = lhv_generate(SIGN_MALUS, quad, n, RngSpec(7))
+            lam = RngSpec(7).generator().uniform(0.0, math.pi, size=n)
+            for seq, x in zip(data.sequences, quad.angles):
+                assert np.array_equal(seq.values, SIGN_MALUS(x.radians, lam))
+
 
 class TestQmGenerate:
     def test_rejects_zero_trials(self):
@@ -1074,6 +1084,13 @@ class TestWriterWorkingSet:
     def test_counterfactual_write_of_a_million_rows(self, tmp_path):
         data = random_counterfactual(RngSpec(32), 1_000_000)
         assert _peak(write_counterfactual_csv, data, tmp_path / "counterfactual.csv") <= 1 << 20
+
+
+class TestGenerateWorkingSet:
+    def test_lhv_generate_of_a_million_trials(self):
+        # Its four int8 sequences hold 4 MB; with one block of lambda it
+        # peaks at 6.0 MB.  Drawing all lambda at once peaked at 27.0 MB.
+        assert _peak(lhv_generate, SIGN_MALUS, PHOTON_OPTIMAL_QUAD, 1_000_000, RngSpec(35)) <= 7_000_000
 
 
 class TestIngestWorkingSet:

@@ -114,6 +114,15 @@ class TestPublicConstructorStillChecks:
         with pytest.raises(ValueError, match=r"\+1 or -1"):
             lhv_generate(zeros, PHOTON_OPTIMAL_QUAD, 10, RngSpec(1))
 
+    @pytest.mark.parametrize("n", [1, 10, 65_537])
+    def test_lhv_response_of_the_wrong_length_raises(self, n):
+        # Each block's outcomes are stacked without broadcasting.
+        def one_outcome(theta, lam):
+            return np.ones(1, np.int8) if lam.size > 1 else np.ones(2, np.int8)
+
+        with pytest.raises(ValueError, match="wrong shape"):
+            lhv_generate(one_outcome, PHOTON_OPTIMAL_QUAD, n, RngSpec(1))
+
     def test_lhv_outputs_are_copies_of_the_responses(self):
         kept = []
 
