@@ -120,7 +120,7 @@ class TestPublicConstructorStillChecks:
         def one_outcome(theta, lam):
             return np.ones(1, np.int8) if lam.size > 1 else np.ones(2, np.int8)
 
-        with pytest.raises(ValueError, match="wrong shape"):
+        with pytest.raises(ValueError):
             lhv_generate(one_outcome, PHOTON_OPTIMAL_QUAD, n, RngSpec(1))
 
     def test_lhv_outputs_are_copies_of_the_responses(self):
