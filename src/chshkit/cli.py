@@ -278,7 +278,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--angles", type=_angles, metavar="A,D,B,C",
                      help="analyzer angles in degrees (default: optimal quad for the law)")
     sim.add_argument("--law", type=_law,
-                     help="pair-correlation law for qm mode (photon-malus | spin-half)")
+                     help="pair-correlation law for qm mode (photon-malus | spin-half); "
+                          "without --angles it also picks either mode's default quad")
     sim.add_argument("--out", required=True, dest="out_path")
     sim.set_defaults(run=cmd_simulate)
 

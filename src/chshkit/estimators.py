@@ -110,6 +110,9 @@ def gamma_subruns(data: SubRunDataset) -> GammaResult:
     return GammaResult(counts, tuple([pairs.product_sum() for pairs in data.lists]))
 
 
+_SPLIT_BLOCK = 1 << 16  # trials split_random assigns per draw (512 KiB of int64)
+
+
 def split_random(data: CounterfactualDataset, rng: RngSpec) -> SubRunDataset:
     """Sample a feasible experiment out of a counterfactual dataset.
 
@@ -123,7 +126,13 @@ def split_random(data: CounterfactualDataset, rng: RngSpec) -> SubRunDataset:
         raise ValueError(f"need at least 4 trials to split, got {n}")
     arms = [s.values for s in data.sequences]
     sides = [(arms[x], arms[y]) for x, y in _PAIR_ARMS]
-    return SubRunDataset._partition(rng.generator().integers(0, 4, size=n), sides, data.settings)
+    # Each bounded integer takes its own draws from the stream, so the
+    # blocks hold the codes of one whole draw, kept as uint8.
+    g = rng.generator()
+    codes = np.empty(n, dtype=np.uint8)
+    for start in range(0, n, _SPLIT_BLOCK):
+        codes[start:start + _SPLIT_BLOCK] = g.integers(0, 4, size=min(_SPLIT_BLOCK, n - start))
+    return SubRunDataset._partition(codes, sides, data.settings)
 
 
 def termwise_bound_check(data: CounterfactualDataset) -> np.ndarray:

@@ -74,10 +74,11 @@ class ResortPolicy:
 STABLE = ResortPolicy()
 
 # Uniform draws per piece of a Monte-Carlo chunk: while n <= 2**15 a
-# piece's doubles and their argsort take at most 512 KiB, so the working
-# set is that plus one chunk's side-1 rows as bools (1 MB), whatever
-# ``trials`` is.  2**14 to 2**16 were equally fast; 2**18 and up raised
-# the peak again.
+# piece holds its doubles, their tagged keys and one diff of the keys,
+# 8 bytes a draw each (768 KiB), so the working set is that plus one
+# chunk's side-1 rows as bools (1 MB), whatever ``trials`` is.  With the
+# keyed sort, 2**14 to 2**16 were equally fast; 2**18 was slower, and
+# 2**17 and up raised the peak again (1.9 MB at 2**15, n = 10).
 _PIECE_DRAWS = 1 << 15
 
 
@@ -191,6 +192,23 @@ def resort_cascade(data: SubRunDataset, policy: ResortPolicy = STABLE) -> Resort
     )
 
 
+def _arrangements(x: np.ndarray, k: int) -> np.ndarray:
+    """``x.argsort(axis=1) < k`` for rows of doubles in [0, 1), by a row sort.
+
+    A double's bits order like the double, so sorting each row of keys,
+    the bits shifted left one with bit 0 set in slots below k, moves those
+    tags as argsort moves the slots.  Equal doubles sort by tag, where
+    argsort's order depends on the numpy build, so keys closer than 2 fall
+    back to argsort (a difference across rows wraps to a huge number).
+    """
+    key = x.view(np.uint64) << 1
+    key |= (np.arange(x.shape[1]) < k).astype(np.uint64)
+    key.sort(axis=1)
+    if np.diff(key.ravel()).min(initial=2) < 2:
+        return x.argsort(axis=1) < k
+    return (key & 1).astype(bool)
+
+
 def closure_probability(
     n: int,
     k: int,
@@ -227,29 +245,27 @@ def closure_probability(
         raise ValueError("monte-carlo mode requires an integer trials >= 1")
     if rng is None:
         raise ValueError("monte-carlo mode requires an rng")
+    if n == 0:
+        return 1.0  # one arrangement: every pair of shuffles coincides
     g = rng.generator()
-
-    def arrangements(rows: int) -> np.ndarray:
-        # argsort of uniforms = uniform random permutation; a sequence
-        # arrangement is determined by which permuted slots hold ones.
-        return g.random((rows, n)).argsort(axis=1) < k
+    record = np.dtype((np.void, n))  # a row of n bools compared as one value
 
     # Each chunk draws all of side 1, then all of side 2, a piece of
     # ``rows`` rows at a time.  Philox doubles come in order, so the
     # pieces hold the values one (m, n) draw would, and a seed's estimate
     # depends on the chunk size but not on the piece size.
-    chunk = max(1, 1_000_000 // max(n, 1))
-    rows = max(1, _PIECE_DRAWS // max(n, 1))
+    chunk = max(1, 1_000_000 // n)
+    rows = max(1, _PIECE_DRAWS // n)
     ones_1 = np.empty((min(chunk, trials), n), dtype=bool)
     hits = 0
     for done in range(0, trials, chunk):
         m = min(chunk, trials - done)
         pieces = [slice(start, min(start + rows, m)) for start in range(0, m, rows)]
         for piece in pieces:
-            ones_1[piece] = arrangements(piece.stop - piece.start)
+            ones_1[piece] = _arrangements(g.random((piece.stop - piece.start, n)), k)
         for piece in pieces:
-            same = arrangements(piece.stop - piece.start) == ones_1[piece]
-            hits += int(np.count_nonzero(same.all(axis=1)))
+            ones_2 = _arrangements(g.random((piece.stop - piece.start, n)), k)
+            hits += int(np.count_nonzero(ones_2.view(record) == ones_1[piece].view(record)))
     return hits / trials
 
 

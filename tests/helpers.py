@@ -14,6 +14,7 @@ import platform
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -340,6 +341,28 @@ def reference_closure_mc(n: int, k: int, trials: int, rng: RngSpec) -> float:
         hits += int(np.sum(np.all(ones_1 == ones_2, axis=1)))
         done += m
     return hits / trials
+
+
+# Reference random split: the whole int64 assignment drawn at once, as
+# split_random drew it before it drew in blocks, and each list cut by its
+# own mask.  The package's lists must hold exactly these outcomes.
+
+
+def reference_split_random(data: CounterfactualDataset, rng: RngSpec) -> list[tuple[np.ndarray, np.ndarray]]:
+    assignment = rng.generator().integers(0, 4, size=data.n)
+    a, d, b, c = (s.values for s in data.sequences)
+    return [(x[assignment == code], y[assignment == code])
+            for code, (x, y) in enumerate(((a, b), (a, c), (d, b), (d, c)))]
+
+
+def traced_peak(call, *args) -> int:
+    """The most memory, by tracemalloc, that ``call(*args)`` held at once."""
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 # Reference writers: one Python string per row, as the package wrote

@@ -24,7 +24,14 @@ from chshkit import (
     termwise_bound_check,
     theory_gamma,
 )
-from helpers import exact_two_dataset, pairs, random_counterfactual, seq
+from helpers import (
+    exact_two_dataset,
+    pairs,
+    random_counterfactual,
+    reference_split_random,
+    seq,
+    traced_peak,
+)
 
 ROOT8 = 2.0 * math.sqrt(2.0)
 
@@ -237,6 +244,21 @@ class TestSplitRandom:
     def test_settings_carried_over(self):
         data = lhv_generate(SIGN_MALUS, PHOTON_OPTIMAL_QUAD, 100, RngSpec(11))
         assert split_random(data, RngSpec(12)).settings is PHOTON_OPTIMAL_QUAD
+
+    @pytest.mark.parametrize("n", [4, 65_535, 65_536, 65_537, 1_000_003])
+    def test_same_lists_as_drawing_the_assignment_whole(self, n):
+        # Block edges at 2**16: the draws are blocked, the stream is not.
+        data = random_counterfactual(RngSpec(13), n)
+        got = split_random(data, RngSpec(n))
+        for plist, (a, b) in zip(got.lists, reference_split_random(data, RngSpec(n))):
+            assert np.array_equal(plist.a.values, a) and np.array_equal(plist.b.values, b)
+
+    def test_working_set_of_a_million_trials(self):
+        # Its lists hold 2 MB and its uint8 codes 1 MB; with one block of
+        # int64 draws and one mask it peaks at 4.5 MB.  Drawing the whole
+        # int64 assignment at once peaked at 11.5 MB.
+        data = random_counterfactual(RngSpec(14), 1_000_000)
+        assert traced_peak(split_random, data, RngSpec(15)) <= 5_000_000
 
 
 class TestEstimatorAgreement:

@@ -9,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings as hyp_settings, strategies as st
+from hypothesis import example, given, settings as hyp_settings, strategies as st
 
 from chshkit import (
     CorrelationLaw,
@@ -539,6 +539,9 @@ class TestClosureMonteCarloMatchesReference:
     @pytest.mark.parametrize(
         "n,k,trials",
         [
+            (0, 0, 10),
+            (1, 0, 10),
+            (5, 5, 10),
             (1000, 0, 2500),
             (1000, 1, 2500),
             (1000, 500, 2500),
@@ -552,6 +555,32 @@ class TestClosureMonteCarloMatchesReference:
     def test_large_n(self, n, k, trials):
         got = closure_probability(n, k, mode="monte-carlo", trials=trials, rng=RngSpec(7))
         assert got == reference_closure_mc(n, k, trials, RngSpec(7))
+
+
+@st.composite
+def arrangement_draws(draw):
+    """(x, k): rows of doubles m / 2**bits in [0, 1).  On the grid of
+    eighths equal doubles in a row are common; on the finest grid, rare."""
+    rows, n = draw(st.integers(1, 6)), draw(st.integers(1, 12))
+    bits = draw(st.sampled_from([3, 53]))
+    m = draw(st.lists(st.integers(0, 2**bits - 1), min_size=rows * n, max_size=rows * n))
+    x = np.array(m, dtype=np.float64).reshape(rows, n) / 2.0**bits
+    return x, draw(st.integers(0, n))
+
+
+class TestArrangementKernel:
+    """The tagged-key row sort reads the arrangement argsort gives."""
+
+    @hyp_settings(max_examples=300, deadline=None)
+    @given(case=arrangement_draws())
+    # A tie sorts its tagged keys one-bit last, where argsort puts slot 0 first.
+    @example(case=(np.array([[0.5, 0.5, 0.25], [0.75, 0.125, 0.375]]), 1))
+    def test_same_as_argsort(self, case):
+        x, k = case
+        before = x.copy()
+        got = resort._arrangements(x, k)
+        assert got.dtype == bool and np.array_equal(got, x.argsort(axis=1) < k)
+        assert np.array_equal(x, before)
 
 
 class TestTrimToShortest:

@@ -7,7 +7,6 @@ import math
 import os
 import stat
 import sys
-import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -43,6 +42,7 @@ from helpers import (
     reference_ingest_subruns,
     reference_write_counterfactual_csv,
     reference_write_subrun_csv,
+    traced_peak,
 )
 
 deg = Angle.from_degrees
@@ -1064,33 +1064,23 @@ class TestWritersMatchRowStrings:
         _assert_same_text(got, _written(reference_write_counterfactual_csv, data, None))
 
 
-def _peak(call, *args) -> int:
-    """The most memory, by tracemalloc, that ``call(*args)`` held at once."""
-    tracemalloc.start()
-    try:
-        call(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 class TestWriterWorkingSet:
     """A write's memory is bounded by its block, not by its row count."""
 
     def test_subrun_write_of_a_million_rows(self, tmp_path):
         data = _subrun_dataset([250_000] * 4, 31)
-        assert _peak(write_subrun_csv, data, tmp_path / "subruns.csv") <= 1 << 20
+        assert traced_peak(write_subrun_csv, data, tmp_path / "subruns.csv") <= 1 << 20
 
     def test_counterfactual_write_of_a_million_rows(self, tmp_path):
         data = random_counterfactual(RngSpec(32), 1_000_000)
-        assert _peak(write_counterfactual_csv, data, tmp_path / "counterfactual.csv") <= 1 << 20
+        assert traced_peak(write_counterfactual_csv, data, tmp_path / "counterfactual.csv") <= 1 << 20
 
 
 class TestGenerateWorkingSet:
     def test_lhv_generate_of_a_million_trials(self):
         # Its four int8 sequences hold 4 MB; with one block of lambda it
         # peaks at 6.0 MB.  Drawing all lambda at once peaked at 27.0 MB.
-        assert _peak(lhv_generate, SIGN_MALUS, PHOTON_OPTIMAL_QUAD, 1_000_000, RngSpec(35)) <= 7_000_000
+        assert traced_peak(lhv_generate, SIGN_MALUS, PHOTON_OPTIMAL_QUAD, 1_000_000, RngSpec(35)) <= 7_000_000
 
 
 class TestIngestWorkingSet:
@@ -1107,9 +1097,9 @@ class TestIngestWorkingSet:
         path = tmp_path / "subruns.csv"
         write_subrun_csv(_subrun_dataset([250_000] * 4, 33), path)
         path.write_bytes(path.read_bytes().replace(b"\n", line_end))
-        assert _peak(ingest_csv, path) <= 8_000_000
+        assert traced_peak(ingest_csv, path) <= 8_000_000
 
     def test_counterfactual_ingest_of_a_million_rows(self, tmp_path):
         path = tmp_path / "counterfactual.csv"
         write_counterfactual_csv(random_counterfactual(RngSpec(34), 1_000_000), path)
-        assert _peak(ingest_counterfactual_csv, path) <= 7_000_000
+        assert traced_peak(ingest_counterfactual_csv, path) <= 7_000_000
