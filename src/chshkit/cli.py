@@ -159,6 +159,7 @@ def _build_policy(args: argparse.Namespace) -> ResortPolicy:
 
 
 def _equal_subruns(dataset, trim: bool):
+    gamma_subruns(dataset)  # names an empty list, which no trimming can mend
     if len(set(dataset.counts)) != 1:
         if not trim:
             raise ValueError(

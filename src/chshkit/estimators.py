@@ -34,7 +34,7 @@ from .core import (
     SubRunPairs,
     _PAIR_ARMS,
 )
-from .rng import RngSpec
+from .rng import RngSpec, _DRAW_BLOCK
 from .sources import CorrelationLaw
 
 __all__ = [
@@ -110,9 +110,6 @@ def gamma_subruns(data: SubRunDataset) -> GammaResult:
     return GammaResult(counts, tuple([pairs.product_sum() for pairs in data.lists]))
 
 
-_SPLIT_BLOCK = 1 << 16  # trials split_random assigns per draw (512 KiB of int64)
-
-
 def split_random(data: CounterfactualDataset, rng: RngSpec) -> SubRunDataset:
     """Sample a feasible experiment out of a counterfactual dataset.
 
@@ -130,8 +127,8 @@ def split_random(data: CounterfactualDataset, rng: RngSpec) -> SubRunDataset:
     # blocks hold the codes of one whole draw, kept as uint8.
     g = rng.generator()
     codes = np.empty(n, dtype=np.uint8)
-    for start in range(0, n, _SPLIT_BLOCK):
-        codes[start:start + _SPLIT_BLOCK] = g.integers(0, 4, size=min(_SPLIT_BLOCK, n - start))
+    for start in range(0, n, _DRAW_BLOCK):
+        codes[start:start + _DRAW_BLOCK] = g.integers(0, 4, size=min(_DRAW_BLOCK, n - start))
     return SubRunDataset._partition(codes, sides, data.settings)
 
 

@@ -74,11 +74,11 @@ class ResortPolicy:
 STABLE = ResortPolicy()
 
 # Uniform draws per piece of a Monte-Carlo chunk: while n <= 2**15 a
-# piece holds its doubles, their tagged keys and one diff of the keys,
-# 8 bytes a draw each (768 KiB), so the working set is that plus one
-# chunk's side-1 rows as bools (1 MB), whatever ``trials`` is.  With the
-# keyed sort, 2**14 to 2**16 were equally fast; 2**18 was slower, and
-# 2**17 and up raised the peak again (1.9 MB at 2**15, n = 10).
+# piece holds its doubles and their tagged keys, 8 bytes a draw each
+# (512 KiB), so the working set is that plus one chunk's side-1 rows as
+# bools (1 MB), whatever ``trials`` is: a 1.6 MB peak at n = 10.  2**14
+# to 2**16 were about equally fast; 2**17 and up were slower and raised
+# the peak (3.4 MB at 2**17).
 _PIECE_DRAWS = 1 << 15
 
 
@@ -193,20 +193,18 @@ def resort_cascade(data: SubRunDataset, policy: ResortPolicy = STABLE) -> Resort
 
 
 def _arrangements(x: np.ndarray, k: int) -> np.ndarray:
-    """``x.argsort(axis=1) < k`` for rows of doubles in [0, 1), by a row sort.
+    """``x.argsort(axis=1, kind="stable") < k`` for rows of doubles in [0, 1).
 
-    A double's bits order like the double, so sorting each row of keys,
-    the bits shifted left one with bit 0 set in slots below k, moves those
-    tags as argsort moves the slots.  Equal doubles sort by tag, where
-    argsort's order depends on the numpy build, so keys closer than 2 fall
-    back to argsort (a difference across rows wraps to a huge number).
+    Each key is a double's bits, which order like the double and stay
+    below 2**63, shifted left one, with bit 0 set in slots k and up.
+    Keys of distinct doubles differ by at least 2, so the tag orders only
+    equal doubles, slots below k first, as a stable argsort orders ties:
+    sorting each row of keys moves the tags as that argsort moves slots.
     """
     key = x.view(np.uint64) << 1
-    key |= (np.arange(x.shape[1]) < k).astype(np.uint64)
+    key |= (np.arange(x.shape[1]) >= k).astype(np.uint64)
     key.sort(axis=1)
-    if np.diff(key.ravel()).min(initial=2) < 2:
-        return x.argsort(axis=1) < k
-    return (key & 1).astype(bool)
+    return np.bitwise_and(key, 1, out=key) == 0
 
 
 def closure_probability(

@@ -19,6 +19,9 @@ __all__ = ["RngSpec"]
 
 _MASK64 = (1 << 64) - 1
 
+# Draws per block where a large array is filled in blocks (512 KiB of 8-byte values).
+_DRAW_BLOCK = 1 << 16
+
 # Defined by the first _key_sequence call.  Its base class lives in
 # numpy.random, which `import chshkit` must not load: that costs a CLI
 # process 10-20 ms and about 6 MB, and `estimate` never draws.

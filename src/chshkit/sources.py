@@ -46,7 +46,7 @@ from .core import (
     _PAIR_ARMS,
     _is_count,
 )
-from .rng import RngSpec
+from .rng import RngSpec, _DRAW_BLOCK
 
 __all__ = [
     "CorrelationLaw",
@@ -98,9 +98,6 @@ def SIGN_MALUS(theta: float, lam: np.ndarray) -> np.ndarray:
     return (np.cos(2.0 * (theta - lam)) >= 0.0).view(np.int8) * 2 - 1
 
 
-_LAMBDA_BLOCK = 1 << 16
-
-
 def lhv_generate(
     response: Callable[[float, np.ndarray], np.ndarray], settings: SettingsQuad, n: int, rng: RngSpec
 ) -> CounterfactualDataset:
@@ -119,8 +116,8 @@ def lhv_generate(
         raise ValueError(f"trial count must be an integer >= 1, got {n}")
     g = rng.generator()
     table = np.empty((4, n), np.int8)
-    for start in range(0, n, _LAMBDA_BLOCK):
-        block = table[:, start:start + _LAMBDA_BLOCK]
+    for start in range(0, n, _DRAW_BLOCK):
+        block = table[:, start:start + _DRAW_BLOCK]
         lam = g.uniform(0.0, math.pi, size=block.shape[1])
         arms = [OutcomeSequence(response(x.radians, lam)).values for x in settings.angles]
         np.stack(arms, out=block)  # no broadcast: each arm gives one outcome per lambda

@@ -370,6 +370,17 @@ class TestResort:
         assert "trimming" in captured.err
         assert json.loads(captured.out)["feasible"] is not None
 
+    @pytest.mark.parametrize("command", ["resort", "audit"])
+    @pytest.mark.parametrize("trim", [[], ["--trim"]])
+    def test_empty_list_is_named_before_any_trimming(self, tmp_path, capsys, command, trim):
+        path = tmp_path / "no-dc.csv"
+        path.write_text(
+            "pair,outcome_a,outcome_b\n"
+            "ab,+1,+1\nab,-1,+1\nac,+1,-1\nac,-1,-1\ndb,-1,-1\ndb,+1,+1\n"
+        )
+        assert main([command, "--in", str(path), *trim]) == 1
+        assert capsys.readouterr().err == "error: empty sub-run list: dc\n"
+
     def test_uniform_policy_requires_seed(self, qm_csv):
         with pytest.raises(SystemExit) as exc:
             main(["resort", "--in", str(qm_csv), "--policy", "uniform-random"])
