@@ -74,11 +74,11 @@ class ResortPolicy:
 STABLE = ResortPolicy()
 
 # Uniform draws per piece of a Monte-Carlo chunk: while n <= 2**15 a
-# piece holds its doubles and their tagged keys, 8 bytes a draw each
-# (512 KiB), so the working set is that plus one chunk's side-1 rows as
-# bools (1 MB), whatever ``trials`` is: a 1.6 MB peak at n = 10.  2**14
+# piece is one array of raw 64-bit words, tagged and sorted in place
+# (256 KiB), so the working set is that plus one chunk's side-1 rows as
+# bools (1 MB), whatever ``trials`` is: a 1.4 MB peak at n = 10.  2**14
 # to 2**16 were about equally fast; 2**17 and up were slower and raised
-# the peak (3.4 MB at 2**17).
+# the peak (2.3 MB at 2**17).
 _PIECE_DRAWS = 1 << 15
 
 
@@ -192,19 +192,21 @@ def resort_cascade(data: SubRunDataset, policy: ResortPolicy = STABLE) -> Resort
     )
 
 
-def _arrangements(x: np.ndarray, k: int) -> np.ndarray:
-    """``x.argsort(axis=1, kind="stable") < k`` for rows of doubles in [0, 1).
+def _arrangements(w: np.ndarray, k: int) -> np.ndarray:
+    """``((w >> 11) * 2.0**-53).argsort(axis=1, kind="stable") < k`` for
+    rows of raw 64-bit Philox words; overwrites ``w``.
 
-    Each key is a double's bits, which order like the double and stay
-    below 2**63, shifted left one, with bit 0 set in slots k and up.
-    Keys of distinct doubles differ by at least 2, so the tag orders only
-    equal doubles, slots below k first, as a stable argsort orders ties:
+    ``(w >> 11) * 2**-53`` is the double ``Generator.random`` builds from
+    ``w``.  Each key is ``w`` with its low 11 bits cleared, which orders
+    like that double, and bit 0 set in slots k and up.  Keys of distinct
+    doubles differ in their top 53 bits, so the tag orders only equal
+    doubles, slots below k first, as a stable argsort orders ties:
     sorting each row of keys moves the tags as that argsort moves slots.
     """
-    key = x.view(np.uint64) << 1
-    key |= (np.arange(x.shape[1]) >= k).astype(np.uint64)
-    key.sort(axis=1)
-    return np.bitwise_and(key, 1, out=key) == 0
+    w &= ~np.uint64(0x7FF)
+    w |= np.arange(w.shape[1]) >= k
+    w.sort(axis=1)
+    return np.bitwise_and(w, 1, out=w) == 0
 
 
 def closure_probability(
@@ -245,13 +247,14 @@ def closure_probability(
         raise ValueError("monte-carlo mode requires an rng")
     if n == 0:
         return 1.0  # one arrangement: every pair of shuffles coincides
-    g = rng.generator()
+    bits = rng.generator().bit_generator
     record = np.dtype((np.void, n))  # a row of n bools compared as one value
 
     # Each chunk draws all of side 1, then all of side 2, a piece of
-    # ``rows`` rows at a time.  Philox doubles come in order, so the
-    # pieces hold the values one (m, n) draw would, and a seed's estimate
-    # depends on the chunk size but not on the piece size.
+    # ``rows`` rows at a time.  Philox words come in order, one per
+    # double of ``Generator.random``, so the pieces hold the words one
+    # (m, n) draw of doubles would use, and a seed's estimate depends on
+    # the chunk size but not on the piece size.
     chunk = max(1, 1_000_000 // n)
     rows = max(1, _PIECE_DRAWS // n)
     ones_1 = np.empty((min(chunk, trials), n), dtype=bool)
@@ -260,9 +263,9 @@ def closure_probability(
         m = min(chunk, trials - done)
         pieces = [slice(start, min(start + rows, m)) for start in range(0, m, rows)]
         for piece in pieces:
-            ones_1[piece] = _arrangements(g.random((piece.stop - piece.start, n)), k)
+            ones_1[piece] = _arrangements(bits.random_raw((piece.stop - piece.start, n)), k)
         for piece in pieces:
-            ones_2 = _arrangements(g.random((piece.stop - piece.start, n)), k)
+            ones_2 = _arrangements(bits.random_raw((piece.stop - piece.start, n)), k)
             hits += int(np.count_nonzero(ones_2.view(record) == ones_1[piece].view(record)))
     return hits / trials
 

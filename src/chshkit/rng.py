@@ -98,7 +98,6 @@ class RngSpec:
         child = object.__new__(RngSpec)
         # Both values are already reduced to 64 bits: skip __post_init__.
         object.__setattr__(child, "seed", self.seed)
-        object.__setattr__(
-            child, "stream", _splitmix64(_splitmix64(self.stream) ^ (int(index) & _MASK64))
-        )
+        # _splitmix64 reduces its argument mod 2**64, and with it the index.
+        object.__setattr__(child, "stream", _splitmix64(_splitmix64(self.stream) ^ int(index)))
         return child

@@ -135,10 +135,17 @@ def qm_generate(
     if not _is_count(n) or n < 1:
         raise ValueError(f"trial count must be an integer >= 1, got {n}")
     e = law.pair_correlation(alpha, beta)
-    g = rng.generator()
-    s = g.integers(0, 2, size=n, dtype=np.int8) * 2 - 1
-    # t is s times +1 where the arms agree and -1 where they do not.
-    t = s * ((g.random(n) < (1.0 + e) / 2.0).view(np.int8) * 2 - 1)
+    raw = rng.generator().bit_generator.random_raw
+    # The signs g.integers(0, 2, n, np.int8) draws: it takes the bytes of
+    # ceil(n / 8) words in little-endian order, and for a range of 2
+    # Lemire's rule never rejects and keeps each byte's top bit.
+    s = (raw(-(-n // 8)).astype("<u8", copy=False).view(np.uint8)[:n] >> 7).view(np.int8) * 2 - 1
+    # t is s times +1 where the arms agree and -1 where they do not.  They
+    # agree where g.random(n) < p, and that double is (w >> 11) * 2**-53:
+    # p * 2**53 is exact, so the test is (w >> 11) < ceil(p * 2**53).
+    words = raw(n)
+    words >>= 11  # in place: a second array of n words cost as much as the draw
+    t = s * ((words < math.ceil((1.0 + e) / 2.0 * 2**53)).view(np.int8) * 2 - 1)
     return SubRunPairs(OutcomeSequence._of(s), OutcomeSequence._of(t))
 
 

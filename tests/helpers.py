@@ -343,6 +343,19 @@ def reference_closure_mc(n: int, k: int, trials: int, rng: RngSpec) -> float:
     return hits / trials
 
 
+# Reference qm draws: the signs from Generator.integers and the agreement
+# test on Generator.random's doubles, as qm_generate drew them before it
+# read raw Philox words.  The package must give exactly these pairs.
+
+
+def reference_qm_generate(alpha: Angle, beta: Angle, law, n: int, rng: RngSpec) -> tuple[np.ndarray, np.ndarray]:
+    e = law.pair_correlation(alpha, beta)
+    g = reference_generator(rng)
+    s = g.integers(0, 2, size=n, dtype=np.int8) * 2 - 1
+    t = s * ((g.random(n) < (1.0 + e) / 2.0).view(np.int8) * 2 - 1)
+    return s, t
+
+
 # Reference random split: the whole int64 assignment drawn at once, as
 # split_random drew it before it drew in blocks, and each list cut by its
 # own mask.  The package's lists must hold exactly these outcomes.

@@ -557,33 +557,54 @@ class TestClosureMonteCarloMatchesReference:
         assert got == reference_closure_mc(n, k, trials, RngSpec(7))
 
 
+def _doubles(w: np.ndarray) -> np.ndarray:
+    """The doubles Generator.random builds from raw Philox words."""
+    return (w >> 11) * 2.0**-53
+
+
+def _words(x, low) -> np.ndarray:
+    """Words whose doubles are ``x`` (multiples of 2**-53), low 11 bits ``low``."""
+    return (np.asarray(x) * 2.0**53).astype(np.uint64) << 11 | np.asarray(low, dtype=np.uint64)
+
+
 @st.composite
 def arrangement_draws(draw):
-    """(x, k): rows of doubles m / 2**bits in [0, 1).  On the grids of
-    halves and eighths equal doubles in a row are common; on the finest
-    grid, rare."""
+    """(w, k): rows of words whose doubles are m / 2**bits in [0, 1) and
+    whose low 11 bits are random.  On the grids of halves and eighths
+    equal doubles in a row are common; on the finest grid, rare."""
     rows, n = draw(st.integers(1, 6)), draw(st.integers(1, 64))
     bits = draw(st.sampled_from([1, 3, 53]))
     m = draw(st.lists(st.integers(0, 2**bits - 1), min_size=rows * n, max_size=rows * n))
+    low = draw(st.lists(st.integers(0, 0x7FF), min_size=rows * n, max_size=rows * n))
     x = np.array(m, dtype=np.float64).reshape(rows, n) / 2.0**bits
-    return x, draw(st.integers(0, n))
+    return _words(x, np.reshape(low, (rows, n))), draw(st.integers(0, n))
 
 
 class TestArrangementKernel:
-    """The tagged-key row sort reads the arrangement a stable argsort gives."""
+    """The tagged-word row sort reads the arrangement a stable argsort of
+    the words' doubles gives."""
 
     @hyp_settings(max_examples=300, deadline=None)
     @given(case=arrangement_draws())
-    # Slots 0 and 1 tie, and a stable argsort ranks slot 0, below k, first.
-    @example(case=(np.array([[0.5, 0.5, 0.25], [0.75, 0.125, 0.375]]), 1))
+    # Slots 0 and 1 tie, and a stable argsort ranks slot 0, below k, first,
+    # though its low bits are the larger.
+    @example(case=(_words([[0.5, 0.5, 0.25], [0.75, 0.125, 0.375]], [[0x7FF, 0, 5], [1, 2, 3]]), 1))
     # Slots 2 and 3 tie across k; numpy's default argsort may put either first.
-    @example(case=(np.array([[0.5, 0.5, 0.0, 0.0]]), 3))
+    @example(case=(_words([[0.5, 0.5, 0.0, 0.0]], [[0, 0, 0x7FF, 0x400]]), 3))
     def test_same_as_argsort(self, case):
-        x, k = case
-        before = x.copy()
-        got = resort._arrangements(x, k)
-        assert got.dtype == bool and np.array_equal(got, x.argsort(axis=1, kind="stable") < k)
-        assert np.array_equal(x, before)
+        w, k = case
+        expected = _doubles(w).argsort(axis=1, kind="stable") < k
+        got = resort._arrangements(w.copy(), k)
+        assert got.dtype == bool and np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("n", [1, 2, 11, 64])
+    def test_equal_doubles_from_words_differing_in_low_bits(self, n):
+        # One double throughout, low bits falling along the row: sorting the
+        # raw words would reverse the row, a stable argsort keeps it.
+        w = _words(np.full((1, n), 0.375), [np.arange(n)[::-1] * (0x7FF // max(n - 1, 1))])
+        assert len(set(_doubles(w).ravel().tolist())) == 1 and len(set(w.ravel().tolist())) == n
+        for k in range(n + 1):
+            assert resort._arrangements(w.copy(), k).tolist() == [(np.arange(n) < k).tolist()]
 
 
 class TestTrimToShortest:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings as hyp_settings, strategies as st
+from hypothesis import example, given, settings as hyp_settings, strategies as st
 
 import chshkit
 from chshkit import RngSpec
@@ -89,6 +89,16 @@ def test_derive_index_must_be_an_integer(index):
 def test_derive_accepts_numpy_integers():
     assert RngSpec(3).derive(np.int64(1)) == RngSpec(3).derive(1)
     assert RngSpec(3).derive(np.uint64(2**64 - 1)) == RngSpec(3).derive(-1)
+
+
+@hyp_settings(max_examples=200, deadline=None)
+@given(stream=U64, index=st.integers(-2**70, 2**70))
+@example(stream=0, index=-1)
+@example(stream=5, index=-2**70)
+@example(stream=5, index=2**64 - 1)
+def test_derive_index_is_reduced_mod_2_64(stream, index):
+    spec = RngSpec(3, stream)
+    assert spec.derive(index) == spec.derive(index + 2**64) == spec.derive(index % 2**64)
 
 
 def test_derived_spec_equals_a_constructed_one():

@@ -40,6 +40,7 @@ from helpers import (
     random_signs,
     reference_ingest_counterfactual,
     reference_ingest_subruns,
+    reference_qm_generate,
     reference_write_counterfactual_csv,
     reference_write_subrun_csv,
     traced_peak,
@@ -229,6 +230,98 @@ class TestQmGenerate:
         x = qm_generate(deg(0), deg(22.5), CorrelationLaw.PHOTON_MALUS, 100, RngSpec(10))
         y = qm_generate(deg(0), deg(22.5), CorrelationLaw.PHOTON_MALUS, 100, RngSpec(10))
         assert np.array_equal(x.a.values, y.a.values) and np.array_equal(x.b.values, y.b.values)
+
+
+class _Correlation:
+    """A law whose pair correlation is ``e`` at every pair of angles."""
+
+    def __init__(self, e: float) -> None:
+        self.e = e
+
+    def pair_correlation(self, alpha, beta) -> float:
+        return self.e
+
+
+class _Words:
+    """An rng whose generator's bit generator hands out ``arrays`` as its
+    raw words, one per ``random_raw`` call, and records each call's size."""
+
+    def __init__(self, *arrays) -> None:
+        self.arrays, self.sizes = list(arrays), []
+
+    def generator(self):
+        return SimpleNamespace(bit_generator=SimpleNamespace(random_raw=self._raw))
+
+    def _raw(self, size):
+        self.sizes.append(size)
+        return np.array(self.arrays.pop(0), dtype=np.uint64)
+
+
+_Q = PHOTON_OPTIMAL_QUAD
+# Agreement probabilities p = (1 + e) / 2 at their ends and in between: 0,
+# 1, 1 - 2**-53, 2**-54 (p is 0 or at least 2**-54, so this stands in for
+# 5e-324: ceil(p * 2**53) is 1 for both), 0.5 and the photon-optimal quad's
+# four pairs (p of 0.854 and 0.146).
+_LAWS = {
+    "p=0": (_Correlation(-1.0), deg(0), deg(0)),
+    "p=1": (_Correlation(1.0), deg(0), deg(0)),
+    "p=1-2**-53": (_Correlation(1.0 - 2.0**-52), deg(0), deg(0)),
+    "p=2**-54": (_Correlation(-1.0 + 2.0**-53), deg(0), deg(0)),
+    "p=0.5": (_Correlation(0.0), deg(0), deg(0)),
+    **{f"photon-{x}{y}": (CorrelationLaw.PHOTON_MALUS, getattr(_Q, x), getattr(_Q, y))
+       for x, y in ("ab", "ac", "db", "dc")},
+}
+
+
+def _p(case) -> float:
+    law, alpha, beta = case
+    return (1.0 + law.pair_correlation(alpha, beta)) / 2.0
+
+
+class TestQmGenerateReadsRawWords:
+    """qm_generate reads the Philox words that Generator.integers and
+    Generator.random would use and gives exactly their pairs."""
+
+    def test_laws_give_their_p(self):
+        assert [_p(case) for case in list(_LAWS.values())[:5]] == [0.0, 1.0, 1 - 2.0**-53, 2.0**-54, 0.5]
+
+    @pytest.mark.parametrize("name", list(_LAWS))
+    def test_same_pairs_as_integers_and_random(self, name):
+        law, alpha, beta = _LAWS[name]
+        # Every n mod 8, so the sign bytes end part-way through a word.
+        for n in [*range(1, 71), 1000, 100_003]:
+            got = qm_generate(alpha, beta, law, n, RngSpec(25, n))
+            s, t = reference_qm_generate(alpha, beta, law, n, RngSpec(25, n))
+            assert np.array_equal(got.a.values, s) and np.array_equal(got.b.values, t), n
+
+    @pytest.mark.parametrize("name", list(_LAWS))
+    def test_agreement_at_floor_and_ceil_of_p_scaled(self, name):
+        # Words whose top 53 bits are floor(p * 2**53) and ceil(p * 2**53),
+        # one either side, with the low 11 bits clear and set.
+        law, alpha, beta = _LAWS[name]
+        p = _p(_LAWS[name])
+        x = p * 2.0**53
+        tops = sorted({min(max(m, 0), 2**53 - 1)
+                       for m in (math.floor(x) - 1, math.floor(x), math.ceil(x), math.ceil(x) + 1)})
+        words = [top << 11 | low for top in tops for low in (0, 0x7FF)]
+        n = len(words)
+        rng = _Words([2**64 - 1] * -(-n // 8), words)  # every sign +1
+        got = qm_generate(alpha, beta, law, n, rng)
+        assert rng.sizes == [-(-n // 8), n]
+        agree = [(w >> 11) * 2.0**-53 < p for w in words]
+        assert got.a.values.tolist() == [1] * n
+        assert got.b.values.tolist() == [1 if a else -1 for a in agree]
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17])
+    def test_sign_is_the_top_bit_of_each_byte_in_little_endian_order(self, n):
+        # Bytes with only the top bit, with every bit but the top, and with
+        # only bit 6, in a pattern that differs between the halves of a word.
+        pattern = np.array([0x80, 0x7F, 0x40, 0xFF, 0x00, 0xC0, 0x3F, 0x81, 0x01, 0xBF], np.uint8)
+        data = np.resize(pattern, -(-n // 8) * 8)
+        rng = _Words(data.view("<u8").astype(np.uint64), [0] * n)
+        got = qm_generate(deg(0), deg(0), _Correlation(1.0), n, rng)  # p = 1: t = s
+        assert got.a.values.tolist() == [1 if b >= 0x80 else -1 for b in data[:n]]
+        assert np.array_equal(got.b.values, got.a.values)
 
 
 class TestGenerateSubruns:
