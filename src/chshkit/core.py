@@ -161,8 +161,8 @@ class SubRunPairs:
     """Ordered outcome pairs from one fixed-setting sub-run.
 
     The pairing within a trial is physical and immutable: any reordering
-    must move a pair as a unit, which is why permutations are applied to
-    both sides with a single index array (see ``resort``).
+    must move a pair as a unit, which is why ``resort`` moves each dragged
+    side through the class order of its aligned side.
     """
 
     a: OutcomeSequence

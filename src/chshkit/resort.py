@@ -21,10 +21,10 @@ ones coincide with probability 1/C(n, k).
 
 Re-sorting can never change the value of Gamma (each term's sum is
 permutation-invariant); what it changes is factorizability.  The
-cascade therefore reports the permutations, per-step feasibility
-(+1-count matches), the closure verdict with its Hamming distance
-(a step whose counts mismatch takes a maximum-agreement matching), and
-the factorized Gamma when every step was feasible.
+cascade therefore reports per-step feasibility (+1-count matches), the
+closure verdict with its Hamming distance (a step whose counts mismatch
+takes a maximum-agreement matching), and the factorized Gamma when
+every step was feasible.
 """
 
 from __future__ import annotations
@@ -83,16 +83,18 @@ _PIECE_DRAWS = 1 << 15
 
 
 def _class_matching(
-    target: np.ndarray, source: np.ndarray, g: np.random.Generator | None
+    target: np.ndarray, source: np.ndarray, drag: np.ndarray, g: np.random.Generator | None
 ) -> tuple[np.ndarray, int]:
-    """Permutation carrying source onto target, classwise, best effort.
+    """Move ``drag``, indexed like source, as source is carried onto target.
 
     +1 source positions fill +1 target slots and likewise for -1; when
     class sizes mismatch the leftovers are paired off across classes, so
     agreement is maximal (n - |count deficit|).  With ``g`` given, the
     within-class assignment is drawn uniformly; otherwise both sides are
     taken in ascending position order (the unique stable matching).
-    Returns it with the deficit, target's +1 count minus source's.
+    Slot i of the result holds drag's entry for the source trial that
+    lands at target slot i.  Returns it with the deficit, target's +1
+    count minus source's.
     """
     t_minus, s_minus = target != 1, source != 1
     t_plus = target.size - int(np.count_nonzero(t_minus))
@@ -110,28 +112,25 @@ def _class_matching(
         lo, hi = sorted((t_plus, s_plus))
         order = t_order if t_plus > s_plus else s_order
         order[lo:] = np.concatenate((order[hi:], order[lo:hi]))
-    perm = np.empty(target.size, dtype=np.int64)
-    perm[t_order] = s_order
-    return perm, t_plus - s_plus
+    moved = np.empty_like(drag)
+    moved[t_order] = drag[s_order]
+    return moved, t_plus - s_plus
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ResortReport:
     """Everything the cascade found.
 
     Step order is the cascade order: the re-sorted terms are ac, dc, db
-    (terms 2, 4, 3 of the four-term sum), and ``perms``,
-    ``count_deficits`` and ``feasible`` follow it.  Each permutation is a
-    read-only int64 array whose entry i says which source trial lands at
-    slot i; with arrays inside, reports do not compare with ``==``.  A
-    deficit is the target's +1-count minus the source's, and a step is
-    ``feasible`` (exactly alignable) when it is 0.  ``hamming_b`` compares
-    the ab list's b-side with the dragged-along b-side of the final step,
-    and the cascade reaches ``closure`` when it is 0.  ``gamma_resorted``
-    is the factorized evaluation and is None unless every step was feasible.
+    (terms 2, 4, 3 of the four-term sum), and ``count_deficits`` and
+    ``feasible`` follow it.  A deficit is the target's +1-count minus the
+    source's, and a step is ``feasible`` (exactly alignable) when it is
+    0.  ``hamming_b`` compares the ab list's b-side with the dragged-along
+    b-side of the final step, and the cascade reaches ``closure`` when it
+    is 0.  ``gamma_resorted`` is the factorized evaluation and is None
+    unless every step was feasible.
     """
 
-    perms: tuple[np.ndarray, np.ndarray, np.ndarray]
     count_deficits: tuple[int, int, int]
     hamming_b: int
     gamma_subruns: float
@@ -168,14 +167,11 @@ def resort_cascade(data: SubRunDataset, policy: ResortPolicy = STABLE) -> Resort
     # its a-side, dc on its c-side (to the dragged-along c), db on its
     # d-side (to the dragged-along d).  The dragged side, moved with its
     # pairs, is the next step's target.
-    target, perms, deficits, dragged = a1, [], [], []
+    target, deficits, dragged = a1, [], []
     for index, (aligned, drag) in enumerate((ac, dc[::-1], db)):
         g = None if policy.rng is None else policy.rng.derive(index).generator()
-        perm, deficit = _class_matching(target, aligned, g)
-        perm.setflags(write=False)
-        perms.append(perm)
+        target, deficit = _class_matching(target, aligned, drag, g)
         deficits.append(deficit)
-        target = drag[perm]
         dragged.append(target)
     c2, d4, b3 = dragged
 
@@ -184,7 +180,6 @@ def resort_cascade(data: SubRunDataset, policy: ResortPolicy = STABLE) -> Resort
         # Every step feasible: the factorized grouping <a1*(b1 + c2) + d4*(b3 - c2)>.
         factored = int((a1 * (b1 + c2) + d4 * (b3 - c2)).sum(dtype=np.int64)) / a1.size
     return ResortReport(
-        perms=tuple(perms),
         count_deficits=tuple(deficits),
         hamming_b=int(np.count_nonzero(b1 != b3)),
         gamma_subruns=gamma_plain,

@@ -246,9 +246,10 @@ def reference_ingest_counterfactual(text: str) -> list[list[int]]:
 
 # Reference cascade: the re-sorting cascade as the package ran it before
 # its single loop over int8 arrays, one step closure per term and every
-# intermediate list rebuilt as validated pairs.  Its class matching is
-# copied too, so a report it returns fixes the permutations, leftover
-# pairings and RNG draws the package must reproduce.
+# intermediate list rebuilt as validated pairs by an int64 permutation.
+# Its class matching is copied too, so the report and the permutations it
+# returns fix the leftover pairings and RNG draws the package must
+# reproduce.
 
 
 def _reference_class_matching(target, source, g):
@@ -278,7 +279,9 @@ def _reference_factored_gamma(a1, b1, c2, d4, b3):
     return (first + second) / n
 
 
-def reference_resort_cascade(data: SubRunDataset, policy: ResortPolicy = STABLE) -> ResortReport:
+def reference_resort_cascade(
+    data: SubRunDataset, policy: ResortPolicy = STABLE
+) -> tuple[ResortReport, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     counts = data.counts
     if len(set(counts)) != 1:
         raise ValueError(f"cascade requires equal sub-run lengths, got {counts}")
@@ -311,7 +314,6 @@ def reference_resort_cascade(data: SubRunDataset, policy: ResortPolicy = STABLE)
         _reference_factored_gamma(a1, b1, ac_rs.b, dc_rs.a, b3_rs) if all(feasible) else None
     )
     report = ResortReport(
-        perms=(perm2, perm4, perm3),
         count_deficits=(deficit2, deficit4, deficit3),
         hamming_b=hamming,
         gamma_subruns=gamma_plain,
@@ -320,7 +322,7 @@ def reference_resort_cascade(data: SubRunDataset, policy: ResortPolicy = STABLE)
     # The report derives both verdicts; they must agree with this
     # reference's own rules.
     assert report.feasible == feasible and report.closure == closure
-    return report
+    return report, (perm2, perm4, perm3)
 
 
 # Reference Monte-Carlo closure odds: the loop closure_probability ran
@@ -366,6 +368,34 @@ def reference_split_random(data: CounterfactualDataset, rng: RngSpec) -> list[tu
     a, d, b, c = (s.values for s in data.sequences)
     return [(x[assignment == code], y[assignment == code])
             for code, (x, y) in enumerate(((a, b), (a, c), (d, b), (d, c)))]
+
+
+# A launcher for spawn_peak_rss_mb.  A spawned child shares its parent's
+# memory until it execs, and the kernel counts the parent's peak as the
+# child's, so the launcher is a bare `python -S`, smaller than any command.
+_RSS_LAUNCHER = """\
+import os, sys
+with open(os.devnull, "wb") as devnull:
+    pid = os.posix_spawn(sys.argv[1], sys.argv[1:], os.environ,
+                         file_actions=[(os.POSIX_SPAWN_DUP2, devnull.fileno(), 1)])
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def spawn_peak_rss_mb(argv: list[str]) -> float:
+    """Peak RSS in MB (2**20 bytes) of ``argv`` run to completion, its stdout discarded.
+
+    ``argv[0]`` is the program's path.  The figure is the ``ru_maxrss``
+    that ``os.wait4`` returns for the child (Linux counts it in KiB).
+    Raises ``subprocess.CalledProcessError`` if the command fails.
+    """
+    launched = subprocess.run([sys.executable, "-S", "-c", _RSS_LAUNCHER, *argv],
+                              capture_output=True, text=True, check=True)
+    code, kib = map(int, launched.stdout.split())
+    if code != 0:
+        raise subprocess.CalledProcessError(code, argv, stderr=launched.stderr)
+    return kib / 1024
 
 
 def traced_peak(call, *args) -> int:

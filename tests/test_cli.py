@@ -25,6 +25,7 @@ from helpers import (
     just_above_two_dataset,
     random_counterfactual,
     shared_run_dataset,
+    spawn_peak_rss_mb,
 )
 
 
@@ -681,3 +682,20 @@ class TestEntryPoint:
         config = tomllib.loads(pyproject.read_text())
         assert "version" not in config["project"] and config["project"]["dynamic"] == ["version"]
         assert config["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "chshkit.__version__"}
+
+
+class TestSpawnPeakRss:
+    """CI reports a command's peak RSS through ``spawn_peak_rss_mb``."""
+
+    def test_reads_the_command_not_its_caller(self):
+        # This process holds numpy and the suite, several times a bare
+        # interpreter's peak; a spawned child must not inherit that figure.
+        bare = spawn_peak_rss_mb([sys.executable, "-S", "-c", "pass"])
+        holding = spawn_peak_rss_mb([sys.executable, "-S", "-c", "x = b'x' * (64 << 20)"])
+        assert 0 < bare < 30
+        assert 60 < holding - bare < 80
+
+    def test_a_failing_command_raises(self):
+        with pytest.raises(subprocess.CalledProcessError) as failed:
+            spawn_peak_rss_mb([sys.executable, "-S", "-c", "import sys; sys.exit('no')"])
+        assert failed.value.returncode == 1 and "no" in failed.value.stderr

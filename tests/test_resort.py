@@ -1,5 +1,6 @@
 """Re-sorting cascade, its permutations, closure odds."""
 
+import collections
 import dataclasses
 import itertools
 import json
@@ -36,6 +37,7 @@ from helpers import (
     reference_resort_cascade,
     seq,
     shared_run_dataset,
+    traced_peak,
 )
 
 
@@ -62,6 +64,26 @@ class TestResortPolicy:
         assert ResortPolicy(RngSpec(1)) == ResortPolicy.uniform_random(RngSpec(1)) != STABLE
 
 
+def cascade_steps(data: SubRunDataset, policy: ResortPolicy = STABLE):
+    """The cascade's steps as ``resort_cascade`` runs them, in cascade order.
+
+    Each step is (aligned side, dragged side, permutation, moved side).
+    The permutation is ``np.arange(n)`` dragged through the step's class
+    matching, so entry i says which source trial lands at slot i; both
+    drags of a step draw from generators derived alike, so they share
+    their shuffles.
+    """
+    (a1, _), ac, db, dc = [(p.a.values, p.b.values) for p in data.lists]
+    target, steps = a1, []
+    for index, (aligned, drag) in enumerate((ac, dc[::-1], db)):
+        def g():
+            return None if policy.rng is None else policy.rng.derive(index).generator()
+        perm, _ = resort._class_matching(target, aligned, np.arange(target.size), g())
+        target, _ = resort._class_matching(target, aligned, drag, g())
+        steps.append((aligned, drag, perm, target))
+    return steps
+
+
 def first_step(target: OutcomeSequence, source: OutcomeSequence, policy: ResortPolicy = STABLE):
     """The cascade's first step re-sorts the ac list's a-side onto the ab list's.
 
@@ -71,7 +93,7 @@ def first_step(target: OutcomeSequence, source: OutcomeSequence, policy: ResortP
     data = SubRunDataset(ab=pairs(target.values, [1] * n), ac=pairs(source.values, [1] * m),
                          db=pairs([1] * n, [1] * n), dc=pairs([1] * n, [1] * n))
     report = resort_cascade(data, policy)
-    return report.perms[0], report.feasible[0]
+    return cascade_steps(data, policy)[0][2], report.feasible[0]
 
 
 class TestAlignPermutation:
@@ -118,6 +140,22 @@ class TestAlignPermutation:
         }
         assert len(perms) > 1
 
+    def test_uniform_policy_draws_bijections_uniformly(self):
+        # (+1, +1, +1, -1, -1) onto itself has 3! * 2! = 12 within-class
+        # bijections, each to be drawn with odds 1/12.  The seeds are fixed,
+        # so the chi-square statistic (11 degrees of freedom) is too; the
+        # bound sits at odds of about 4e-5 for an unbiased draw.
+        target = source = seq(1, 1, 1, -1, -1)
+        seeds = 1_200
+        counts = collections.Counter(
+            tuple(first_step(target, source, ResortPolicy.uniform_random(RngSpec(s)))[0].tolist())
+            for s in range(seeds)
+        )
+        assert len(counts) == 12
+        assert all(sorted(perm[:3]) == [0, 1, 2] for perm in counts)
+        expected = seeds / 12
+        assert sum((c - expected) ** 2 / expected for c in counts.values()) < 40
+
     @given(st.lists(st.sampled_from((1, -1)), min_size=1, max_size=24), st.integers(0, 2**16))
     @hyp_settings(max_examples=80, deadline=None)
     def test_alignment_contract(self, values, s):
@@ -138,7 +176,9 @@ class TestResortCascade:
         data = identical_copies_dataset(16, rng_seed=1)
         report = resort_cascade(data)
         assert report.feasible == (True, True, True)
-        assert all(np.array_equal(p, np.arange(16)) for p in report.perms)
+        for _, drag, perm, moved in cascade_steps(data):
+            assert np.array_equal(perm, np.arange(16))
+            assert np.array_equal(moved, drag)
         assert report.closure is True
         assert report.hamming_b == 0
         assert report.count_deficits == (0, 0, 0)
@@ -180,10 +220,9 @@ class TestResortCascade:
             128,
             RngSpec(3),
         )
-        report = resort_cascade(data)
-        for perm, plist in zip(report.perms, (data.ac, data.dc, data.db)):
-            moved = pairs(plist.a.values[perm], plist.b.values[perm])  # pairs move as units
-            assert moved.product_sum() == plist.product_sum()
+        for aligned, drag, perm, moved in cascade_steps(data):
+            moved_pairs = pairs(aligned[perm], moved)  # pairs move as units
+            assert moved_pairs.product_sum() == pairs(aligned, drag).product_sum()
 
     def test_value_invariance_on_feasible_data(self):
         for s in range(200):
@@ -200,22 +239,43 @@ class TestResortCascade:
         policy = ResortPolicy.uniform_random(RngSpec(9))
         r1 = resort_cascade(data, policy)
         r2 = resort_cascade(data, policy)
-        assert all(np.array_equal(p, q) for p, q in zip(r1.perms, r2.perms))
+        assert r1 == r2
+        steps1, steps2 = cascade_steps(data, policy), cascade_steps(data, policy)
+        assert all(np.array_equal(p[2], q[2]) for p, q in zip(steps1, steps2, strict=True))
         assert _report_dict(r1) == _report_dict(r2)
 
     @pytest.mark.parametrize("policy", [STABLE, ResortPolicy.uniform_random(RngSpec(3))],
                              ids=["stable", "uniform-random"])
-    def test_perms_are_read_only_int64_bijections(self, policy):
+    def test_steps_move_whole_pairs(self, policy):
+        # Each step's (aligned, moved) pairs are the list's own pairs: an
+        # int64 bijection moves them, so every (aligned, dragged) class
+        # keeps its count.  The last moved side is the b-side the closure
+        # verdict reads.
         quad = SettingsQuad.from_degrees(0, 45, 22.5, -22.5)
         independent = generate_subruns(quad, CorrelationLaw.PHOTON_MALUS, 50, RngSpec(2))
         for data in (independent, feasible_dataset(RngSpec(5), 50)):
             report = resort_cascade(data, policy)
-            assert len(report.perms) == 3
-            for perm in report.perms:
+            steps = cascade_steps(data, policy)
+            assert len(steps) == 3
+            for aligned, drag, perm, moved in steps:
                 assert perm.dtype == np.int64 and perm.shape == (50,)
                 assert np.array_equal(np.bincount(perm, minlength=50), np.ones(50))
-                with pytest.raises(ValueError, match="read-only"):
-                    perm[0] = 0
+                assert moved.dtype == drag.dtype and np.array_equal(moved, drag[perm])
+                classes = [np.bincount((x > 0) * 2 + (y > 0), minlength=4)
+                           for x, y in ((aligned[perm], moved), (aligned, drag))]
+                assert np.array_equal(*classes)
+            assert report.hamming_b == np.count_nonzero(data.ab.b.values != steps[-1][3])
+
+    @pytest.mark.parametrize("policy", [STABLE, ResortPolicy.uniform_random(RngSpec(3))],
+                             ids=["stable", "uniform-random"])
+    def test_working_set_is_bounded(self, policy):
+        # Independent lists of 10^6 trials, 2 MB each, where most steps
+        # take the surplus rotation.  A step's two int64 class orders cost
+        # 16 bytes a trial (a 24 MB peak); keeping three int64
+        # permutations, 24 bytes a trial more, crosses the bound.
+        quad = SettingsQuad.from_degrees(0, 45, 22.5, -22.5)
+        data = generate_subruns(quad, CorrelationLaw.PHOTON_MALUS, 10**6, RngSpec(8))
+        assert traced_peak(resort_cascade, data, policy) < 32_000_000
 
     def test_closure_implies_zero_hamming(self):
         for s in range(60):
@@ -244,9 +304,8 @@ class TestResortCascade:
 
 
 def hand_report(count_deficits, hamming_b) -> ResortReport:
-    perm = np.arange(4)
-    return ResortReport(perms=(perm, perm, perm), count_deficits=count_deficits,
-                        hamming_b=hamming_b, gamma_subruns=0.0, gamma_resorted=None)
+    return ResortReport(count_deficits=count_deficits, hamming_b=hamming_b,
+                        gamma_subruns=0.0, gamma_resorted=None)
 
 
 class TestDerivedVerdicts:
@@ -254,7 +313,7 @@ class TestDerivedVerdicts:
 
     def test_report_stores_measurements_only(self):
         assert [f.name for f in dataclasses.fields(ResortReport)] == [
-            "perms", "count_deficits", "hamming_b", "gamma_subruns", "gamma_resorted"
+            "count_deficits", "hamming_b", "gamma_subruns", "gamma_resorted"
         ]
 
     def test_a_deficit_and_a_distance_fail(self):
@@ -294,12 +353,11 @@ class TestCascadeMatchesReference:
     @hyp_settings(max_examples=300, deadline=None)
     def test_every_report_field_matches(self, data, policy):
         got = resort_cascade(data, policy)
-        want = reference_resort_cascade(data, policy)
-        for step, (p, q) in enumerate(zip(got.perms, want.perms, strict=True)):
-            assert np.array_equal(p, q), step
+        want, want_perms = reference_resort_cascade(data, policy)
+        for step, (p, q) in enumerate(zip(cascade_steps(data, policy), want_perms, strict=True)):
+            assert np.array_equal(p[2], q), step
         for field in dataclasses.fields(ResortReport):
-            if field.name != "perms":
-                assert getattr(got, field.name) == getattr(want, field.name), field.name
+            assert getattr(got, field.name) == getattr(want, field.name), field.name
         assert got.feasible == want.feasible
         assert got.closure == want.closure
         assert json.dumps(_report_dict(got)) == json.dumps(_report_dict(want))
@@ -319,21 +377,26 @@ def matching_cases(draw):
 
 
 class TestClassMatching:
-    """The cascade trusts ``_class_matching`` to return bijections."""
+    """The cascade trusts ``_class_matching`` to move its drag by a bijection."""
 
     @given(matching_cases(), st.one_of(st.none(), st.integers(0, 2**64 - 1)))
     @hyp_settings(max_examples=200, deadline=None)
     def test_bijection_deficit_and_alignment(self, case, seed):
         target, source = case
-        g = None if seed is None else RngSpec(seed).generator()
-        perm, deficit = resort._class_matching(target, source, g)
+
+        def g():
+            return None if seed is None else RngSpec(seed).generator()
+        perm, deficit = resort._class_matching(target, source, np.arange(target.size), g())
         assert perm.dtype == np.int64
         assert np.array_equal(np.bincount(perm, minlength=target.size), np.ones(target.size))
         assert deficit == np.count_nonzero(target == 1) - np.count_nonzero(source == 1)
-        agree = np.count_nonzero(source[perm] == target)
+        moved, again = resort._class_matching(target, source, source, g())
+        assert again == deficit
+        assert moved.dtype == np.int8 and np.array_equal(moved, source[perm])
+        agree = np.count_nonzero(moved == target)
         assert agree == target.size - abs(deficit)
         if deficit == 0:
-            assert np.array_equal(source[perm], target)
+            assert np.array_equal(moved, target)
 
 
 class TestGammaResorted:
