@@ -111,6 +111,17 @@ class TestAlignPermutation:
         assert perm.tolist() == [0, 2, 1]
         assert seq(1, 1, -1).values[perm].tolist() == [1, -1, 1]
 
+    def test_stable_matching_with_a_count_mismatch(self):
+        # Each class matches in position order, and the bigger class's last
+        # members (its surplus) take the other side's last leftovers:
+        # target +1 slots (0, 1, 3) take the source's +1 at 1, then its
+        # leftover -1s at 2 and 3; target -1 slot 2 takes its first -1.
+        perm, feasible = first_step(seq(1, 1, -1, 1), seq(-1, 1, -1, -1))
+        assert not feasible and perm.tolist() == [1, 2, 0, 3]
+        # The source's surplus +1s (1, 3) fill the target's last -1 slots.
+        perm, feasible = first_step(seq(-1, 1, -1, -1), seq(1, 1, -1, 1))
+        assert not feasible and perm.tolist() == [2, 0, 1, 3]
+
     def test_count_mismatch_is_infeasible_not_error(self):
         _, feasible = first_step(seq(1, 1), seq(1, -1))
         assert feasible is False
@@ -397,6 +408,8 @@ class TestClassMatching:
         assert agree == target.size - abs(deficit)
         if deficit == 0:
             assert np.array_equal(moved, target)
+            if seed is None:  # stable: each class keeps its position order
+                assert all(np.all(np.diff(perm[target == v]) > 0) for v in (1, -1))
 
 
 class TestGammaResorted:
