@@ -36,7 +36,7 @@ import numpy as np
 
 from .core import OutcomeSequence, SubRunDataset, SubRunPairs, _is_count
 from .estimators import gamma_subruns
-from .rng import RngSpec
+from .rng import RngSpec, _DRAW_BLOCK
 
 __all__ = [
     "ResortPolicy",
@@ -72,14 +72,6 @@ class ResortPolicy:
 
 
 STABLE = ResortPolicy()
-
-# Uniform draws per piece of a Monte-Carlo chunk: while n <= 2**15 a
-# piece is one array of raw 64-bit words, tagged and sorted in place
-# (256 KiB), so the working set is that plus one chunk's side-1 rows as
-# bools (1 MB), whatever ``trials`` is: a 1.4 MB peak at n = 10.  2**14
-# to 2**16 were about equally fast; 2**17 and up were slower and raised
-# the peak (2.3 MB at 2**17).
-_PIECE_DRAWS = 1 << 15
 
 
 def _class_matching(
@@ -246,12 +238,12 @@ def closure_probability(
     record = np.dtype((np.void, n))  # a row of n bools compared as one value
 
     # Each chunk draws all of side 1, then all of side 2, a piece of
-    # ``rows`` rows at a time.  Philox words come in order, one per
-    # double of ``Generator.random``, so the pieces hold the words one
-    # (m, n) draw of doubles would use, and a seed's estimate depends on
-    # the chunk size but not on the piece size.
+    # ``rows`` rows (a draw block of words, or one row) at a time.  Philox
+    # words come in order, one per double of ``Generator.random``, so the
+    # pieces hold the words one (m, n) draw of doubles would use: a seed's
+    # estimate depends on the chunk size but not on the piece size.
     chunk = max(1, 1_000_000 // n)
-    rows = max(1, _PIECE_DRAWS // n)
+    rows = max(1, _DRAW_BLOCK // n)
     ones_1 = np.empty((min(chunk, trials), n), dtype=bool)
     hits = 0
     for done in range(0, trials, chunk):

@@ -19,8 +19,9 @@ __all__ = ["RngSpec"]
 
 _MASK64 = (1 << 64) - 1
 
-# Draws per block where a large array is filled in blocks (512 KiB of 8-byte values).
-_DRAW_BLOCK = 1 << 16
+# Draws per block where a large array is filled in blocks, and per piece of a
+# Monte-Carlo chunk (256 KiB of words): there 2**14 was slower, 2**16 held more.
+_DRAW_BLOCK = 1 << 15
 
 # Defined by the first _key_sequence call.  Its base class lives in
 # numpy.random, which `import chshkit` must not load: that costs a CLI

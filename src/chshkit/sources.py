@@ -110,7 +110,7 @@ def lhv_generate(
     the shared lambda.  All four sequences come from the same lambda
     array -- this sharing is what makes the dataset counterfactual.
     ``response`` must act elementwise: it is called once per block of at
-    most 2**16 lambdas, and each result is checked like any caller data.
+    most 2**15 lambdas, and each result is checked like any caller data.
     """
     if not _is_count(n) or n < 1:
         raise ValueError(f"trial count must be an integer >= 1, got {n}")
@@ -299,13 +299,13 @@ def _header(blocks: Iterator[bytes]) -> tuple[list[str], Iterator[bytes]]:
 def _fixed_lines(block: bytes, positions: list[int], n_fields: int) -> tuple | None:
     """The block's rows (see :func:`_columns`) by byte columns, if it is equal lines; else None.
 
-    Every line must have the first line's length and its commas and line
-    break in the same columns, and be ASCII, with no CR and no field over
-    7 bytes or ``csv.field_size_limit()``.  Such a line reads the same
-    split by byte columns as split at its delimiters.
+    Every line of the block, which is ASCII with no quote, must have the
+    first line's length and its commas and line break in the same columns,
+    with no CR and no field over 7 bytes or ``csv.field_size_limit()``.
+    Such a line reads the same split by byte columns as at its delimiters.
     """
     line = block.find(b"\n") + 1
-    if line < 2 or len(block) % line or b"\r" in block or not block.isascii():
+    if line < 2 or len(block) % line or b"\r" in block:
         return None
     count = len(block) // line
     buf = np.frombuffer(block + bytes(8), np.uint8)
@@ -320,15 +320,16 @@ def _fixed_lines(block: bytes, positions: list[int], n_fields: int) -> tuple | N
     ):
         return None
     if len(cuts) != n_fields:
-        return count, 0, []  # no row to read a column of
+        return 0, [], "wrong number of fields"  # no row to read a column of
     starts, cuts = starts.tolist(), cuts.tolist()
-    return count, count, [_FixedColumn(buf, line, starts[k], cuts[k], count) for k in positions]
+    return count, [_FixedColumn(buf, line, starts[k], cuts[k], count) for k in positions], None
 
 
 def _columns(buf, starts, ends, first, width, positions: list[int], n_fields: int) -> tuple:
-    """Rows of fields as ``(rows, stop, columns)``: the count of rows, blank
-    lines skipped; the first without ``n_fields`` fields; and the fields at
-    ``positions`` of the rows before it.
+    """Rows of fields as ``(stop, columns, failure)``: the count of rows up
+    to the first without ``n_fields`` fields, blank lines skipped; the
+    fields at ``positions`` of those rows; and the failure of the row
+    after them, or None if there is none.
 
     Field ``i`` is ``buf[starts[i]:ends[i]]``, laid out as for
     :class:`_Column`; row ``r`` has ``width[r]`` fields from field
@@ -338,18 +339,16 @@ def _columns(buf, starts, ends, first, width, positions: list[int], n_fields: in
     first = first[nonblank]
     wrong = np.flatnonzero(width[nonblank] != n_fields)
     stop = int(wrong[0]) if len(wrong) else len(first)
-    fields = [first[:stop] + k for k in positions]
-    return len(first), stop, [_Column(buf, starts[i], ends[i]) for i in fields]
+    columns = [_Column(buf, starts[i], ends[i]) for i in (first[:stop] + k for k in positions)]
+    return stop, columns, "wrong number of fields" if len(wrong) else None
 
 
 def _split_block(block: bytes, positions: list[int], n_fields: int) -> tuple | None:
-    """Split a block that holds no quote at every comma and line break.
+    """Split an ASCII block that holds no quote at every comma and line break.
 
-    This is what csv.reader does with ASCII text whose fields are within
-    ``csv.field_size_limit()``.  Any other block gives None.
+    This is what csv.reader does with such a block whose fields are within
+    ``csv.field_size_limit()``.  A field over it gives None.
     """
-    if not block.isascii():
-        return None
     if not block.endswith((b"\n", b"\r")):
         block += b"\n"
     buf = np.frombuffer(block + bytes(8), np.uint8)
@@ -371,7 +370,8 @@ def _csv_fields(blocks: Iterator[bytes], positions: list[int], n_fields: int) ->
     each further block that a record still open at a block's end runs into.
 
     A quoted field may span lines and blocks.  A line that is not UTF-8,
-    or a csv error, ends the batch with the message for its row.
+    or a csv error, ends the batch: it is the failure of the row after
+    the rows read, unless one of those has the wrong field count.
     """
     totals: list[int] = []  # lines handed to the reader up to each block's end
 
@@ -384,7 +384,7 @@ def _csv_fields(blocks: Iterator[bytes], positions: list[int], n_fields: int) ->
 
     reader = csv.reader(lines())
     rows: list[list[str]] = []
-    error = None
+    error = None  # the csv.reader failure that ends the batch
     try:
         for row in reader:
             rows.append(row)
@@ -399,12 +399,13 @@ def _csv_fields(blocks: Iterator[bytes], positions: list[int], n_fields: int) ->
     ends = np.cumsum(lengths + 1) - 1
     width = np.fromiter(map(len, rows), np.intp, len(rows))
     buf = np.frombuffer(b"".join(cell + b"," for cell in cells) + bytes(8), np.uint8)
-    return *_columns(buf, ends - lengths, ends, np.cumsum(width) - width, width, positions, n_fields), error
+    first = np.cumsum(width) - width
+    stop, columns, failure = _columns(buf, ends - lengths, ends, first, width, positions, n_fields)
+    return stop, columns, failure or error
 
 
 def _tokenize(blocks: Iterator[bytes], positions: list[int], n_fields: int) -> Iterator[tuple]:
-    """Each block's data rows, as :func:`_columns` gives them with the error
-    that ends the input or None.
+    """Each block's data rows, as :func:`_columns` gives them.
 
     A block of equal lines is read by byte columns, any other split at its
     delimiters.  Quoted fields cannot be split by byte (``a"b`` is a
@@ -415,10 +416,10 @@ def _tokenize(blocks: Iterator[bytes], positions: list[int], n_fields: int) -> I
     bulk again.
     """
     for block in blocks:
-        if b'"' not in block:
+        if b'"' not in block and block.isascii():
             rows = _fixed_lines(block, positions, n_fields) or _split_block(block, positions, n_fields)
             if rows is not None:
-                yield *rows, None
+                yield rows
                 continue
         yield _csv_fields(itertools.chain([block], blocks), positions, n_fields)
 
@@ -555,8 +556,7 @@ def _ingest(source, kind: str | None) -> tuple[str, list[np.ndarray]]:
         tables = {name: _Table(name, rule) for name, rule in rules.items() if rule is not _parse_index}
         parts = {name: bytearray() for name in tables}
         done = 0
-        for rows, stop, columns, error in _tokenize(blocks, positions, len(header)):
-            failure = "wrong number of fields"
+        for stop, columns, failure in _tokenize(blocks, positions, len(header)):
             codes = {}
             for (name, rule), column in zip(rules.items(), columns):
                 if name in tables:
@@ -573,13 +573,11 @@ def _ingest(source, kind: str | None) -> tuple[str, list[np.ndarray]]:
                         break
                     if found is not None:  # a trial index keeps no code
                         found[i] = code
-            if stop < rows:
+            if failure:
                 raise CsvFormatError(f"{failure} at row {done + stop + 1}")
             for name in tables:
                 parts[name].extend(codes[name])
-            done += rows
-            if error:
-                raise CsvFormatError(f"{error} at row {done + 1}")
+            done += stop
     if done == 0:
         raise CsvFormatError("no trials")
     return kind, [np.frombuffer(parts[name], np.int8) for name in tables]

@@ -24,6 +24,7 @@ from chshkit import (
     termwise_bound_check,
     theory_gamma,
 )
+from chshkit.rng import _DRAW_BLOCK
 from helpers import (
     exact_two_dataset,
     pairs,
@@ -245,9 +246,11 @@ class TestSplitRandom:
         data = lhv_generate(SIGN_MALUS, PHOTON_OPTIMAL_QUAD, 100, RngSpec(11))
         assert split_random(data, RngSpec(12)).settings is PHOTON_OPTIMAL_QUAD
 
-    @pytest.mark.parametrize("n", [4, 65_535, 65_536, 65_537, 1_000_003])
+    B = _DRAW_BLOCK
+
+    @pytest.mark.parametrize("n", [4, B - 1, B, B + 1, 2 * B - 1, 2 * B, 2 * B + 1, 1_000_003])
     def test_same_lists_as_drawing_the_assignment_whole(self, n):
-        # Block edges at 2**16: the draws are blocked, the stream is not.
+        # Edges of the first two draw blocks: the draws are blocked, the stream is not.
         data = random_counterfactual(RngSpec(13), n)
         got = split_random(data, RngSpec(n))
         for plist, (a, b) in zip(got.lists, reference_split_random(data, RngSpec(n))):

@@ -28,6 +28,7 @@ from chshkit import (
     trim_to_shortest,
 )
 from chshkit import resort
+from chshkit.rng import _DRAW_BLOCK
 from chshkit.cli import _report_dict
 from helpers import (
     feasible_dataset,
@@ -596,7 +597,7 @@ def monte_carlo_cases(draw):
     n = draw(st.integers(0, 40))
     k = draw(st.integers(0, n))
     chunk = max(1, 1_000_000 // max(n, 1))
-    rows = max(1, resort._PIECE_DRAWS // max(n, 1))
+    rows = max(1, _DRAW_BLOCK // max(n, 1))
     whole = draw(st.integers(1, 2))
     pieces = draw(st.integers(0, chunk // rows - 1))
     return n, k, whole * chunk + pieces * rows + draw(st.integers(1, rows - 1))

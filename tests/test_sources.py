@@ -33,6 +33,7 @@ from chshkit import (
     write_subrun_csv,
 )
 from chshkit import sources
+from chshkit.rng import _DRAW_BLOCK
 from helpers import (
     lhv_malus_correlation,
     pairs,
@@ -167,7 +168,9 @@ class TestLhvGenerate:
         for s in (data.a_seq, data.d_seq, data.b_seq, data.c_seq):
             assert abs(float(np.mean(s.values, dtype=np.float64))) < 0.02
 
-    @pytest.mark.parametrize("n", [1, 65_536, 65_537, 1_000_000, 1_000_003])
+    B = _DRAW_BLOCK
+
+    @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B, 2 * B + 1, 1_000_000, 1_000_003])
     def test_same_outcomes_as_drawing_lambda_whole(self, n):
         # lambda is drawn a block at a time; an elementwise response gives
         # the outcomes one draw of all n lambdas gives, past every block edge.
@@ -512,6 +515,34 @@ class TestSubrunCsv:
         assert read == blocks[:1]
         assert got == reference_ingest_subruns(text)
 
+    @pytest.mark.parametrize("block_bytes", [7, 64, sources._BLOCK_BYTES])
+    @pytest.mark.parametrize(
+        "rows, bad_row",
+        [
+            (['"ab",+1,-1', "ac,+1", "db,{big},+1"], 2),  # too few fields, then a field over the limit
+            (['"ab",+1,+2', "ac,+1", "db,{big},+1"], 1),  # and a bad outcome before both
+            (['"ab",+1,-1', "ac,+1,-1", "db,{big},+1"], 3),  # the field over the limit alone
+        ],
+    )
+    def test_csv_reader_batch_names_its_first_bad_row(self, block_bytes, rows, bad_row):
+        # A limit this low puts all three rows in one block of the default size.
+        limit = csv.field_size_limit(40)
+        try:
+            text = "\n".join([SUBRUN_HEADER, *rows]).replace("{big}", "1" * 41) + "\n"
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(sources, "_BLOCK_BYTES", block_bytes)
+                blocks = _data_blocks(text.encode())
+                got = _columns_or_error(_subrun_columns, text)
+            try:
+                expected = _columns_or_error(reference_ingest_subruns, text)
+            except csv.Error as exc:  # csv.reader's own error carries no row number
+                expected = f"{exc} at row {bad_row}"
+        finally:
+            csv.field_size_limit(limit)
+        assert (len(blocks) == 1) is (block_bytes == sources._BLOCK_BYTES)
+        assert got == expected
+        assert got.endswith(f" at row {bad_row}")
+
     def test_csv_reader_reads_on_while_a_record_spans_blocks(self):
         # The quoted outcome holds a line break at the first block's end.
         blocks = [b'ab,+1,-1\nac,"+1\n', b'",-1\ndb,+1,+1\n', b"dc,-1,-1\n" * 3, b"ab,+1,+1\n"]
@@ -855,7 +886,6 @@ class TestFixedLayoutBlocks:
             (b"ab,+1,-1\na,,+1,-1\n", False),  # a comma in a field's column
             (b"ab,+1,-1\nab,+1\n-1\n", False),  # a line break for a comma
             (b"ab,+1,-1\nab,+1,\r1\n", False),
-            ("ab,+1,-1\nab,\xe9,-1\n".encode(), False),  # same bytes, not ASCII
             (b"\n\n", False),  # blank lines
             (b"ab,+1,-1\nab,+1,-1", False),  # no final line break
             (b"abcdefgh,+1,-1\n" * 2, False),  # a field over 7 bytes
@@ -863,6 +893,14 @@ class TestFixedLayoutBlocks:
     )
     def test_only_equal_lines_are_fixed(self, block, fixed):
         assert (sources._fixed_lines(block, *SUBRUN_LAYOUT) is not None) is fixed
+
+    def test_non_ascii_block_goes_to_csv_reader(self):
+        block = "ab,+1,-1\nab,\xe9,-1\n".encode()  # equal lines with no quote, but not ASCII
+        with pytest.MonkeyPatch.context() as mp:
+            read = TestSubrunCsv._counting_csv_fields(mp)
+            (stop, columns, failure), = sources._tokenize(iter([block]), *SUBRUN_LAYOUT)
+        assert read == [block]
+        assert (stop, failure, columns[1].text(1)) == (2, None, "\xe9")
 
     def test_field_over_the_csv_limit_is_not_fixed(self):
         limit = csv.field_size_limit(1)
@@ -924,9 +962,9 @@ class TestFixedLayoutBlocks:
             blocks = _data_blocks(text.encode())
             got = _columns_or_error(_counterfactual_columns, text)
         assert blocks[0] == (good * 4).encode() and blocks[1].startswith(empty.encode())
-        rows, stop, columns = sources._fixed_lines(blocks[1], *CF_LAYOUT)
-        assert columns[0].start == columns[0].end
-        assert columns[0].not_plain_digits().tolist() == list(range(rows))
+        stop, columns, failure = sources._fixed_lines(blocks[1], *CF_LAYOUT)
+        assert columns[0].start == columns[0].end and failure is None
+        assert columns[0].not_plain_digits().tolist() == list(range(stop))
         assert got == _columns_or_error(reference_ingest_counterfactual, text)
         assert got == "invalid trial index '' at row 5"
 
@@ -944,8 +982,8 @@ OUTCOME_SPELLINGS = ["+1", "-1", "1", "01", "+01", "-01", " 1", "1 ", " -1", "0_
 
 def _column(texts: list[str]) -> sources._Column:
     """The first column of rows ``text,``, as a block of them is split."""
-    rows, stop, columns = sources._split_block("".join(f"{t},\n" for t in texts).encode(), [0], 2)
-    assert rows == stop == len(texts)
+    stop, columns, failure = sources._split_block("".join(f"{t},\n" for t in texts).encode(), [0], 2)
+    assert stop == len(texts) and failure is None
     return columns[0]
 
 
@@ -1172,8 +1210,9 @@ class TestWriterWorkingSet:
 class TestGenerateWorkingSet:
     def test_lhv_generate_of_a_million_trials(self):
         # Its four int8 sequences hold 4 MB; with one block of lambda it
-        # peaks at 6.0 MB.  Drawing all lambda at once peaked at 27.0 MB.
-        assert traced_peak(lhv_generate, SIGN_MALUS, PHOTON_OPTIMAL_QUAD, 1_000_000, RngSpec(35)) <= 7_000_000
+        # peaks at 5.0 MB (6.0 MB with blocks of 2**16).  Drawing all lambda
+        # at once peaked at 27.0 MB.
+        assert traced_peak(lhv_generate, SIGN_MALUS, PHOTON_OPTIMAL_QUAD, 1_000_000, RngSpec(35)) <= 6_000_000
 
 
 class TestIngestWorkingSet:
