@@ -27,7 +27,6 @@ import io
 import itertools
 import math
 import os
-import re
 from contextlib import contextmanager
 from enum import Enum
 from pathlib import Path
@@ -191,20 +190,29 @@ def _reader(source) -> Iterator[Callable[[int], bytes]]:
 
 
 def _blocks(read: Callable[[int], bytes]) -> Iterator[bytes]:
-    """The input in blocks that end after their last line break.
+    """The input's first line, which holds the header, as a block of its
+    own; then blocks that end after their last line break.
 
     Only the last block may lack one.  A line longer than a read is
-    gathered over several reads.
+    gathered over several reads.  A UTF-8 byte-order mark that starts the
+    first read is UTF-8's signature, not text, and is dropped.
     """
     pieces: list[bytes] = []
-    while chunk := read(_BLOCK_BYTES):
-        cut = max(chunk.rfind(b"\n"), chunk.rfind(b"\r")) + 1
-        if cut == 0:  # no line break in this window
-            pieces.append(chunk)
-            continue
-        pieces.append(chunk[:cut])
-        yield b"".join(pieces)
-        pieces = [chunk[cut:]]
+    chunk, first = read(_BLOCK_BYTES).removeprefix(b"\xef\xbb\xbf"), True
+    while chunk:
+        if first:  # cut after the first LF or CR
+            lf, cr = chunk.find(b"\n"), chunk.find(b"\r")
+            cut = (lf if cr < 0 or 0 <= lf < cr else cr) + 1
+        else:
+            cut = max(chunk.rfind(b"\n"), chunk.rfind(b"\r")) + 1
+        if cut:
+            yield b"".join([*pieces, chunk[:cut]])
+            pieces, chunk = [], chunk[cut:]
+            if first:  # the rest of this read is cut at its last line break
+                chunk, first = chunk or read(_BLOCK_BYTES), False
+                continue
+        pieces.append(chunk)
+        chunk = read(_BLOCK_BYTES)
     if rest := b"".join(pieces):
         yield rest
 
@@ -266,34 +274,6 @@ class _FixedColumn(NamedTuple):
         lines = self.buf[: self.count * self.line].reshape(self.count, self.line)
         field = lines[:, self.start : self.end]
         return np.flatnonzero((field - np.uint8(ord("0")) > 9).any(axis=1))
-
-
-#: One line with its line break, as ``bytes.splitlines(keepends=True)`` cuts it.
-_LINE = re.compile(rb"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
-
-
-def _header(blocks: Iterator[bytes]) -> tuple[list[str], Iterator[bytes]]:
-    """The first row, parsed alone by csv.reader, and the blocks after it.
-
-    A quoted header may span lines and blocks.  An empty input, or a blank
-    first line, reads as an empty header.
-    """
-    block, end = b"", 0
-
-    def lines() -> Iterator[str]:
-        nonlocal block, end
-        for block in blocks:
-            for line in _LINE.finditer(block):
-                end = line.end()
-                yield line[0].decode("utf-8")
-
-    try:
-        header = next(csv.reader(lines()), [])
-    except UnicodeDecodeError:
-        raise CsvFormatError("invalid UTF-8 in the header") from None
-    except csv.Error as exc:
-        raise CsvFormatError(f"{exc} in the header") from None
-    return header, filter(None, itertools.chain([block[end:]], blocks))
 
 
 def _fixed_lines(block: bytes, positions: list[int], n_fields: int) -> tuple | None:
@@ -365,13 +345,12 @@ def _split_block(block: bytes, positions: list[int], n_fields: int) -> tuple | N
     return _columns(buf, starts, ends, first, width, positions, n_fields)
 
 
-def _csv_fields(blocks: Iterator[bytes], positions: list[int], n_fields: int) -> tuple:
-    """Tokenize with csv.reader, as one batch of rows, the first block and
-    each further block that a record still open at a block's end runs into.
+def _csv_rows(blocks: Iterator[bytes]) -> tuple[list[list[str]], str | None]:
+    """Read with csv.reader, as one batch of rows, the first block and each
+    further block that a record still open at a block's end runs into.
 
     A quoted field may span lines and blocks.  A line that is not UTF-8,
-    or a csv error, ends the batch: it is the failure of the row after
-    the rows read, unless one of those has the wrong field count.
+    or a csv error, ends the batch; it is returned after the rows read.
     """
     totals: list[int] = []  # lines handed to the reader up to each block's end
 
@@ -394,6 +373,14 @@ def _csv_fields(blocks: Iterator[bytes], positions: list[int], n_fields: int) ->
         error = "invalid UTF-8"
     except csv.Error as exc:
         error = str(exc)
+    return rows, error
+
+
+def _csv_fields(blocks: Iterator[bytes], positions: list[int], n_fields: int) -> tuple:
+    """A :func:`_csv_rows` batch as :func:`_columns` gives it: the error that
+    ends the batch is the failure of the row after the rows read, unless
+    one of those has the wrong field count."""
+    rows, error = _csv_rows(blocks)
     cells = [cell.encode("utf-8") for row in rows for cell in row]
     lengths = np.fromiter(map(len, cells), np.intp, len(cells))
     ends = np.cumsum(lengths + 1) - 1
@@ -534,13 +521,21 @@ def _ingest(source, kind: str | None) -> tuple[str, list[np.ndarray]]:
     Without a ``kind``, the header's column names decide it.  The columns
     are int8 arrays: ``pair``, ``outcome_a``, ``outcome_b`` (the pair as
     its index in PAIR_LABELS), or ``a``, ``d``, ``b``, ``c``.  The header
-    is parsed first, on its own; the data rows are then read in blocks,
-    and blank lines among them skipped.  The first bad row raises the
-    error of its first failing check (a line csv.reader rejects, then the
-    field count, then each column), with its 1-based data row number.
+    is row 0 of a csv.reader batch over the input's first line; an empty
+    input, or a blank first line, has an empty header.  The data rows are
+    then read in blocks, and blank lines among them skipped.  The first
+    bad row raises the error of its first failing check (a line csv.reader
+    rejects, then the field count, then each column), with its 1-based
+    data row number.
     """
     with _reader(source) as read:
-        header, blocks = _header(_blocks(read))
+        blocks = _blocks(read)
+        rows, error = _csv_rows(blocks)
+        if error and not rows:
+            raise CsvFormatError(f"{error} in the header")
+        # A header that runs past its line holds a line break in a name, which
+        # the column checks reject: no row the batch read after it is data.
+        header = rows[0] if rows else []
         kind = kind or _csv_kind(header)
         rules = _RULES[kind]
         if missing := [name for name in rules if name not in header]:

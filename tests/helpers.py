@@ -179,14 +179,36 @@ def all_sign_rows(n: int) -> np.ndarray:
 # the CsvFormatError the package must raise.
 
 
-def _reference_header(fieldnames, expected):
-    got = list(fieldnames or [])
+def _reference_records(text, expected):
+    """Each data record with its 1-based row number, the header checked first.
+
+    A csv.reader error is named in the header or at the row it ends.
+    """
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    try:
+        got = list(reader.fieldnames or [])
+    except csv.Error as exc:
+        raise CsvFormatError(f"{exc} in the header") from None
     missing = [c for c in expected if c not in got]
     if missing:
         raise CsvFormatError(f"missing column(s): {', '.join(missing)}")
     extra = [c for c in got if c not in expected]
     if extra:
         raise CsvFormatError(f"unexpected column(s): {', '.join(extra)}")
+    row_num = 0
+    while True:
+        try:
+            record = next(reader)
+        except StopIteration:
+            break
+        except csv.Error as exc:
+            raise CsvFormatError(f"{exc} at row {row_num + 1}") from None
+        row_num += 1
+        if None in record or None in record.values():
+            raise CsvFormatError(f"wrong number of fields at row {row_num}")
+        yield row_num, record
+    if row_num == 0:
+        raise CsvFormatError("no trials")
 
 
 def _reference_outcome(text, column, row):
@@ -204,14 +226,8 @@ def _reference_outcome(text, column, row):
 
 
 def reference_ingest_subruns(text: str) -> list[list[int]]:
-    reader = csv.DictReader(io.StringIO(text, newline=""))
-    _reference_header(reader.fieldnames, ("pair", "outcome_a", "outcome_b"))
     buckets = {label: ([], []) for label in PAIR_LABELS}
-    row_num = 0
-    for record in reader:
-        row_num += 1
-        if None in record or None in record.values():
-            raise CsvFormatError(f"wrong number of fields at row {row_num}")
+    for row_num, record in _reference_records(text, ("pair", "outcome_a", "outcome_b")):
         label = (record["pair"] or "").strip()
         if label not in buckets:
             raise CsvFormatError(f"unknown setting pair {label!r} at row {row_num}")
@@ -219,28 +235,18 @@ def reference_ingest_subruns(text: str) -> list[list[int]]:
         b = _reference_outcome(record["outcome_b"], "outcome_b", row_num)
         buckets[label][0].append(a)
         buckets[label][1].append(b)
-    if row_num == 0:
-        raise CsvFormatError("no trials")
     return [side for label in PAIR_LABELS for side in buckets[label]]
 
 
 def reference_ingest_counterfactual(text: str) -> list[list[int]]:
-    reader = csv.DictReader(io.StringIO(text, newline=""))
-    _reference_header(reader.fieldnames, ("j", "a", "d", "b", "c"))
     columns = {name: [] for name in "adbc"}
-    row_num = 0
-    for record in reader:
-        row_num += 1
-        if None in record or None in record.values():
-            raise CsvFormatError(f"wrong number of fields at row {row_num}")
+    for row_num, record in _reference_records(text, ("j", "a", "d", "b", "c")):
         try:
             int((record["j"] or "").strip())
         except ValueError:
             raise CsvFormatError(f"invalid trial index {record['j']!r} at row {row_num}") from None
         for name in "adbc":
             columns[name].append(_reference_outcome(record[name], name, row_num))
-    if row_num == 0:
-        raise CsvFormatError("no trials")
     return [columns[name] for name in "adbc"]
 
 

@@ -297,6 +297,14 @@ class TestEstimate:
         assert piped.returncode == 0, piped.stderr
         assert piped.stdout.decode() == run_proc("estimate", "--in", str(qm_csv)).stdout
 
+    def test_byte_order_mark_is_read_as_utf8_signature(self, qm_csv, tmp_path, capsys):
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + qm_csv.read_bytes())
+        assert main(["estimate", "--in", str(qm_csv)]) == 0
+        plain = capsys.readouterr().out
+        assert main(["estimate", "--in", str(marked)]) == 0
+        assert capsys.readouterr().out == plain
+
     def test_missing_file_is_data_error(self, tmp_path, capsys):
         assert main(["estimate", "--in", str(tmp_path / "absent.csv")]) == 1
         assert "error:" in capsys.readouterr().err

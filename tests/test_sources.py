@@ -475,29 +475,27 @@ class TestSubrunCsv:
         text = '"pair","outcome_a","outcome_b"\n' + rows
         assert rows.count("\n") == 20_000
 
-        def no_csv_reader(*args):
-            raise AssertionError("data rows sent to csv.reader")
-
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sources, "_csv_fields", no_csv_reader)
+            read = self._counting_csv_reader(mp)
             back = ingest_csv(text.encode())
+        assert read == [b'"pair","outcome_a","outcome_b"\n']  # the header line alone
         for p, q in zip(data.lists, back.lists):
             assert np.array_equal(p.a.values, q.a.values) and np.array_equal(p.b.values, q.b.values)
 
     @staticmethod
-    def _counting_csv_fields(mp) -> list[bytes]:
-        """Patch ``_csv_fields`` to record each block it reads."""
-        read, csv_fields = [], sources._csv_fields
+    def _counting_csv_reader(mp) -> list[bytes]:
+        """Patch ``_csv_rows`` to record each block csv.reader reads."""
+        read, csv_rows = [], sources._csv_rows
 
-        def counting(blocks, *args):
+        def counting(blocks):
             def counted():
                 for block in blocks:
                     read.append(block)
                     yield block
 
-            return csv_fields(counted(), *args)
+            return csv_rows(counted())
 
-        mp.setattr(sources, "_csv_fields", counting)
+        mp.setattr(sources, "_csv_rows", counting)
         return read
 
     def test_quoted_cell_leaves_later_blocks_to_bulk_splitting(self):
@@ -507,12 +505,13 @@ class TestSubrunCsv:
         lines = buf.getvalue().split("\n")
         lines[5] = f'"{lines[5][:2]}"{lines[5][2:]}'  # data row 5, as "ab",+1,-1
         text = "\n".join(lines)
-        blocks = _data_blocks(text.encode())
-        assert len(blocks) >= 5 and b'"' in blocks[0]
+        blocks = _blocks_of(text.encode())
+        assert blocks[0] == f"{SUBRUN_HEADER}\n".encode()
+        assert len(blocks) >= 6 and b'"' in blocks[1]
         with pytest.MonkeyPatch.context() as mp:
-            read = self._counting_csv_fields(mp)
+            read = self._counting_csv_reader(mp)
             got = _subrun_columns(text)
-        assert read == blocks[:1]
+        assert read == blocks[:2]  # the header line, then the quoted cell's own block
         assert got == reference_ingest_subruns(text)
 
     @pytest.mark.parametrize("block_bytes", [7, 64, sources._BLOCK_BYTES])
@@ -531,32 +530,67 @@ class TestSubrunCsv:
             text = "\n".join([SUBRUN_HEADER, *rows]).replace("{big}", "1" * 41) + "\n"
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(sources, "_BLOCK_BYTES", block_bytes)
-                blocks = _data_blocks(text.encode())
+                blocks = _blocks_of(text.encode())
                 got = _columns_or_error(_subrun_columns, text)
-            try:
-                expected = _columns_or_error(reference_ingest_subruns, text)
-            except csv.Error as exc:  # csv.reader's own error carries no row number
-                expected = f"{exc} at row {bad_row}"
+            expected = _columns_or_error(reference_ingest_subruns, text)
         finally:
             csv.field_size_limit(limit)
-        assert (len(blocks) == 1) is (block_bytes == sources._BLOCK_BYTES)
+        assert (len(blocks) == 2) is (block_bytes == sources._BLOCK_BYTES)  # the header line, then the rows
         assert got == expected
         assert got.endswith(f" at row {bad_row}")
 
     def test_csv_reader_reads_on_while_a_record_spans_blocks(self):
-        # The quoted outcome holds a line break at the first block's end.
-        blocks = [b'ab,+1,-1\nac,"+1\n', b'",-1\ndb,+1,+1\n', b"dc,-1,-1\n" * 3, b"ab,+1,+1\n"]
-        text = (f"{SUBRUN_HEADER}\n".encode() + b"".join(blocks)).decode()
+        # The quoted outcome holds a line break at the end of the first read.
+        header = f"{SUBRUN_HEADER}\n".encode()
+        blocks = [header, b'ab,+1,-1\nac,"+1\n', b'",-1\ndb,+1,+1\n' + b"dc,-1,-1\n" * 3, b"ab,+1,+1\n"]
+        text = b"".join(blocks).decode()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sources, "_header", lambda _: (SUBRUN_HEADER.split(","), iter(blocks)))
-            read = self._counting_csv_fields(mp)
+            mp.setattr(sources, "_BLOCK_BYTES", len(blocks[0] + blocks[1]))
+            assert _blocks_of(text.encode()) == blocks
+            read = self._counting_csv_reader(mp)
             got = _subrun_columns(text)
-        assert read == blocks[:2]
+        assert read == blocks[:3]  # the last block starts with a record, and is split in bulk
         assert got == reference_ingest_subruns(text)
+
+    @pytest.mark.parametrize("header_end, row_end", [("\n", "\n"), ("\r", "\r"), ("\r", "\n"), ("\n", "\r")])
+    def test_first_line_is_a_block_of_its_own(self, header_end, row_end):
+        data = f"{SUBRUN_HEADER}{header_end}" + f"ab,+1,-1{row_end}" * 3
+        blocks = _blocks_of(data.encode())
+        assert blocks == [f"{SUBRUN_HEADER}{header_end}".encode(), f"ab,+1,-1{row_end}".encode() * 3]
+        assert ingest_csv(data.encode()).counts == (3, 0, 0, 0)
+
+    @pytest.mark.parametrize("row", [b"x,ab,+1,-1\n", b"x,ab,+1,\xff1\n"])
+    def test_header_that_runs_on_is_rejected_before_the_rows_of_its_batch(self, row):
+        # The batch that reads the header reads on into the next block, and
+        # may fail there; the header's own line break is the error.
+        text = b'"ex\ntra",pair,outcome_a,outcome_b\n' + row
+        with pytest.raises(CsvFormatError, match="^unexpected column\\(s\\): ex\ntra$"):
+            ingest_csv(text)
 
     def test_blank_line_before_the_header_is_an_empty_header(self):
         with pytest.raises(CsvFormatError, match=r"^missing column\(s\): pair, outcome_a, outcome_b$"):
             ingest_csv(f"\n{SUBRUN_HEADER}\nab,+1,+1\n".encode())
+
+    @pytest.mark.parametrize("block_bytes", [7, sources._BLOCK_BYTES])
+    def test_byte_order_mark_bytes_are_utf8_signature(self, block_bytes):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sources, "_BLOCK_BYTES", block_bytes)
+            data = ingest_csv(f"\ufeff{SUBRUN_HEADER}\nab,+1,-1\n".encode())
+            cf = ingest_counterfactual_csv(f"\ufeff{CF_HEADER}\n1,+1,-1,+1,-1\n".encode())
+        assert data.counts == (1, 0, 0, 0) and cf.n == 1
+
+    def test_byte_order_mark_text_stream_is_utf8_signature(self):
+        data = ingest_csv(io.StringIO(f"\ufeff{SUBRUN_HEADER}\r\nab,+1,-1\r\n"))
+        assert data.counts == (1, 0, 0, 0)
+
+    def test_byte_order_mark_elsewhere_is_text(self):
+        text = f"\ufeff{SUBRUN_HEADER}\nab,+1,-1\n"
+        with pytest.raises(CsvFormatError, match=r"^missing column\(s\): pair$"):
+            ingest_csv(f"\ufeff{text}".encode())  # a second mark
+        with pytest.raises(CsvFormatError, match=r"^missing column\(s\): pair, outcome_a, outcome_b$"):
+            ingest_csv(f"\n{text}".encode())  # after a blank first line
+        with pytest.raises(CsvFormatError, match=r"^invalid outcome '\\ufeff-1' in column 'outcome_b' at row 1$"):
+            ingest_csv(text.replace("-1", "\ufeff-1").encode())
 
     def test_failed_write_keeps_the_earlier_file(self, tmp_path):
         target = tmp_path / "trials.csv"
@@ -690,9 +724,12 @@ GOOD_TEXTS = {
     "j": st.integers(0, 10**6).map(str)
     | st.sampled_from([" 7", "+01", "0_1", "\u0661", "1" * 19, "1" * 4300, "1" * 4301]),
 }
-# Python 3.10's csv module rejects a NUL with csv.Error, which the
-# reference parsers do not turn into a CsvFormatError.
+# Python 3.10's csv module rejects a NUL, which the bulk reader reads as text.
 NUL_TEXTS = ["1\x00"] if sys.version_info >= (3, 11) else []
+#: The csv field size limit while ingest is compared with the reference:
+#: above the 4,301-digit texts that test int()'s digit limit, and low enough
+#: that a field over it is read quickly in 7-byte reads.
+FIELD_LIMIT = 5_000
 BAD_TEXTS = st.sampled_from(
     ["0", "2", "x", "", " ", "1.0", "+-1", "ba", "AB", '+"1', "1" * 4301, *NUL_TEXTS]
 )
@@ -711,12 +748,13 @@ def trial_csv_text(draw, columns: tuple[str, ...]) -> str:
 
     In fixed-layout mode every data line has the same length with its
     commas in the same columns, and every edit keeps it so.  The header
-    may be quoted, and may hold a quoted line break.
+    may be quoted, and may hold a quoted line break or a name over
+    ``FIELD_LIMIT``.
     """
     fixed = draw(st.booleans())
     newline = "\n" if fixed else draw(st.sampled_from(["\n", "\r\n", "\r"]))
     header = list(draw(st.permutations(columns)))
-    change = draw(st.sampled_from(["none"] * 6 + ["missing", "extra", "repeat", "line break"]))
+    change = draw(st.sampled_from(["none"] * 6 + ["missing", "extra", "repeat", "line break", "over limit"]))
     if change == "missing":
         header.pop(draw(st.integers(0, len(header) - 1)))
     elif change == "extra":
@@ -725,6 +763,8 @@ def trial_csv_text(draw, columns: tuple[str, ...]) -> str:
         header.append(draw(st.sampled_from(columns)))
     elif change == "line break":  # a quoted header cell that spans two lines
         header.insert(draw(st.integers(0, len(header))), f"ex{newline}tra")
+    elif change == "over limit":
+        header.insert(draw(st.integers(0, len(header))), "x" * (FIELD_LIMIT + 1))
     # A quoted header over data rows that may hold no quote at all.
     quote_header = change == "line break" or draw(st.booleans())
     j_width = draw(st.integers(1, 7))
@@ -742,7 +782,7 @@ def trial_csv_text(draw, columns: tuple[str, ...]) -> str:
         return draw(st.sampled_from(FIXED_BAD.get(name, FIXED_BAD_OUTCOMES)))
 
     rows = [[good(name) for name in header] for _ in range(draw(st.integers(0, 30 if fixed else 9)))]
-    edits = ["cell"] if fixed else ["cell"] * 3 + ["short", "long", "blank", "blank"]
+    edits = ["cell"] if fixed else ["cell"] * 3 + ["short", "long", "blank", "blank", "over limit"]
     for _ in range(draw(st.integers(0, 4)) if rows else 0):
         row = rows[draw(st.integers(0, len(rows) - 1))]
         edit = draw(st.sampled_from(edits))
@@ -753,6 +793,8 @@ def trial_csv_text(draw, columns: tuple[str, ...]) -> str:
             row.pop()
         elif edit == "long":
             row.append(draw(OUTCOME_TEXTS))
+        elif edit == "over limit" and row:
+            row[draw(st.integers(0, len(row) - 1))] = "1" * (FIELD_LIMIT + 1)
         elif edit == "blank":
             rows.insert(rows.index(row), [])
     # Quoting may start only some rows in, so that the reader switches
@@ -792,35 +834,36 @@ class TestIngestMatchesRowParser:
 
     Each input must give the same columns or the same error message;
     with 7-byte reads, blocks cut through rows and bad rows fall on
-    block boundaries, and 64-byte reads give blocks of a few lines.
+    block boundaries, and 64-byte reads give blocks of a few lines.  The
+    csv field size limit is ``FIELD_LIMIT`` while both read.
     """
+
+    @staticmethod
+    def _compare(parse, reference, block_bytes, text):
+        limit = csv.field_size_limit(FIELD_LIMIT)
+        try:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(sources, "_BLOCK_BYTES", block_bytes)
+                got = _columns_or_error(parse, text)
+            assert got == _columns_or_error(reference, text)
+        finally:
+            csv.field_size_limit(limit)
 
     @pytest.mark.parametrize("block_bytes", [7, 64, sources._BLOCK_BYTES])
     @hyp_settings(max_examples=200, deadline=None)
     @given(text=trial_csv_text(("pair", "outcome_a", "outcome_b")))
     def test_subrun_csv(self, block_bytes, text):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sources, "_BLOCK_BYTES", block_bytes)
-            got = _columns_or_error(_subrun_columns, text)
-        assert got == _columns_or_error(reference_ingest_subruns, text)
+        self._compare(_subrun_columns, reference_ingest_subruns, block_bytes, text)
 
     @pytest.mark.parametrize("block_bytes", [7, 64, sources._BLOCK_BYTES])
     @hyp_settings(max_examples=200, deadline=None)
     @given(text=trial_csv_text(("j", "a", "d", "b", "c")))
     def test_counterfactual_csv(self, block_bytes, text):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sources, "_BLOCK_BYTES", block_bytes)
-            got = _columns_or_error(_counterfactual_columns, text)
-        assert got == _columns_or_error(reference_ingest_counterfactual, text)
+        self._compare(_counterfactual_columns, reference_ingest_counterfactual, block_bytes, text)
 
 
 def _blocks_of(data: bytes) -> list[bytes]:
     return list(sources._blocks(io.BytesIO(data).read))
-
-
-def _data_blocks(data: bytes) -> list[bytes]:
-    """The blocks of ``data`` after its header row, as an ingest reads them."""
-    return list(sources._header(sources._blocks(io.BytesIO(data).read))[1])
 
 
 #: The header's column positions and field count of the written formats.
@@ -859,11 +902,11 @@ class TestFixedLayoutBlocks:
 
     def test_written_subrun_blocks_after_the_first_are_fixed(self):
         text = self._subrun_text()
-        blocks = _data_blocks(text.encode())
-        assert len(blocks) >= 5
-        # The first block's rows after the header are fixed-layout too.
-        assert _blocks_of(text.encode())[0] == f"{SUBRUN_HEADER}\n".encode() + blocks[0]
-        assert all(sources._fixed_lines(b, *SUBRUN_LAYOUT) is not None for b in blocks)
+        blocks = _blocks_of(text.encode())
+        assert len(blocks) >= 6 and blocks[0] == f"{SUBRUN_HEADER}\n".encode()
+        # The rest of the first read, cut at its last line break, is fixed-layout too.
+        assert len(blocks[1]) == (sources._BLOCK_BYTES - len(blocks[0])) // 9 * 9
+        assert all(sources._fixed_lines(b, *SUBRUN_LAYOUT) is not None for b in blocks[1:])
         assert _subrun_columns(text) == reference_ingest_subruns(text)
 
     @pytest.mark.parametrize("column, cell", [(0, "ba"), (0, "AB"), (1, "1_"), (2, "+2")])
@@ -897,7 +940,7 @@ class TestFixedLayoutBlocks:
     def test_non_ascii_block_goes_to_csv_reader(self):
         block = "ab,+1,-1\nab,\xe9,-1\n".encode()  # equal lines with no quote, but not ASCII
         with pytest.MonkeyPatch.context() as mp:
-            read = TestSubrunCsv._counting_csv_fields(mp)
+            read = TestSubrunCsv._counting_csv_reader(mp)
             (stop, columns, failure), = sources._tokenize(iter([block]), *SUBRUN_LAYOUT)
         assert read == [block]
         assert (stop, failure, columns[1].text(1)) == (2, None, "\xe9")
@@ -959,10 +1002,11 @@ class TestFixedLayoutBlocks:
         with pytest.MonkeyPatch.context() as mp:
             # The first read ends after the fourth row: the empty indices start a block.
             mp.setattr(sources, "_BLOCK_BYTES", len(CF_HEADER) + 1 + 4 * len(good))
-            blocks = _data_blocks(text.encode())
+            blocks = _blocks_of(text.encode())
             got = _columns_or_error(_counterfactual_columns, text)
-        assert blocks[0] == (good * 4).encode() and blocks[1].startswith(empty.encode())
-        stop, columns, failure = sources._fixed_lines(blocks[1], *CF_LAYOUT)
+        assert blocks[:2] == [f"{CF_HEADER}\n".encode(), (good * 4).encode()]
+        assert blocks[2].startswith(empty.encode())
+        stop, columns, failure = sources._fixed_lines(blocks[2], *CF_LAYOUT)
         assert columns[0].start == columns[0].end and failure is None
         assert columns[0].not_plain_digits().tolist() == list(range(stop))
         assert got == _columns_or_error(reference_ingest_counterfactual, text)
@@ -971,7 +1015,7 @@ class TestFixedLayoutBlocks:
     def test_field_over_the_limit_in_a_later_block(self):
         limit = csv.field_size_limit()
         text = _edit_cell(self._counterfactual_text(), 18_000, 2, "1" * (limit + 1))
-        assert len(_blocks_of(text.encode()[:text.index("\n18000,")])) > 1
+        assert len(_blocks_of(text.encode()[:text.index("\n18000,")])) > 2  # past the first read
         with pytest.raises(CsvFormatError, match=rf"^field larger than field limit \({limit}\) at row 18000$"):
             ingest_counterfactual_csv(text.encode())
 
@@ -1093,11 +1137,11 @@ class TestTableLookup:
         text = "\n".join([SUBRUN_HEADER, *rows]) + "\n"
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sources, "_BLOCK_BYTES", block_bytes)
-            blocks = _data_blocks(text.encode())
+            blocks = _blocks_of(text.encode())
             got = _columns_or_error(_subrun_columns, text)
         assert got == _columns_or_error(reference_ingest_subruns, text)
-        if bad_row is not None:
-            assert len(blocks[0]) < text.index(rows[bad_row - 1])
+        if bad_row is not None:  # past the first read
+            assert len(blocks[0] + blocks[1]) <= text.index(rows[bad_row - 1])
             assert got == f"outcome outside {{+1, -1}}: '+2      ' in column 'outcome_a' at row {bad_row}"
 
 
