@@ -22,6 +22,7 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -33,11 +34,10 @@ from .estimators import (
     termwise_bound_check,
     theory_gamma,
 )
-from .resort import ResortPolicy, STABLE, closure_probability, resort_cascade, trim_to_shortest
+from .resort import ResortPolicy, closure_probability, resort_cascade, trim_to_shortest
 from .rng import RngSpec
 from .sources import (
     CorrelationLaw,
-    CsvFormatError,
     PHOTON_OPTIMAL_QUAD,
     SIGN_MALUS,
     SPIN_OPTIMAL_QUAD,
@@ -107,11 +107,6 @@ def _round6(x: float | None) -> float | None:
     return None if x is None else round(float(x), 6)
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    with _output(sys.stdout if out_path is None else out_path) as stream:
-        stream.write(text)
-
-
 def _default_quad(law: CorrelationLaw) -> SettingsQuad:
     return PHOTON_OPTIMAL_QUAD if law is CorrelationLaw.PHOTON_MALUS else SPIN_OPTIMAL_QUAD
 
@@ -132,20 +127,18 @@ def cmd_split(args: argparse.Namespace) -> None:
 
 
 def _estimate_dict(kind: str, dataset) -> dict:
-    if kind == "subruns":
-        result = gamma_subruns(dataset)
-        extra: dict = {}
-    else:
-        result = gamma_pooled(dataset)
-        extra = {"per_trial_max_abs": float(np.abs(termwise_bound_check(dataset)).max())}
-    return {
+    counterfactual = kind == "counterfactual"
+    result = (gamma_pooled if counterfactual else gamma_subruns)(dataset)
+    report = {
         "kind": kind,
         "gamma": _round6(result.value),
         "per_term": [_round6(t) for t in result.per_term],
         "n_used": list(result.n_used),
         "bound_satisfied": abs(result.exact) <= 2,
-        **extra,
     }
+    if counterfactual:
+        report["per_trial_max_abs"] = float(np.abs(termwise_bound_check(dataset)).max())
+    return report
 
 
 def cmd_estimate(args: argparse.Namespace) -> dict:
@@ -153,9 +146,7 @@ def cmd_estimate(args: argparse.Namespace) -> dict:
 
 
 def _build_policy(args: argparse.Namespace) -> ResortPolicy:
-    if args.policy == "uniform-random":
-        return ResortPolicy.uniform_random(RngSpec(args.seed))
-    return STABLE
+    return ResortPolicy(RngSpec(args.seed) if args.policy == "uniform-random" else None)
 
 
 def _equal_subruns(dataset, trim: bool):
@@ -190,37 +181,25 @@ def cmd_resort(args: argparse.Namespace) -> dict:
     return _report_dict(resort_cascade(dataset, _build_policy(args)))
 
 
-def _sweep_quad(args: argparse.Namespace, offset: float) -> SettingsQuad:
+def _sweep_rows(args: argparse.Namespace) -> Iterator[tuple[float, SettingsQuad]]:
+    """Each row's offset and settings; a ValueError names the first invalid row."""
     # The offset rotates both arm-B analyzers; arm A stays put, so the
     # four pairwise differences (and gamma) actually move.
     base = args.angles or _default_quad(args.law)
-    return SettingsQuad.from_degrees(
-        base.a.degrees, base.d.degrees, base.b.degrees + offset, base.c.degrees + offset
-    )
-
-
-def _sweep_offsets(args: argparse.Namespace, parser: argparse.ArgumentParser) -> np.ndarray:
-    """Each row's offset; a usage error if any row's settings are invalid.
-
-    Every row is checked before anything is drawn, and no row's settings
-    are kept: :func:`cmd_sweep` builds each row's again as it draws it.
-    """
-    if not math.isfinite(args.offset_max - args.offset_min):
-        parser.error("--offset-max minus --offset-min must be finite")
-    offsets = np.linspace(args.offset_min, args.offset_max, args.steps + 1)
-    for offset in offsets:
+    for offset in np.linspace(args.offset_min, args.offset_max, args.steps + 1):
         try:
-            _sweep_quad(args, offset)
+            quad = SettingsQuad.from_degrees(
+                base.a.degrees, base.d.degrees, base.b.degrees + offset, base.c.degrees + offset
+            )
         except ValueError as exc:  # a huge offset rounds the arm-B angles together
-            parser.error(f"offset {offset:g} degrees gives no valid settings: {exc}")
-    return offsets
+            raise ValueError(f"offset {offset:g} degrees gives no valid settings: {exc}") from None
+        yield offset, quad
 
 
 def cmd_sweep(args: argparse.Namespace) -> str:
     rng = RngSpec(args.seed)
     lines = ["offset_deg,gamma_theory,gamma_empirical"]
-    for i, offset in enumerate(args.offsets):
-        quad = _sweep_quad(args, offset)
+    for i, (offset, quad) in enumerate(_sweep_rows(args)):
         theory = theory_gamma(quad, args.law)
         empirical = gamma_subruns(
             generate_subruns(quad, args.law, args.n_per, rng.derive(i))
@@ -332,7 +311,13 @@ def main(argv: list[str] | None = None) -> int:
             if args.mode == "lhv" and args.angles and args.law:
                 parser.error("--mode lhv takes no --law with --angles")
         if args.command == "sweep":
-            args.offsets = _sweep_offsets(args, parser)
+            if not math.isfinite(args.offset_max - args.offset_min):
+                parser.error("--offset-max minus --offset-min must be finite")
+            try:  # every row is checked before anything is drawn; no row is kept
+                for _ in _sweep_rows(args):
+                    pass
+            except ValueError as exc:
+                parser.error(str(exc))
         policy = getattr(args, "policy", None)
         if policy == "uniform-random" and args.seed is None:
             parser.error("--seed is required with --policy uniform-random")
@@ -342,9 +327,9 @@ def main(argv: list[str] | None = None) -> int:
         # A report's findings (an open cascade, a violated bound) are its
         # content, not errors: a command that returns exits 0.
         if output is not None:
-            _emit(output if isinstance(output, str) else json.dumps(output, indent=2) + "\n",
-                  args.out_path)
+            with _output(sys.stdout if args.out_path is None else args.out_path) as stream:
+                stream.write(output if isinstance(output, str) else json.dumps(output, indent=2) + "\n")
         return 0
-    except (CsvFormatError, ValueError, OSError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -280,9 +280,10 @@ def _fixed_lines(block: bytes, positions: list[int], n_fields: int) -> tuple | N
     """The block's rows (see :func:`_columns`) by byte columns, if it is equal lines; else None.
 
     Every line of the block, which is ASCII with no quote, must have the
-    first line's length and its commas and line break in the same columns,
-    with no CR and no field over 7 bytes or ``csv.field_size_limit()``.
-    Such a line reads the same split by byte columns as at its delimiters.
+    first line's length and its ``n_fields`` fields, commas and line break
+    in the same columns, with no CR and no field over 7 bytes or
+    ``csv.field_size_limit()``.  Such a line reads the same split by byte
+    columns as at its delimiters.
     """
     line = block.find(b"\n") + 1
     if line < 2 or len(block) % line or b"\r" in block:
@@ -294,13 +295,12 @@ def _fixed_lines(block: bytes, positions: list[int], n_fields: int) -> tuple | N
     cuts = np.flatnonzero(delimiters[0])
     starts = np.concatenate(([0], cuts[:-1] + 1))
     if (
-        (cuts - starts).max() > min(7, csv.field_size_limit())
+        len(cuts) != n_fields
+        or (cuts - starts).max() > min(7, csv.field_size_limit())
         or np.count_nonzero(delimiters) != count * len(cuts)
         or not (lines[:, cuts] == lines[0, cuts]).all()
     ):
         return None
-    if len(cuts) != n_fields:
-        return 0, [], "wrong number of fields"  # no row to read a column of
     starts, cuts = starts.tolist(), cuts.tolist()
     return count, [_FixedColumn(buf, line, starts[k], cuts[k], count) for k in positions], None
 
@@ -552,10 +552,9 @@ def _ingest(source, kind: str | None) -> tuple[str, list[np.ndarray]]:
         parts = {name: bytearray() for name in tables}
         done = 0
         for stop, columns, failure in _tokenize(blocks, positions, len(header)):
-            codes = {}
             for (name, rule), column in zip(rules.items(), columns):
                 if name in tables:
-                    codes[name] = found = tables[name].codes_of(column)
+                    found = tables[name].codes_of(column)
                     suspects = np.flatnonzero(found == _UNDECIDED)
                 else:
                     found, suspects = None, column.not_plain_digits()
@@ -568,10 +567,10 @@ def _ingest(source, kind: str | None) -> tuple[str, list[np.ndarray]]:
                         break
                     if found is not None:  # a trial index keeps no code
                         found[i] = code
+                if found is not None:  # a failure below discards every part
+                    parts[name].extend(found)
             if failure:
                 raise CsvFormatError(f"{failure} at row {done + stop + 1}")
-            for name in tables:
-                parts[name].extend(codes[name])
             done += stop
     if done == 0:
         raise CsvFormatError("no trials")

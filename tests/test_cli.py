@@ -14,9 +14,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chshkit import RngSpec, write_subrun_csv
-from chshkit import cli
-from chshkit.cli import _emit, main
+from chshkit import ResortPolicy, RngSpec, ingest_csv, resort_cascade, write_subrun_csv
+from chshkit import cli, sources
+from chshkit.cli import main
 from helpers import (
     CLI_DIGESTS,
     cli_digest_versions,
@@ -174,7 +174,6 @@ class TestCommandsReturnTheirOutput:
         out = tmp_path / "out"
         argv = [a.format(qm=qm_csv) for a in command] + ["--out", str(out)]
         args = cli._build_parser().parse_args(argv)
-        args.offsets = np.linspace(0.0, 90.0, 3)  # main's for sweep; the rest ignore it
         output = args.run(args)
         assert capsys.readouterr() == ("", "") and not out.exists()
         assert main(argv) == 0
@@ -263,8 +262,8 @@ class TestEstimate:
     def test_failed_report_write_keeps_the_earlier_file(self, tmp_path):
         out = tmp_path / "report.json"
         out.write_bytes(b"earlier report\n")
-        with pytest.raises(UnicodeEncodeError):
-            _emit("{\n  \"unencodable\": \"\ud800\"\n}\n", str(out))
+        with pytest.raises(UnicodeEncodeError), sources._output(str(out)) as stream:
+            stream.write("{\n  \"unencodable\": \"\ud800\"\n}\n")
         assert out.read_bytes() == b"earlier report\n"
         assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
@@ -599,6 +598,18 @@ class TestSeedRange:
     @pytest.mark.parametrize("command", list(COMMANDS))
     def test_largest_seed_is_accepted(self, tmp_path, cf_csv, qm_csv, command):
         assert main(self._argv(command, str(2**64 - 1), tmp_path, cf_csv, qm_csv)) == 0
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    @pytest.mark.parametrize("command", ["resort", "audit"])
+    def test_boundary_seed_drives_the_uniform_policy(self, shared_csv, capsys, command, seed):
+        # Seed 0 is falsy; it must still draw, not fall back to the stable cascade.
+        argv = [command, "--in", str(shared_csv), "--policy", "uniform-random", "--seed", str(seed)]
+        assert main(argv) == 0
+        report = read_json(capsys)
+        data = ingest_csv(shared_csv)
+        expected = cli._report_dict(resort_cascade(data, ResortPolicy.uniform_random(RngSpec(seed))))
+        assert (report if command == "resort" else report["resort"]) == expected
+        assert expected != cli._report_dict(resort_cascade(data, ResortPolicy()))
 
 
 class TestUsage:

@@ -964,7 +964,9 @@ class TestFixedLayoutBlocks:
     )
     def test_one_line_blocks(self, rows):
         text = f"{SUBRUN_HEADER}\n{rows}"
-        assert sources._fixed_lines(rows.split("\n", 1)[1].encode(), *SUBRUN_LAYOUT) is not None
+        # A wrong field count is left to _split_block, which names the row.
+        fixed = sources._fixed_lines(rows.split("\n", 1)[1].encode(), *SUBRUN_LAYOUT)
+        assert (fixed is None) is ("\x00" not in rows)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sources, "_BLOCK_BYTES", 7)
             got = _columns_or_error(_subrun_columns, text)
