@@ -249,8 +249,8 @@ class _Column(NamedTuple):
 class _FixedColumn(NamedTuple):
     """One field of each of ``count`` lines of ``line`` bytes.
 
-    Field ``i`` is bytes ``[start, end)`` of line ``i`` of ``buf``, at most
-    7 of them; ``buf`` ends in 8 spare bytes.
+    Field ``i`` is bytes ``[start, end)`` of line ``i`` of ``buf``, which
+    ends in 8 spare bytes.
     """
 
     buf: np.ndarray
@@ -264,12 +264,12 @@ class _FixedColumn(NamedTuple):
         return self.buf[at + self.start : at + self.end].tobytes().decode("utf-8")
 
     def keys(self) -> np.ndarray:
-        width = self.end - self.start
+        width = min(self.end - self.start, 8)
         words = np.ndarray(self.count, "<u8", self.buf, self.start, (self.line,))
         return (words & _BYTE_MASKS[width]) | np.uint64(width << 56)
 
     def not_plain_digits(self) -> np.ndarray:
-        if self.end == self.start:  # every field is empty
+        if not 1 <= self.end - self.start <= 18:  # as in _Column: no field is plain
             return np.arange(self.count)
         lines = self.buf[: self.count * self.line].reshape(self.count, self.line)
         field = lines[:, self.start : self.end]
@@ -281,7 +281,7 @@ def _fixed_lines(block: bytes, positions: list[int], n_fields: int) -> tuple | N
 
     Every line of the block, which is ASCII with no quote, must have the
     first line's length and its ``n_fields`` fields, commas and line break
-    in the same columns, with no CR and no field over 7 bytes or
+    in the same columns, with no CR and no field over
     ``csv.field_size_limit()``.  Such a line reads the same split by byte
     columns as at its delimiters.
     """
@@ -296,7 +296,7 @@ def _fixed_lines(block: bytes, positions: list[int], n_fields: int) -> tuple | N
     starts = np.concatenate(([0], cuts[:-1] + 1))
     if (
         len(cuts) != n_fields
-        or (cuts - starts).max() > min(7, csv.field_size_limit())
+        or (cuts - starts).max() > csv.field_size_limit()
         or np.count_nonzero(delimiters) != count * len(cuts)
         or not (lines[:, cuts] == lines[0, cuts]).all()
     ):

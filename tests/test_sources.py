@@ -6,7 +6,6 @@ import itertools
 import math
 import os
 import stat
-import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -724,14 +723,12 @@ GOOD_TEXTS = {
     "j": st.integers(0, 10**6).map(str)
     | st.sampled_from([" 7", "+01", "0_1", "\u0661", "1" * 19, "1" * 4300, "1" * 4301]),
 }
-# Python 3.10's csv module rejects a NUL, which the bulk reader reads as text.
-NUL_TEXTS = ["1\x00"] if sys.version_info >= (3, 11) else []
 #: The csv field size limit while ingest is compared with the reference:
 #: above the 4,301-digit texts that test int()'s digit limit, and low enough
 #: that a field over it is read quickly in 7-byte reads.
 FIELD_LIMIT = 5_000
 BAD_TEXTS = st.sampled_from(
-    ["0", "2", "x", "", " ", "1.0", "+-1", "ba", "AB", '+"1', "1" * 4301, *NUL_TEXTS]
+    ["0", "2", "x", "", " ", "1.0", "+-1", "ba", "AB", '+"1', "1" * 4301, "1\x00"]
 )
 
 
@@ -931,7 +928,7 @@ class TestFixedLayoutBlocks:
             (b"ab,+1,-1\nab,+1,\r1\n", False),
             (b"\n\n", False),  # blank lines
             (b"ab,+1,-1\nab,+1,-1", False),  # no final line break
-            (b"abcdefgh,+1,-1\n" * 2, False),  # a field over 7 bytes
+            (b"abcdefgh,+1,-1\n" * 2, True),  # a field of 8 bytes
         ],
     )
     def test_only_equal_lines_are_fixed(self, block, fixed):
@@ -959,7 +956,7 @@ class TestFixedLayoutBlocks:
             "ab,+1,-1\nab,+1,-1,+1\n",  # and with too many
             # One text, then the same text with a trailing NUL: the key
             # holds each text's width, so the two do not share a code.
-            *(["ab,1,-1\nab,1\x00,-1\n"] if sys.version_info >= (3, 11) else []),
+            "ab,1,-1\nab,1\x00,-1\n",
         ],
     )
     def test_one_line_blocks(self, rows):
@@ -1020,6 +1017,68 @@ class TestFixedLayoutBlocks:
         assert len(_blocks_of(text.encode()[:text.index("\n18000,")])) > 2  # past the first read
         with pytest.raises(CsvFormatError, match=rf"^field larger than field limit \({limit}\) at row 18000$"):
             ingest_counterfactual_csv(text.encode())
+
+    @staticmethod
+    def _compare_fixed(parse, reference, layout, lines, block_bytes):
+        """Read equal ``lines`` after a header in reads of ``block_bytes``:
+        every data block is fixed-layout, and the result is the reference's."""
+        text = "\n".join(lines) + "\n"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sources, "_BLOCK_BYTES", block_bytes)
+            blocks = _blocks_of(text.encode())
+            got = _columns_or_error(parse, text)
+        assert all(sources._fixed_lines(b, *layout) is not None for b in blocks[1:])
+        assert got == _columns_or_error(reference, text)
+        return got
+
+    @pytest.mark.parametrize("block_bytes", [64, sources._BLOCK_BYTES])
+    @pytest.mark.parametrize("width", [8, 20])
+    @pytest.mark.parametrize("column, cell", [(None, None), (0, "ba"), (2, "+2")])
+    def test_padded_subrun_cells(self, width, column, cell, block_bytes):
+        # Pairs padded on the right and outcomes on the left, as "ab      " and "      +1".
+        def pad(at, text):
+            return text.ljust(width) if at == 0 else text.rjust(width)
+
+        cells = list(itertools.product(FIXED_GOOD["pair"], FIXED_OUTCOMES, FIXED_OUTCOMES)) * 3
+        rows = [[pad(at, text) for at, text in enumerate(row)] for row in cells]
+        if column is not None:
+            rows[29][column] = pad(column, cell)
+        lines = [SUBRUN_HEADER, *map(",".join, rows)]
+        got = self._compare_fixed(_subrun_columns, reference_ingest_subruns, SUBRUN_LAYOUT, lines, block_bytes)
+        assert isinstance(got, list) if column is None else got.endswith(" at row 30")
+
+    @pytest.mark.parametrize("block_bytes", [64, sources._BLOCK_BYTES])
+    @pytest.mark.parametrize("digits", [8, 19, 4301])
+    @pytest.mark.parametrize("column, last", [(None, None), (0, "x"), (4, "2")])
+    def test_wide_indices(self, digits, column, last, block_bytes):
+        # int() reads at most 4,300 digits, so a 4,301-digit index fails at row 1.
+        cells = list(itertools.product(FIXED_OUTCOMES, repeat=4)) * 3
+        rows = [[f"1{i:0{digits - 1}d}", *outcomes] for i, outcomes in enumerate(cells)]
+        if column is not None:  # a bad last byte: an index "1…x" or an outcome "±2"
+            rows[29][column] = rows[29][column][:-1] + last
+        lines = [CF_HEADER, *map(",".join, rows)]
+        got = self._compare_fixed(_counterfactual_columns, reference_ingest_counterfactual, CF_LAYOUT, lines, block_bytes)
+        if digits > 4300:
+            assert got.startswith("invalid trial index") and got.endswith(" at row 1")
+        else:
+            assert isinstance(got, list) if column is None else got.endswith(" at row 30")
+
+    @pytest.mark.parametrize("width", [0, 1, 7, 8, 18, 19, 4301])
+    def test_both_readers_give_the_same_keys_and_suspects(self, width):
+        block = "".join(f"{'1' * width},+1,-1,-1,+1\n" for _ in range(3)).encode()
+        fixed, split = (read(block, *CF_LAYOUT)[1] for read in (sources._fixed_lines, sources._split_block))
+        for a, b in zip(fixed, split):
+            assert a.keys().tolist() == b.keys().tolist()
+            assert a.not_plain_digits().tolist() == b.not_plain_digits().tolist()
+
+    def test_indices_past_ten_million(self):
+        # Every data block is fixed-layout but the one in which the width of j changes.
+        codes = RngSpec(23).generator().integers(0, 16, 200_000, dtype=np.uint8)
+        text = f"{CF_HEADER}\n" + sources._counterfactual_text(codes, 9_900_001)
+        blocks = _blocks_of(text.encode())
+        split = [i for i, b in enumerate(blocks[1:], 1) if sources._fixed_lines(b, *CF_LAYOUT) is None]
+        assert len(split) == 1 and b"\n9999999," in blocks[split[0]] and b"\n10000000," in blocks[split[0]]
+        assert _counterfactual_columns(text) == reference_ingest_counterfactual(text)
 
 
 #: Distinct texts that int() reads as +1 or -1, each short enough for a key.
