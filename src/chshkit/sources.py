@@ -166,10 +166,10 @@ class CsvFormatError(ValueError):
     """A trial CSV violates its format contract."""
 
 
-#: Bytes read per step of an ingest, and at most written per step of a
-#: write.  The numpy temporaries and text copies of a block are a few times
-#: its size, so it bounds the memory either adds to its data; 64 KiB to
-#: 256 KiB read fastest, 1 MiB and 4 MiB more slowly.
+#: The bytes an ingest gathers at least for each block, and a write writes
+#: at most per step.  The numpy temporaries and text copies of a block are
+#: a few times its size, so it bounds the memory either adds to its data;
+#: 64 KiB to 256 KiB read fastest, 1 MiB and 4 MiB more slowly.
 _BLOCK_BYTES = 1 << 17
 
 
@@ -193,28 +193,29 @@ def _blocks(read: Callable[[int], bytes]) -> Iterator[bytes]:
     """The input's first line, which holds the header, as a block of its
     own; then blocks that end after their last line break.
 
-    Only the last block may lack one.  A line longer than a read is
-    gathered over several reads.  A UTF-8 byte-order mark that starts the
-    first read is UTF-8's signature, not text, and is dropped.
+    Only the last block may lack one.  However the source splits its reads,
+    they are gathered to ``_BLOCK_BYTES`` bytes or more, then cut after the
+    last line break.  A UTF-8 byte-order mark that starts the input is dropped.
     """
-    pieces: list[bytes] = []
-    chunk, first = read(_BLOCK_BYTES).removeprefix(b"\xef\xbb\xbf"), True
-    while chunk:
-        if first:  # cut after the first LF or CR
-            lf, cr = chunk.find(b"\n"), chunk.find(b"\r")
-            cut = (lf if cr < 0 or 0 <= lf < cr else cr) + 1
-        else:
-            cut = max(chunk.rfind(b"\n"), chunk.rfind(b"\r")) + 1
-        if cut:
-            yield b"".join([*pieces, chunk[:cut]])
-            pieces, chunk = [], chunk[cut:]
-            if first:  # the rest of this read is cut at its last line break
-                chunk, first = chunk or read(_BLOCK_BYTES), False
-                continue
-        pieces.append(chunk)
-        chunk = read(_BLOCK_BYTES)
-    if rest := b"".join(pieces):
-        yield rest
+    def cut() -> Iterator[bytes]:
+        pieces, fresh, end = [b""], 0, 0  # the rest of the last cut, then new reads
+        while chunk := read(_BLOCK_BYTES):
+            if (at := max(chunk.rfind(b"\n"), chunk.rfind(b"\r"))) >= 0:
+                end = len(pieces[0]) + fresh + at + 1
+            pieces.append(chunk)
+            fresh += len(chunk)
+            if end and fresh >= _BLOCK_BYTES:
+                block = b"".join(pieces)
+                yield block[:end]
+                pieces, fresh, end = [block[end:]], 0, 0
+        if rest := b"".join(pieces):
+            yield rest
+
+    blocks = cut()
+    head = next(blocks, b"").removeprefix(b"\xef\xbb\xbf")
+    at = len(head.partition(b"\n")[0].partition(b"\r")[0]) + 1  # after the first LF or CR
+    yield from filter(None, (head[:at], head[at:]))
+    yield from blocks
 
 
 class _Column(NamedTuple):

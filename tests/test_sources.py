@@ -554,9 +554,23 @@ class TestSubrunCsv:
     @pytest.mark.parametrize("header_end, row_end", [("\n", "\n"), ("\r", "\r"), ("\r", "\n"), ("\n", "\r")])
     def test_first_line_is_a_block_of_its_own(self, header_end, row_end):
         data = f"{SUBRUN_HEADER}{header_end}" + f"ab,+1,-1{row_end}" * 3
-        blocks = _blocks_of(data.encode())
-        assert blocks == [f"{SUBRUN_HEADER}{header_end}".encode(), f"ab,+1,-1{row_end}".encode() * 3]
-        assert ingest_csv(data.encode()).counts == (3, 0, 0, 0)
+        for reads in (None, [1, 2]):  # whole, then in reads of 1 or 2 bytes
+            blocks = _blocks_of(data.encode(), reads)
+            assert blocks == [f"{SUBRUN_HEADER}{header_end}".encode(), f"ab,+1,-1{row_end}".encode() * 3]
+            assert ingest_csv(_source(data.encode(), reads)).counts == (3, 0, 0, 0)
+
+    def test_short_reads_are_gathered_into_full_blocks(self):
+        data = generate_subruns(PHOTON_OPTIMAL_QUAD, CorrelationLaw.PHOTON_MALUS, 500, RngSpec(9))
+        buf = io.StringIO()
+        write_subrun_csv(data, buf)
+        text = buf.getvalue()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sources, "_BLOCK_BYTES", 64)
+            blocks = _blocks_of(text.encode(), [1, 5, 2, 3])
+            got = _subrun_columns(text, [1, 5, 2, 3])
+        assert b"".join(blocks) == text.encode()
+        assert len(blocks) <= math.ceil(len(text) / 64) + 1  # the header line, then one block per 64 bytes read
+        assert got == _subrun_columns(text)
 
     @pytest.mark.parametrize("row", [b"x,ab,+1,-1\n", b"x,ab,+1,\xff1\n"])
     def test_header_that_runs_on_is_rejected_before_the_rows_of_its_batch(self, row):
@@ -570,7 +584,7 @@ class TestSubrunCsv:
         with pytest.raises(CsvFormatError, match=r"^missing column\(s\): pair, outcome_a, outcome_b$"):
             ingest_csv(f"\n{SUBRUN_HEADER}\nab,+1,+1\n".encode())
 
-    @pytest.mark.parametrize("block_bytes", [7, sources._BLOCK_BYTES])
+    @pytest.mark.parametrize("block_bytes", [1, 2, 3, 7, sources._BLOCK_BYTES])
     def test_byte_order_mark_bytes_are_utf8_signature(self, block_bytes):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sources, "_BLOCK_BYTES", block_bytes)
@@ -579,8 +593,11 @@ class TestSubrunCsv:
         assert data.counts == (1, 0, 0, 0) and cf.n == 1
 
     def test_byte_order_mark_text_stream_is_utf8_signature(self):
-        data = ingest_csv(io.StringIO(f"\ufeff{SUBRUN_HEADER}\r\nab,+1,-1\r\n"))
-        assert data.counts == (1, 0, 0, 0)
+        for block_bytes in (1, sources._BLOCK_BYTES):  # one character a read, then all of them
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(sources, "_BLOCK_BYTES", block_bytes)
+                data = ingest_csv(io.StringIO(f"\ufeff{SUBRUN_HEADER}\r\nab,+1,-1\r\n"))
+            assert data.counts == (1, 0, 0, 0)
 
     def test_byte_order_mark_elsewhere_is_text(self):
         text = f"\ufeff{SUBRUN_HEADER}\nab,+1,-1\n"
@@ -727,6 +744,8 @@ GOOD_TEXTS = {
 #: above the 4,301-digit texts that test int()'s digit limit, and low enough
 #: that a field over it is read quickly in 7-byte reads.
 FIELD_LIMIT = 5_000
+#: The sizes a short-read stream's reads return, in turn.
+SHORT_READS = st.lists(st.integers(1, 7), min_size=1, max_size=8)
 BAD_TEXTS = st.sampled_from(
     ["0", "2", "x", "", " ", "1.0", "+-1", "ba", "AB", '+"1', "1" * 4301, "1\x00"]
 )
@@ -816,13 +835,13 @@ def _columns_or_error(parse, text):
         return str(exc)
 
 
-def _subrun_columns(text):
-    data = ingest_csv(text.encode())
+def _subrun_columns(text, reads=None):
+    data = ingest_csv(_source(text.encode(), reads))
     return [side.values.tolist() for p in data.lists for side in (p.a, p.b)]
 
 
-def _counterfactual_columns(text):
-    data = ingest_counterfactual_csv(text.encode())
+def _counterfactual_columns(text, reads=None):
+    data = ingest_counterfactual_csv(_source(text.encode(), reads))
     return [s.values.tolist() for s in (data.a_seq, data.d_seq, data.b_seq, data.c_seq)]
 
 
@@ -831,36 +850,55 @@ class TestIngestMatchesRowParser:
 
     Each input must give the same columns or the same error message;
     with 7-byte reads, blocks cut through rows and bad rows fall on
-    block boundaries, and 64-byte reads give blocks of a few lines.  The
-    csv field size limit is ``FIELD_LIMIT`` while both read.
+    block boundaries, and 64-byte reads give blocks of a few lines.  Each
+    input is also read at the default size through a stream whose reads
+    return 1 to 7 bytes.  The csv field size limit is ``FIELD_LIMIT``
+    while both read.
     """
 
     @staticmethod
-    def _compare(parse, reference, block_bytes, text):
+    def _compare(parse, reference, block_bytes, text, reads):
         limit = csv.field_size_limit(FIELD_LIMIT)
         try:
+            expected = _columns_or_error(reference, text)
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(sources, "_BLOCK_BYTES", block_bytes)
-                got = _columns_or_error(parse, text)
-            assert got == _columns_or_error(reference, text)
+                assert _columns_or_error(parse, text) == expected
+            assert _columns_or_error(lambda t: parse(t, reads), text) == expected
         finally:
             csv.field_size_limit(limit)
 
     @pytest.mark.parametrize("block_bytes", [7, 64, sources._BLOCK_BYTES])
     @hyp_settings(max_examples=200, deadline=None)
-    @given(text=trial_csv_text(("pair", "outcome_a", "outcome_b")))
-    def test_subrun_csv(self, block_bytes, text):
-        self._compare(_subrun_columns, reference_ingest_subruns, block_bytes, text)
+    @given(text=trial_csv_text(("pair", "outcome_a", "outcome_b")), reads=SHORT_READS)
+    def test_subrun_csv(self, block_bytes, text, reads):
+        self._compare(_subrun_columns, reference_ingest_subruns, block_bytes, text, reads)
 
     @pytest.mark.parametrize("block_bytes", [7, 64, sources._BLOCK_BYTES])
     @hyp_settings(max_examples=200, deadline=None)
-    @given(text=trial_csv_text(("j", "a", "d", "b", "c")))
-    def test_counterfactual_csv(self, block_bytes, text):
-        self._compare(_counterfactual_columns, reference_ingest_counterfactual, block_bytes, text)
+    @given(text=trial_csv_text(("j", "a", "d", "b", "c")), reads=SHORT_READS)
+    def test_counterfactual_csv(self, block_bytes, text, reads):
+        self._compare(_counterfactual_columns, reference_ingest_counterfactual, block_bytes, text, reads)
 
 
-def _blocks_of(data: bytes) -> list[bytes]:
-    return list(sources._blocks(io.BytesIO(data).read))
+class _ShortReads:
+    """A binary stream whose reads return at most the next of ``reads`` bytes, in turn."""
+
+    def __init__(self, data: bytes, reads: list[int]):
+        self._read, self._reads = io.BytesIO(data).read, itertools.cycle(reads)
+
+    def read(self, size: int) -> bytes:
+        return self._read(min(size, next(self._reads)))
+
+
+def _source(data: bytes, reads: list[int] | None):
+    """``data`` whole, or as a stream of ``reads``-byte reads."""
+    return data if reads is None else _ShortReads(data, reads)
+
+
+def _blocks_of(data: bytes, reads: list[int] | None = None) -> list[bytes]:
+    with sources._reader(_source(data, reads)) as read:
+        return list(sources._blocks(read))
 
 
 #: The header's column positions and field count of the written formats.
