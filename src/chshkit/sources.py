@@ -277,35 +277,6 @@ class _FixedColumn(NamedTuple):
         return np.flatnonzero((field - np.uint8(ord("0")) > 9).any(axis=1))
 
 
-def _fixed_lines(block: bytes, positions: list[int], n_fields: int) -> tuple | None:
-    """The block's rows (see :func:`_columns`) by byte columns, if it is equal lines; else None.
-
-    Every line of the block, which is ASCII with no quote, must have the
-    first line's length and its ``n_fields`` fields, commas and line break
-    in the same columns, with no CR and no field over
-    ``csv.field_size_limit()``.  Such a line reads the same split by byte
-    columns as at its delimiters.
-    """
-    line = block.find(b"\n") + 1
-    if line < 2 or len(block) % line or b"\r" in block:
-        return None
-    count = len(block) // line
-    buf = np.frombuffer(block + bytes(8), np.uint8)
-    lines = buf[:-8].reshape(count, line)
-    delimiters = (lines == ord(",")) | (lines == ord("\n"))
-    cuts = np.flatnonzero(delimiters[0])
-    starts = np.concatenate(([0], cuts[:-1] + 1))
-    if (
-        len(cuts) != n_fields
-        or (cuts - starts).max() > csv.field_size_limit()
-        or np.count_nonzero(delimiters) != count * len(cuts)
-        or not (lines[:, cuts] == lines[0, cuts]).all()
-    ):
-        return None
-    starts, cuts = starts.tolist(), cuts.tolist()
-    return count, [_FixedColumn(buf, line, starts[k], cuts[k], count) for k in positions], None
-
-
 def _columns(buf, starts, ends, first, width, positions: list[int], n_fields: int) -> tuple:
     """Rows of fields as ``(stop, columns, failure)``: the count of rows up
     to the first without ``n_fields`` fields, blank lines skipped; the
@@ -324,22 +295,44 @@ def _columns(buf, starts, ends, first, width, positions: list[int], n_fields: in
     return stop, columns, "wrong number of fields" if len(wrong) else None
 
 
-def _split_block(block: bytes, positions: list[int], n_fields: int) -> tuple | None:
-    """Split an ASCII block that holds no quote at every comma and line break.
+def _bulk_rows(block: bytes, positions: list[int], n_fields: int) -> tuple | None:
+    """The block's rows (see :func:`_columns`) as csv.reader reads them, or
+    None if only csv.reader can: the block holds a quote, non-ASCII text or
+    a field over ``csv.field_size_limit()``.
 
-    This is what csv.reader does with such a block whose fields are within
-    ``csv.field_size_limit()``.  A field over it gives None.
+    Quoted fields cannot be split by byte (``a"b`` is a literal quote and
+    ``"ab"x`` reads ``abx``), and csv.reader alone decodes UTF-8 and applies
+    its field limit.  Equal lines, with their ``n_fields`` fields, commas
+    and LF in the first line's columns and no CR, are read at fixed byte
+    offsets; any other block is split at every comma and line break.
     """
+    if b'"' in block or not block.isascii():
+        return None
     if not block.endswith((b"\n", b"\r")):
         block += b"\n"
     buf = np.frombuffer(block + bytes(8), np.uint8)
     data = buf[:-8]
-    breaks = (data == ord("\n")) | (data == ord("\r"))
-    ends = np.flatnonzero(breaks | (data == ord(",")))
+    delimiters = (data == ord(",")) | (data == ord("\n"))
+    line = block.find(b"\n") + 1
+    if b"\r" in block:  # CR ends a line too, and such a block is never read at fixed offsets
+        delimiters |= data == ord("\r")
+        line = 0
+    count = len(block) // line if line > 1 else 0
+    cuts = np.flatnonzero(delimiters[:line])
+    fixed = (
+        count * line == len(block)
+        and len(cuts) == n_fields
+        and np.count_nonzero(delimiters) == count * n_fields
+        and (data.reshape(count, line)[:, cuts] == data[cuts]).all()
+    )
+    ends = cuts if fixed else np.flatnonzero(delimiters)
     starts = np.concatenate(([0], ends[:-1] + 1))
     if (ends - starts).max() > csv.field_size_limit():
         return None
-    last = np.flatnonzero(breaks[ends])  # each line's last field
+    if fixed:
+        starts, ends = starts.tolist(), ends.tolist()
+        return count, [_FixedColumn(buf, line, starts[k], ends[k], count) for k in positions], None
+    last = np.flatnonzero(data[ends] != ord(","))  # each line's last field
     first = np.concatenate(([0], last[:-1] + 1))
     width = last - first + 1
     width[(width == 1) & (starts[last] == ends[last])] = 0  # a blank line
@@ -395,21 +388,14 @@ def _csv_fields(blocks: Iterator[bytes], positions: list[int], n_fields: int) ->
 def _tokenize(blocks: Iterator[bytes], positions: list[int], n_fields: int) -> Iterator[tuple]:
     """Each block's data rows, as :func:`_columns` gives them.
 
-    A block of equal lines is read by byte columns, any other split at its
-    delimiters.  Quoted fields cannot be split by byte (``a"b`` is a
-    literal quote and ``"ab"x`` reads ``abx``), and csv.reader alone
-    decodes UTF-8 and applies its field limit, so it reads a block that
-    holds a quote, non-ASCII text or a field over the limit, and the
-    blocks an open record runs into.  The block after those is split in
-    bulk again.
+    csv.reader reads each block that :func:`_bulk_rows` cannot, and the
+    blocks a record still open at its end runs into.  The block after
+    those is read in bulk again.
     """
     for block in blocks:
-        if b'"' not in block and block.isascii():
-            rows = _fixed_lines(block, positions, n_fields) or _split_block(block, positions, n_fields)
-            if rows is not None:
-                yield rows
-                continue
-        yield _csv_fields(itertools.chain([block], blocks), positions, n_fields)
+        yield _bulk_rows(block, positions, n_fields) or _csv_fields(
+            itertools.chain([block], blocks), positions, n_fields
+        )
 
 
 #: Code of a cell its column's table does not decide: a text its rule rejects,
@@ -458,9 +444,7 @@ class _Table:
         keys = column.keys()
         at = self._slots(keys)
         new = self.keys[at] != keys
-        if not new.any():
-            return self.codes[at]
-        if (room := _TABLE_KEYS - len(self.keys)) > 0:
+        if new.any() and (room := _TABLE_KEYS - len(self.keys)) > 0:
             fresh, where = np.unique(keys[new], return_index=True)
             texts = map(column.text, np.flatnonzero(new)[where[:room]])
             keys_all = np.concatenate((self.keys, fresh[:room]))
@@ -542,7 +526,9 @@ def _ingest(source, kind: str | None) -> tuple[str, list[np.ndarray]]:
         if missing := [name for name in rules if name not in header]:
             raise CsvFormatError(f"missing column(s): {', '.join(missing)}")
         if extra := [name for name in header if name not in rules]:
-            raise CsvFormatError(f"unexpected column(s): {', '.join(extra)}")
+            # Eight names at most, each within the field limit: the message is bounded.
+            more = f" and {len(extra) - 8} more" if len(extra) > 8 else ""
+            raise CsvFormatError(f"unexpected column(s): {', '.join(extra[:8])}{more}")
         # A repeated column name resolves to its last position, as in a
         # dict built from the row.
         where = {name: i for i, name in enumerate(header)}

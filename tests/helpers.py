@@ -193,6 +193,8 @@ def _reference_records(text, expected):
     if missing:
         raise CsvFormatError(f"missing column(s): {', '.join(missing)}")
     extra = [c for c in got if c not in expected]
+    if len(extra) > 8:
+        raise CsvFormatError(f"unexpected column(s): {', '.join(extra[:8])} and {len(extra) - 8} more")
     if extra:
         raise CsvFormatError(f"unexpected column(s): {', '.join(extra)}")
     row_num = 0

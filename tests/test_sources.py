@@ -5,6 +5,7 @@ import io
 import itertools
 import math
 import os
+import re
 import stat
 from pathlib import Path
 from types import SimpleNamespace
@@ -424,6 +425,21 @@ class TestSubrunCsv:
     def test_unexpected_column(self):
         with pytest.raises(CsvFormatError, match="unexpected column"):
             ingest_csv(f"{SUBRUN_HEADER},extra\nab,+1,+1,+1\n".encode())
+
+    @pytest.mark.parametrize("n_extra, named", [(8, "x, " * 7 + "x"), (9, "x, " * 7 + "x and 1 more")])
+    def test_unexpected_columns_past_eight_are_counted(self, n_extra, named):
+        text = "x," * n_extra + f"{SUBRUN_HEADER}\nab,+1,+1\n"
+        with pytest.raises(CsvFormatError, match=rf"^unexpected column\(s\): {named}$"):
+            ingest_csv(text.encode())
+        with pytest.raises(CsvFormatError, match=rf"^unexpected column\(s\): {named}$"):
+            reference_ingest_subruns(text)
+
+    def test_many_unexpected_columns_give_a_bounded_message(self):
+        # 400,000 names once gave a message of 1,200,020 characters.
+        header = "x," * 400_000 + SUBRUN_HEADER
+        with pytest.raises(CsvFormatError) as raised:
+            ingest_csv(f"{header}\nab,+1,+1\n".encode())
+        assert str(raised.value) == "unexpected column(s): " + "x, " * 7 + "x and 399992 more"
 
     @pytest.mark.parametrize("bad", ["0", "2", "x", ""])
     def test_invalid_outcome_rejected(self, bad):
@@ -906,6 +922,19 @@ SUBRUN_LAYOUT = ([0, 1, 2], 3)
 CF_LAYOUT = ([0, 1, 2, 3, 4], 5)
 
 
+def _bulk(block: bytes, layout, fixed: bool) -> tuple | None:
+    """The block's rows from ``_bulk_rows`` if it reads them at fixed
+    offsets (``fixed``) or split at the delimiters; else None.
+
+    Split, the block is read with one blank line appended, which adds no
+    row but makes the lines unequal.
+    """
+    rows = sources._bulk_rows(block if fixed else block + b"\n", *layout)
+    if rows is None or isinstance(rows[1][0], sources._FixedColumn) is not fixed:
+        return None
+    return rows
+
+
 def _edit_cell(text: str, row: int, column: int, cell: str) -> str:
     """``text`` with data row ``row`` (1-based) holding ``cell`` in ``column``."""
     lines = text.split("\n")
@@ -941,7 +970,7 @@ class TestFixedLayoutBlocks:
         assert len(blocks) >= 6 and blocks[0] == f"{SUBRUN_HEADER}\n".encode()
         # The rest of the first read, cut at its last line break, is fixed-layout too.
         assert len(blocks[1]) == (sources._BLOCK_BYTES - len(blocks[0])) // 9 * 9
-        assert all(sources._fixed_lines(b, *SUBRUN_LAYOUT) is not None for b in blocks[1:])
+        assert all(_bulk(b, SUBRUN_LAYOUT, True) is not None for b in blocks[1:])
         assert _subrun_columns(text) == reference_ingest_subruns(text)
 
     @pytest.mark.parametrize("column, cell", [(0, "ba"), (0, "AB"), (1, "1_"), (2, "+2")])
@@ -951,7 +980,7 @@ class TestFixedLayoutBlocks:
         # A row in the middle of the fourth block.
         row = (sum(map(len, blocks[:3])) + len(blocks[3]) // 2) // 9 - 2
         edited = _edit_cell(text, row, column, cell)
-        assert sources._fixed_lines(_blocks_of(edited.encode())[3], *SUBRUN_LAYOUT) is not None
+        assert _bulk(_blocks_of(edited.encode())[3], SUBRUN_LAYOUT, True) is not None
         got = _columns_or_error(_subrun_columns, edited)
         assert got == _columns_or_error(reference_ingest_subruns, edited)
         assert got.endswith(f" at row {row}")
@@ -965,12 +994,12 @@ class TestFixedLayoutBlocks:
             (b"ab,+1,-1\nab,+1\n-1\n", False),  # a line break for a comma
             (b"ab,+1,-1\nab,+1,\r1\n", False),
             (b"\n\n", False),  # blank lines
-            (b"ab,+1,-1\nab,+1,-1", False),  # no final line break
+            (b"ab,+1,-1\nab,+1,-1", True),  # no final line break: one is appended first
             (b"abcdefgh,+1,-1\n" * 2, True),  # a field of 8 bytes
         ],
     )
     def test_only_equal_lines_are_fixed(self, block, fixed):
-        assert (sources._fixed_lines(block, *SUBRUN_LAYOUT) is not None) is fixed
+        assert (_bulk(block, SUBRUN_LAYOUT, True) is not None) is fixed
 
     def test_non_ascii_block_goes_to_csv_reader(self):
         block = "ab,+1,-1\nab,\xe9,-1\n".encode()  # equal lines with no quote, but not ASCII
@@ -983,7 +1012,7 @@ class TestFixedLayoutBlocks:
     def test_field_over_the_csv_limit_is_not_fixed(self):
         limit = csv.field_size_limit(1)
         try:
-            assert sources._fixed_lines(b"ab,+1,-1\n" * 2, *SUBRUN_LAYOUT) is None
+            assert sources._bulk_rows(b"ab,+1,-1\n" * 2, *SUBRUN_LAYOUT) is None
         finally:
             csv.field_size_limit(limit)
 
@@ -999,8 +1028,8 @@ class TestFixedLayoutBlocks:
     )
     def test_one_line_blocks(self, rows):
         text = f"{SUBRUN_HEADER}\n{rows}"
-        # A wrong field count is left to _split_block, which names the row.
-        fixed = sources._fixed_lines(rows.split("\n", 1)[1].encode(), *SUBRUN_LAYOUT)
+        # A wrong field count is left to the split layout, which names the row.
+        fixed = _bulk(rows.split("\n", 1)[1].encode(), SUBRUN_LAYOUT, True)
         assert (fixed is None) is ("\x00" not in rows)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sources, "_BLOCK_BYTES", 7)
@@ -1012,7 +1041,7 @@ class TestFixedLayoutBlocks:
         blocks = _blocks_of(self._counterfactual_text().encode())
         changed = [i for i, b in enumerate(blocks) if b"\n9999," in b]
         assert changed and b"\n10000," in blocks[changed[0]]
-        fixed = [sources._fixed_lines(b, *CF_LAYOUT) is not None for b in blocks]
+        fixed = [_bulk(b, CF_LAYOUT, True) is not None for b in blocks]
         assert not fixed[changed[0]] and fixed[-1]
 
     @pytest.mark.parametrize(
@@ -1043,7 +1072,7 @@ class TestFixedLayoutBlocks:
             got = _columns_or_error(_counterfactual_columns, text)
         assert blocks[:2] == [f"{CF_HEADER}\n".encode(), (good * 4).encode()]
         assert blocks[2].startswith(empty.encode())
-        stop, columns, failure = sources._fixed_lines(blocks[2], *CF_LAYOUT)
+        stop, columns, failure = _bulk(blocks[2], CF_LAYOUT, True)
         assert columns[0].start == columns[0].end and failure is None
         assert columns[0].not_plain_digits().tolist() == list(range(stop))
         assert got == _columns_or_error(reference_ingest_counterfactual, text)
@@ -1065,7 +1094,7 @@ class TestFixedLayoutBlocks:
             mp.setattr(sources, "_BLOCK_BYTES", block_bytes)
             blocks = _blocks_of(text.encode())
             got = _columns_or_error(parse, text)
-        assert all(sources._fixed_lines(b, *layout) is not None for b in blocks[1:])
+        assert all(_bulk(b, layout, True) is not None for b in blocks[1:])
         assert got == _columns_or_error(reference, text)
         return got
 
@@ -1104,7 +1133,7 @@ class TestFixedLayoutBlocks:
     @pytest.mark.parametrize("width", [0, 1, 7, 8, 18, 19, 4301])
     def test_both_readers_give_the_same_keys_and_suspects(self, width):
         block = "".join(f"{'1' * width},+1,-1,-1,+1\n" for _ in range(3)).encode()
-        fixed, split = (read(block, *CF_LAYOUT)[1] for read in (sources._fixed_lines, sources._split_block))
+        fixed, split = (_bulk(block, CF_LAYOUT, at_offsets)[1] for at_offsets in (True, False))
         for a, b in zip(fixed, split):
             assert a.keys().tolist() == b.keys().tolist()
             assert a.not_plain_digits().tolist() == b.not_plain_digits().tolist()
@@ -1114,9 +1143,81 @@ class TestFixedLayoutBlocks:
         codes = RngSpec(23).generator().integers(0, 16, 200_000, dtype=np.uint8)
         text = f"{CF_HEADER}\n" + sources._counterfactual_text(codes, 9_900_001)
         blocks = _blocks_of(text.encode())
-        split = [i for i, b in enumerate(blocks[1:], 1) if sources._fixed_lines(b, *CF_LAYOUT) is None]
+        split = [i for i, b in enumerate(blocks[1:], 1) if _bulk(b, CF_LAYOUT, True) is None]
         assert len(split) == 1 and b"\n9999999," in blocks[split[0]] and b"\n10000000," in blocks[split[0]]
         assert _counterfactual_columns(text) == reference_ingest_counterfactual(text)
+
+
+@st.composite
+def bulk_blocks(draw) -> tuple[bytes, int]:
+    """A block of data lines and a field count, mostly that of its lines.
+
+    Half the blocks are equal lines, half of those as the writers write
+    them: ASCII with no quote, LF ends and no blank line.  Other blocks
+    may hold CR or CRLF ends, blank lines, a quote or non-ASCII text, and
+    any block NULs.
+    """
+    equal = draw(st.booleans())
+    plain = equal and draw(st.booleans())
+    alphabet = "a1+- \x00" + ("" if plain else draw(st.sampled_from(["", "", "", '"', "\xe9", '"\xe9'])))
+    width = st.sampled_from([0, 1, 2, 2, 3, 4])  # an empty field now and then
+    widths = draw(st.lists(width, min_size=1, max_size=5))
+
+    def line() -> str:
+        cells = widths if equal else draw(st.lists(width, min_size=1, max_size=5))
+        return ",".join(draw(st.text(alphabet, min_size=w, max_size=w)) for w in cells)
+
+    lines = [line() for _ in range(draw(st.integers(1, 8)))]
+    for _ in range(0 if plain or draw(st.integers(0, 2)) else draw(st.integers(1, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    ends = st.sampled_from(["\n", "\r", "\r\n"])
+    end = "\n" if plain else draw(ends) if equal or draw(st.booleans()) else None  # else one each
+    text = "".join(line + (end or draw(ends)) for line in lines)
+    if draw(st.booleans()):  # the last block of an input may lack a final line break
+        text = text.rstrip("\r\n")
+    return text.encode(), len(widths) if draw(st.integers(0, 3)) else draw(st.integers(1, 5))
+
+
+def _read_back(rows: tuple) -> tuple:
+    """A tokenizer's ``(stop, columns, failure)`` with each column's texts."""
+    stop, columns, failure = rows
+    return stop, [[column.text(i) for i in range(stop)] for column in columns], failure
+
+
+class TestBulkRows:
+    """``_bulk_rows`` reads a block as csv.reader does, or declines it.
+
+    It declines exactly the blocks that hold a quote, non-ASCII text or a
+    field over ``csv.field_size_limit()``; any other block gives the stop,
+    cell texts and failure that csv.reader gives for it alone.
+    """
+
+    @hyp_settings(max_examples=1000, deadline=None)
+    @given(
+        drawn=bulk_blocks(),
+        picks=st.lists(st.integers(0, 4), min_size=1, max_size=3),
+        limit=st.sampled_from([None, None, 1, 3, 4]),
+    )
+    def test_rows_as_csv_reader_reads_them(self, drawn, picks, limit):
+        block, n_fields = drawn
+        positions = [k % n_fields for k in picks]
+        old = csv.field_size_limit(limit) if limit else csv.field_size_limit()
+        try:
+            widest = max(map(len, re.split(rb"[,\r\n]", block)))
+            declined = b'"' in block or not block.isascii() or widest > csv.field_size_limit()
+            rows = sources._bulk_rows(block, positions, n_fields)
+            assert (rows is None) is declined
+            if rows is None:
+                return
+            expected = _read_back(sources._csv_fields(iter([block]), positions, n_fields))
+            assert _read_back(rows) == expected
+            if isinstance(rows[1][0], sources._FixedColumn):
+                # The same lines and a blank one: the split layout, the same rows.
+                twin = sources._bulk_rows(block.removesuffix(b"\n") + b"\n\n", positions, n_fields)
+                assert isinstance(twin[1][0], sources._Column)
+                assert _read_back(twin) == expected
+        finally:
+            csv.field_size_limit(old)
 
 
 #: Distinct texts that int() reads as +1 or -1, each short enough for a key.
@@ -1125,7 +1226,7 @@ OUTCOME_SPELLINGS = ["+1", "-1", "1", "01", "+01", "-01", " 1", "1 ", " -1", "0_
 
 def _column(texts: list[str]) -> sources._Column:
     """The first column of rows ``text,``, as a block of them is split."""
-    stop, columns, failure = sources._split_block("".join(f"{t},\n" for t in texts).encode(), [0], 2)
+    stop, columns, failure = _bulk("".join(f"{t},\n" for t in texts).encode(), ([0], 2), False)
     assert stop == len(texts) and failure is None
     return columns[0]
 
