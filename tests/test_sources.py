@@ -1212,10 +1212,9 @@ class TestBulkRows:
             expected = _read_back(sources._csv_fields(iter([block]), positions, n_fields))
             assert _read_back(rows) == expected
             if isinstance(rows[1][0], sources._FixedColumn):
-                # The same lines and a blank one: the split layout, the same rows.
-                twin = sources._bulk_rows(block.removesuffix(b"\n") + b"\n\n", positions, n_fields)
-                assert isinstance(twin[1][0], sources._Column)
-                assert _read_back(twin) == expected
+                # The same lines, ended by a line break, read in the split layout.
+                twin = _bulk(block.removesuffix(b"\n") + b"\n", (positions, n_fields), False)
+                assert twin is not None and _read_back(twin) == expected
         finally:
             csv.field_size_limit(old)
 
