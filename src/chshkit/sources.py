@@ -398,29 +398,38 @@ def _tokenize(blocks: Iterator[bytes], positions: list[int], n_fields: int) -> I
         )
 
 
-#: Code of a cell its column's table does not decide: a text its rule rejects,
-#: one of 8 bytes or more, or one first seen after the table was full.
+#: Code of a cell its column's table does not decide: a text its rule
+#: rejects, or one of 8 bytes or more.
 _UNDECIDED = -128
 #: Masks that keep the first n bytes of a little-endian word, n = 0..8; a
 #: text of 8 bytes or more keeps none, so all such texts share one key.
 _BYTE_MASKS = np.array([(1 << 8 * n) - 1 for n in range(8)] + [0], dtype=np.uint64)
 _LONG_KEY = np.uint64(8 << 56)
-#: Most keys a table holds; a lookup counts, at rows x keys.
-_TABLE_KEYS = 8
+#: An empty slot's key, which no text packs to: its length byte is over 8.
+_NO_KEY = np.uint64(2**64 - 1)
+
+
+def _slots(keys: np.ndarray) -> np.ndarray:
+    """Each packed key's slot, 0 to 255, as int64 for ``take``."""
+    return (keys * np.uint64(0x9E3779B97F4A7C15) >> np.uint64(56)).view(np.int64)
 
 
 class _Table:
-    """One column's codes by text, for at most ``_TABLE_KEYS`` texts; each is parsed once.
+    """One column's codes by text, in 256 slots; each text is parsed once a block at most.
 
     A text of up to 7 bytes is found by a packed key (its bytes, with its
-    length in the top byte), in bulk.  All longer texts share one key, held
-    from the start as undecided.
+    length in the top byte), in bulk.  Its slot is the top byte of the key
+    times 2**64 over the golden ratio: multiplicative hashing (Knuth, TAOCP
+    vol. 3, 6.4).  All longer texts share one key, placed from the start as
+    undecided.  A slot holds the first key placed in it and never changes,
+    so a text whose slot holds another is parsed again in each block with it.
     """
 
     def __init__(self, name: str, rule: Callable[[str, str], int]) -> None:
         self.name, self.rule = name, rule
-        self.keys = np.array([_LONG_KEY])
-        self.codes = np.array([_UNDECIDED], dtype=np.int8)
+        self.keys = np.full(256, _NO_KEY)
+        self.codes = np.full(256, _UNDECIDED, np.int8)
+        self.keys[_slots(np.array([_LONG_KEY]))] = _LONG_KEY
 
     def _parse(self, text: str) -> int:
         try:
@@ -428,33 +437,19 @@ class _Table:
         except CsvFormatError:
             return _UNDECIDED
 
-    def _slots(self, keys: np.ndarray) -> np.ndarray:
-        """Each key's index in the table; a key not in it gets one of another key.
-
-        Counting the table keys each key reaches gives a binary search's
-        index at about half its cost.
-        """
-        at = np.zeros(len(keys), np.intp)
-        for key in self.keys[1:]:
-            at += keys >= key
-        return at
-
     def codes_of(self, column: _Column | _FixedColumn) -> np.ndarray:
-        """Each field's code, ``_UNDECIDED`` where the table does not hold its text."""
+        """Each field's code, ``_UNDECIDED`` where its rule rejects its text or the text is long."""
         keys = column.keys()
-        at = self._slots(keys)
-        new = self.keys[at] != keys
-        if new.any() and (room := _TABLE_KEYS - len(self.keys)) > 0:
-            fresh, where = np.unique(keys[new], return_index=True)
-            texts = map(column.text, np.flatnonzero(new)[where[:room]])
-            keys_all = np.concatenate((self.keys, fresh[:room]))
-            codes_all = np.concatenate((self.codes, [self._parse(t) for t in texts]))
-            order = np.argsort(keys_all)
-            self.keys, self.codes = keys_all[order], codes_all[order].astype(np.int8)
-            at = self._slots(keys)
-            new = self.keys[at] != keys
-        codes = self.codes[at]
-        codes[new] = _UNDECIDED
+        slots = _slots(keys)
+        codes = self.codes.take(slots)
+        new = np.flatnonzero(self.keys.take(slots) != keys)
+        if len(new):
+            fresh, first, inverse = np.unique(keys[new], return_index=True, return_inverse=True)
+            found = [self._parse(column.text(i)) for i in new[first].tolist()]
+            codes[new] = np.array(found, np.int8)[inverse]
+            for key, slot, code in zip(fresh.tolist(), slots[new[first]].tolist(), found):
+                if self.keys[slot] == _NO_KEY:  # a held slot keeps its key
+                    self.keys[slot], self.codes[slot] = key, code
         return codes
 
 

@@ -1,5 +1,7 @@
 """Generators (LHV and QM) and the CSV interchange formats."""
 
+import collections
+import contextlib
 import csv
 import io
 import itertools
@@ -7,6 +9,7 @@ import math
 import os
 import re
 import stat
+import string
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -1230,42 +1233,69 @@ def _column(texts: list[str]) -> sources._Column:
     return columns[0]
 
 
+@contextlib.contextmanager
+def _rule_calls():
+    """A count of the label and outcome rules' calls by ``(column, text)``."""
+    calls = collections.Counter()
+
+    def counted(rule):
+        def call(text, column):
+            calls[column, text] += 1
+            return rule(text, column)
+
+        return call
+
+    rules = {
+        kind: {name: rule if rule is sources._parse_index else counted(rule) for name, rule in columns.items()}
+        for kind, columns in sources._RULES.items()
+    }
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sources, "_RULES", rules)
+        yield calls
+
+
+def _key_slot(text: str) -> int:
+    return int(sources._slots(_column([text]).keys())[0])
+
+
+def _outcome_code(text: str) -> int:
+    """The code a table gives a text in an outcome column."""
+    if len(text.encode()) >= 8:
+        return sources._UNDECIDED
+    try:
+        return sources._parse_outcome(text, "outcome_a")
+    except CsvFormatError:
+        return sources._UNDECIDED
+
+
 class TestTableLookup:
-    """A table holds at most ``_TABLE_KEYS`` keys and finds them by counting.
-    Each text it holds gets the code the column's rule gives it, every other
-    text ``_UNDECIDED``, and the ingest's row loop has the rule decide those."""
+    """A table finds a text of up to 7 bytes by its packed key's slot, one of 256.
+
+    Each text gets the code the column's rule gives it, and ``_UNDECIDED``
+    where the rule rejects it or it has 8 bytes or more; the ingest's row
+    loop has the rule decide those.  A slot keeps the first key placed in
+    it, so a text whose slot was empty is parsed once per column.
+    """
 
     @pytest.mark.parametrize("size", range(1, len(OUTCOME_SPELLINGS) + 1))
     def test_lookup_matches_a_binary_search(self, size):
-        known = OUTCOME_SPELLINGS[: size - 1]  # and the key all long texts share
+        known = OUTCOME_SPELLINGS[: size - 1]
         table = sources._Table("outcome_a", sources._parse_outcome)
         table.codes_of(_column(known))
-        assert len(table.keys) == min(size, sources._TABLE_KEYS)
-        assert (table.keys[:-1] < table.keys[1:]).all()
-        # Texts absent from the table sort below, between and above its keys.
         absent = ["", "x", "2", "-2", "1_", "+-1", "1234567", *OUTCOME_SPELLINGS[size - 1 :]]
-        texts = RngSpec(size).generator().permutation(known * 3 + absent + ["1" * 8, "-00000001"])
-        keys = _column(list(texts)).keys()
-        at = table._slots(keys)
-        present = np.isin(keys, table.keys)
-        assert (at[present] == np.searchsorted(table.keys, keys[present])).all()
-        assert ((table.keys[at] != keys) == ~present).all()
-        got = table.codes_of(_column(list(texts)))
-        # Seven absent short texts fill any table that had room.
-        assert len(table.keys) == sources._TABLE_KEYS
-        held = set(table.keys.tolist()) - {int(sources._LONG_KEY)}
-        expected = []
-        for text, key in zip(texts, keys.tolist()):
-            try:
-                code = sources._parse_outcome(text, "outcome_a") if key in held else None
-            except CsvFormatError:
-                code = None
-            expected.append(sources._UNDECIDED if code is None else code)
-        assert got.tolist() == expected
+        texts = list(RngSpec(size).generator().permutation(known * 3 + absent + ["1" * 8, "-00000001"]))
+        # The reference: each distinct text's code, found by a binary search of their sorted keys.
+        keys = _column(texts).keys()
+        distinct, first = np.unique(keys, return_index=True)
+        expected = np.array([_outcome_code(texts[i]) for i in first])[np.searchsorted(distinct, keys)]
+        for _ in range(2):  # new texts, then the texts the first block placed
+            assert table.codes_of(_column(texts)).tolist() == expected.tolist()
 
     @pytest.mark.parametrize("bad_row", [None, 700])
     @pytest.mark.parametrize("block_bytes", [64, sources._BLOCK_BYTES])
     def test_many_spellings_ingest_like_the_row_parser(self, block_bytes, bad_row):
+        slots = {_key_slot(text) for text in OUTCOME_SPELLINGS + ["ab", "ac", "db", "dc", "1" * 8]}
+        assert len(slots) == len(OUTCOME_SPELLINGS) + 5  # no two in one slot
         g = RngSpec(31).generator()
         labels = np.array(["ab", "ac", "db", "dc"])
         spellings = np.array(OUTCOME_SPELLINGS)
@@ -1280,42 +1310,68 @@ class TestTableLookup:
         if bad_row is not None:
             rows[bad_row - 1] = rows[bad_row - 1].rsplit(",", 1)[0] + ",+2"
         text = "\n".join([SUBRUN_HEADER, *rows]) + "\n"
-        sizes = []
-        slots = sources._Table._slots
-
-        def counted_slots(table, keys):
-            sizes.append(len(table.keys))
-            return slots(table, keys)
-
-        with pytest.MonkeyPatch.context() as mp:
+        with _rule_calls() as calls, pytest.MonkeyPatch.context() as mp:
             mp.setattr(sources, "_BLOCK_BYTES", block_bytes)
-            mp.setattr(sources._Table, "_slots", counted_slots)
             got = _columns_or_error(_subrun_columns, text)
-        assert max(sizes) == sources._TABLE_KEYS
         assert got == _columns_or_error(reference_ingest_subruns, text)
-        if bad_row is not None:
+        # Each distinct text once per column; the bad one once more, by the row loop.
+        assert calls.pop(("outcome_b", "+2"), 2) == 2
+        assert set(calls.values()) == {1}
+        if bad_row is None:
+            assert len(calls) == 4 + 2 * len(OUTCOME_SPELLINGS)
+        else:
             assert got == f"outcome outside {{+1, -1}}: '+2' in column 'outcome_b' at row {bad_row}"
 
-    def test_every_spelling_leaves_each_table_at_eight_keys(self):
+    def test_every_spelling_is_parsed_once_per_column(self):
         labels = ["ab", "ac", "db", "dc"]
         rows = [
             f"{labels[i % 4]},{a},{b}"
             for i, (a, b) in enumerate(itertools.product(OUTCOME_SPELLINGS, repeat=2))
         ]
         text = "\n".join([SUBRUN_HEADER, *rows]) + "\n"
-        tables = []
-        init = sources._Table.__init__
-
-        def recorded_init(table, *args):
-            init(table, *args)
-            tables.append(table)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sources._Table, "__init__", recorded_init)
+        with _rule_calls() as calls:
             got = _subrun_columns(text)
-        assert len(tables) == 3
-        assert [len(table.keys) for table in tables] == [5, 8, 8]  # pair: four labels and the long key
+        expected = [("pair", label) for label in labels]
+        expected += [(name, t) for name in ("outcome_a", "outcome_b") for t in OUTCOME_SPELLINGS]
+        assert calls == collections.Counter(expected)
         assert got == reference_ingest_subruns(text)
+
+    @pytest.mark.parametrize("write", ["subruns", "counterfactual"])
+    def test_written_files_parse_each_distinct_text_once(self, write):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sources, "_BLOCK_BYTES", 4096)
+            buf = io.StringIO()
+            if write == "subruns":
+                write_subrun_csv(_subrun_dataset([3_000] * 4, 33), buf)
+                columns = {"pair": ["ab", "ac", "db", "dc"], "outcome_a": ["+1", "-1"], "outcome_b": ["+1", "-1"]}
+            else:
+                write_counterfactual_csv(random_counterfactual(RngSpec(33), 3_000), buf)
+                columns = dict.fromkeys("adbc", ["+1", "-1"])
+            assert len(_blocks_of(buf.getvalue().encode())) > 5
+            with _rule_calls() as calls:
+                sources._ingest(io.StringIO(buf.getvalue()), write)
+        assert calls == collections.Counter((name, t) for name, texts in columns.items() for t in texts)
+
+    def test_a_held_slot_keeps_its_key(self):
+        # A short text in the long texts' slot, seen first, does not take it.
+        letters = map("".join, itertools.product(string.ascii_lowercase, repeat=2))
+        short = next(t for t in letters if _key_slot(t) == _key_slot("1" * 8))
+        table = sources._Table("outcome_a", sources._parse_outcome)
+        long_texts = ["+1      ", "-1      ", "     -1 ", "00000001"]
+        for texts in ([short], long_texts + [short, "+1"], long_texts[::-1]):
+            assert table.codes_of(_column(texts)).tolist() == [_outcome_code(t) for t in texts]
+
+    def test_new_texts_in_one_slot(self):
+        one, other = "\t+001 ", "  -01  "
+        assert _key_slot(one) == _key_slot(other)
+        table = sources._Table("outcome_a", sources._parse_outcome)
+        texts = [one, other, other, one]
+        for _ in range(2):
+            assert table.codes_of(_column(texts)).tolist() == [1, -1, -1, 1]
+        # The slot holds one of them, with its own code.
+        slot = _key_slot(one)
+        held = [t for t in (one, other) if table.keys[slot] == _column([t]).keys()[0]]
+        assert len(held) == 1 and table.codes[slot] == _outcome_code(held[0])
 
     @pytest.mark.parametrize("bad_row", [None, 20_000])
     @pytest.mark.parametrize("block_bytes", [64, sources._BLOCK_BYTES])
