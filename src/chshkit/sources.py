@@ -218,63 +218,46 @@ def _blocks(read: Callable[[int], bytes]) -> Iterator[bytes]:
     yield from blocks
 
 
+#: Zero bytes after every buffer of fields, so that 16 bytes can be read at any field's start.
+_SPARE = bytes(16)
+
+
 class _Column(NamedTuple):
     """One field of each row: field ``i`` is ``buf[starts[i]:ends[i]]``.
 
-    A delimiter byte follows each field, and ``buf`` ends in 8 spare bytes
-    so that 8 bytes can be read at any field start.
+    ``starts`` and ``ends`` are index arrays, or ranges for equal lines.  A
+    delimiter byte follows each field, and ``buf`` ends in ``_SPARE``.
     """
 
     buf: np.ndarray
-    starts: np.ndarray
-    ends: np.ndarray
+    starts: np.ndarray | range
+    ends: np.ndarray | range
 
     def text(self, i) -> str:
         return self.buf[self.starts[i] : self.ends[i]].tobytes().decode("utf-8")
 
+    def _heads(self, n: int) -> tuple[np.ndarray, np.ndarray | int]:
+        """The first ``n`` little-endian words at each field's start, a row a field, and the widths,
+        8n + 1 for any wider: a strided view and one width for equal lines, else a gather."""
+        at, ends = self.starts, self.ends
+        if isinstance(at, range):
+            heads = np.ndarray((len(at), n), "<u8", self.buf, at.start, (at.step, 8))
+            return heads, min(ends.start - at.start, 8 * n + 1)
+        words = np.ndarray((len(self.buf) - 8 * n + 1, n), "<u8", self.buf, strides=(1, 8))
+        return words[at], np.minimum(ends - at, 8 * n + 1)
+
     def keys(self) -> np.ndarray:
         """Each field's packed key (see :class:`_Table`)."""
-        lengths = np.minimum(self.ends - self.starts, 8).astype(np.uint64)
-        words = np.ndarray(len(self.buf) - 7, "<u8", self.buf, strides=(1,))
-        return (words[self.starts] & _BYTE_MASKS[lengths]) | (lengths << np.uint64(56))
+        heads, widths = self._heads(1)
+        return (heads[:, 0] & _BYTE_MASKS[widths]) | _LENGTH_BYTES[widths]
 
     def not_plain_digits(self) -> np.ndarray:
-        """Rows whose field is other than 1 to 18 ASCII digits."""
-        # A delimiter follows every field, so the search never runs off the end.
-        nondigit = np.flatnonzero(self.buf[:-8] - np.uint8(ord("0")) > 9)
-        lengths = self.ends - self.starts
-        digits = nondigit[np.searchsorted(nondigit, self.starts)] == self.ends
-        return np.flatnonzero(~(digits & (lengths >= 1) & (lengths <= 18)))
-
-
-class _FixedColumn(NamedTuple):
-    """One field of each of ``count`` lines of ``line`` bytes.
-
-    Field ``i`` is bytes ``[start, end)`` of line ``i`` of ``buf``, which
-    ends in 8 spare bytes.
-    """
-
-    buf: np.ndarray
-    line: int
-    start: int
-    end: int
-    count: int
-
-    def text(self, i) -> str:
-        at = i * self.line
-        return self.buf[at + self.start : at + self.end].tobytes().decode("utf-8")
-
-    def keys(self) -> np.ndarray:
-        width = min(self.end - self.start, 8)
-        words = np.ndarray(self.count, "<u8", self.buf, self.start, (self.line,))
-        return (words & _BYTE_MASKS[width]) | np.uint64(width << 56)
-
-    def not_plain_digits(self) -> np.ndarray:
-        if not 1 <= self.end - self.start <= 18:  # as in _Column: no field is plain
-            return np.arange(self.count)
-        lines = self.buf[: self.count * self.line].reshape(self.count, self.line)
-        field = lines[:, self.start : self.end]
-        return np.flatnonzero((field - np.uint8(ord("0")) > 9).any(axis=1))
+        """Rows whose field is other than 1 to 16 ASCII digits."""
+        heads, widths = self._heads(2)
+        # Byte b is a digit iff neither y = b ^ 0x30 nor y + 0x76 has bit 7; only non-digits carry.
+        y = (heads ^ _ZEROS) & _FIELD_MASKS[widths]
+        high = (y | (y + _DIGIT_REACH)) & _HIGH_BITS
+        return np.flatnonzero(((high[:, 0] | high[:, 1]) != 0) | (widths < 1) | (widths > 16))
 
 
 def _columns(buf, starts, ends, first, width, positions: list[int], n_fields: int) -> tuple:
@@ -310,8 +293,8 @@ def _bulk_rows(block: bytes, positions: list[int], n_fields: int) -> tuple | Non
         return None
     if not block.endswith((b"\n", b"\r")):
         block += b"\n"
-    buf = np.frombuffer(block + bytes(8), np.uint8)
-    data = buf[:-8]
+    buf = np.frombuffer(block + _SPARE, np.uint8)
+    data = buf[: len(block)]
     delimiters = (data == ord(",")) | (data == ord("\n"))
     line = block.find(b"\n") + 1
     if b"\r" in block:  # CR ends a line too, and such a block is never read at fixed offsets
@@ -329,9 +312,9 @@ def _bulk_rows(block: bytes, positions: list[int], n_fields: int) -> tuple | Non
     starts = np.concatenate(([0], ends[:-1] + 1))
     if (ends - starts).max() > csv.field_size_limit():
         return None
-    if fixed:
-        starts, ends = starts.tolist(), ends.tolist()
-        return count, [_FixedColumn(buf, line, starts[k], ends[k], count) for k in positions], None
+    if fixed:  # each line's fields at the first line's offsets
+        return count, [_Column(buf, range(starts[k], len(block), line), range(ends[k], len(block), line))
+                       for k in positions], None
     last = np.flatnonzero(data[ends] != ord(","))  # each line's last field
     first = np.concatenate(([0], last[:-1] + 1))
     width = last - first + 1
@@ -379,7 +362,7 @@ def _csv_fields(blocks: Iterator[bytes], positions: list[int], n_fields: int) ->
     lengths = np.fromiter(map(len, cells), np.intp, len(cells))
     ends = np.cumsum(lengths + 1) - 1
     width = np.fromiter(map(len, rows), np.intp, len(rows))
-    buf = np.frombuffer(b"".join(cell + b"," for cell in cells) + bytes(8), np.uint8)
+    buf = np.frombuffer(b"".join(cell + b"," for cell in cells) + _SPARE, np.uint8)
     first = np.cumsum(width) - width
     stop, columns, failure = _columns(buf, ends - lengths, ends, first, width, positions, n_fields)
     return stop, columns, failure or error
@@ -401,10 +384,13 @@ def _tokenize(blocks: Iterator[bytes], positions: list[int], n_fields: int) -> I
 #: Code of a cell its column's table does not decide: a text its rule
 #: rejects, or one of 8 bytes or more.
 _UNDECIDED = -128
-#: Masks that keep the first n bytes of a little-endian word, n = 0..8; a
-#: text of 8 bytes or more keeps none, so all such texts share one key.
-_BYTE_MASKS = np.array([(1 << 8 * n) - 1 for n in range(8)] + [0], dtype=np.uint64)
-_LONG_KEY = np.uint64(8 << 56)
+#: By a text's width w = 0..9, 9 for any wider: a mask of its first w bytes of a little-endian
+#: word, and w as a top byte; texts of 8 bytes or more keep none and share one key.
+_BYTE_MASKS = np.array([(1 << 8 * w) - 1 for w in range(8)] + [0, 0], dtype=np.uint64)
+_LENGTH_BYTES = np.array([min(w, 8) << 56 for w in range(10)], np.uint64)
+#: By a field's width w = 0..17, 17 for any wider: two words that mask its own bytes of 16.
+_FIELD_MASKS = np.frombuffer(b"".join(b"\xff" * w + bytes(16 - w) for w in [*range(17), 16]), "(2,)<u8")
+_ZEROS, _DIGIT_REACH, _HIGH_BITS = (np.uint64(b * 0x0101010101010101) for b in (0x30, 0x76, 0x80))
 #: An empty slot's key, which no text packs to: its length byte is over 8.
 _NO_KEY = np.uint64(2**64 - 1)
 
@@ -429,7 +415,7 @@ class _Table:
         self.name, self.rule = name, rule
         self.keys = np.full(256, _NO_KEY)
         self.codes = np.full(256, _UNDECIDED, np.int8)
-        self.keys[_slots(np.array([_LONG_KEY]))] = _LONG_KEY
+        self.keys[_slots(_LENGTH_BYTES[8:9])] = _LENGTH_BYTES[8]  # the long key
 
     def _parse(self, text: str) -> int:
         try:
@@ -437,7 +423,7 @@ class _Table:
         except CsvFormatError:
             return _UNDECIDED
 
-    def codes_of(self, column: _Column | _FixedColumn) -> np.ndarray:
+    def codes_of(self, column: _Column) -> np.ndarray:
         """Each field's code, ``_UNDECIDED`` where its rule rejects its text or the text is long."""
         keys = column.keys()
         slots = _slots(keys)

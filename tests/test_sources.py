@@ -933,7 +933,7 @@ def _bulk(block: bytes, layout, fixed: bool) -> tuple | None:
     row but makes the lines unequal.
     """
     rows = sources._bulk_rows(block if fixed else block + b"\n", *layout)
-    if rows is None or isinstance(rows[1][0], sources._FixedColumn) is not fixed:
+    if rows is None or isinstance(rows[1][0].starts, range) is not fixed:
         return None
     return rows
 
@@ -1076,7 +1076,7 @@ class TestFixedLayoutBlocks:
         assert blocks[:2] == [f"{CF_HEADER}\n".encode(), (good * 4).encode()]
         assert blocks[2].startswith(empty.encode())
         stop, columns, failure = _bulk(blocks[2], CF_LAYOUT, True)
-        assert columns[0].start == columns[0].end and failure is None
+        assert columns[0].starts == columns[0].ends and failure is None
         assert columns[0].not_plain_digits().tolist() == list(range(stop))
         assert got == _columns_or_error(reference_ingest_counterfactual, text)
         assert got == "invalid trial index '' at row 5"
@@ -1118,7 +1118,7 @@ class TestFixedLayoutBlocks:
         assert isinstance(got, list) if column is None else got.endswith(" at row 30")
 
     @pytest.mark.parametrize("block_bytes", [64, sources._BLOCK_BYTES])
-    @pytest.mark.parametrize("digits", [8, 19, 4301])
+    @pytest.mark.parametrize("digits", [8, 9, 16, 19, 4301])
     @pytest.mark.parametrize("column, last", [(None, None), (0, "x"), (4, "2")])
     def test_wide_indices(self, digits, column, last, block_bytes):
         # int() reads at most 4,300 digits, so a 4,301-digit index fails at row 1.
@@ -1133,7 +1133,7 @@ class TestFixedLayoutBlocks:
         else:
             assert isinstance(got, list) if column is None else got.endswith(" at row 30")
 
-    @pytest.mark.parametrize("width", [0, 1, 7, 8, 18, 19, 4301])
+    @pytest.mark.parametrize("width", [0, 1, 7, 8, 16, 17, 18, 19, 4301])
     def test_both_readers_give_the_same_keys_and_suspects(self, width):
         block = "".join(f"{'1' * width},+1,-1,-1,+1\n" for _ in range(3)).encode()
         fixed, split = (_bulk(block, CF_LAYOUT, at_offsets)[1] for at_offsets in (True, False))
@@ -1149,6 +1149,55 @@ class TestFixedLayoutBlocks:
         split = [i for i, b in enumerate(blocks[1:], 1) if _bulk(b, CF_LAYOUT, True) is None]
         assert len(split) == 1 and b"\n9999999," in blocks[split[0]] and b"\n10000000," in blocks[split[0]]
         assert _counterfactual_columns(text) == reference_ingest_counterfactual(text)
+
+    @pytest.mark.parametrize(
+        "first, calls", [(1, 0), (9_999_001, 0), (99_999_001, 0), (10**15 - 1_000, 0), (10**16 - 1_000, 19_000)]
+    )
+    def test_indices_of_up_to_sixteen_digits_are_decided_in_bulk(self, first, calls):
+        # 20,000 written rows from j = first: the index width changes inside a
+        # block, and only the 17-digit indices go to the rule, one call a row.
+        codes = RngSpec(24).generator().integers(0, 16, 20_000, dtype=np.uint8)
+        text = f"{CF_HEADER}\n" + sources._counterfactual_text(codes, first)
+        blocks = _blocks_of(text.encode())[1:]
+        widths = [{len(line.partition(b",")[0]) for line in block.splitlines()} for block in blocks]
+        assert any(len(w) > 1 for w in widths) and any(_bulk(b, CF_LAYOUT, True) for b in blocks)
+        with _index_rule_calls() as texts:
+            got = _counterfactual_columns(text)
+        assert len(texts) == calls and all(len(t) == 17 for t in texts)
+        assert got == reference_ingest_counterfactual(text)
+
+    @hyp_settings(max_examples=300, deadline=None)
+    @given(width=st.integers(0, 20), data=st.data())
+    def test_rows_left_out_of_the_suspects_are_plain_indices(self, width, data):
+        # Fields over digits, signs, spaces, "_", letters and NUL, in both layouts:
+        # those of 1 to 16 ASCII digits, and only those, are no suspects.
+        chars = st.sampled_from([*string.digits * 4, "+", "-", " ", "_", "a", "Z", "\x00"])
+        def texts(size):
+            return st.lists(st.text(chars, min_size=size[0], max_size=size[1]), min_size=1, max_size=8)
+
+        for drawn, fixed in ((data.draw(texts((width, width))), True), (data.draw(texts((0, 20))), False)):
+            stop, columns, failure = _bulk("".join(f"{t},\n" for t in drawn).encode(), ([0], 2), fixed)
+            left_out = set(range(stop)) - set(columns[0].not_plain_digits().tolist())
+            for i in left_out:
+                int(drawn[i].strip())
+            assert left_out == {i for i, t in enumerate(drawn) if 1 <= len(t) <= 16 and t.isdigit()}
+
+
+@contextlib.contextmanager
+def _index_rule_calls():
+    """The texts the trial-index rule is called on, in turn."""
+    texts, rule = [], sources._parse_index
+
+    def counted(text, column):
+        texts.append(text)
+        return rule(text, column)
+
+    rules = {**sources._RULES, "counterfactual": {**sources._RULES["counterfactual"], "j": counted}}
+    with pytest.MonkeyPatch.context() as mp:
+        # One wrapper in both places: the ingest still gives the index no table.
+        mp.setattr(sources, "_parse_index", counted)
+        mp.setattr(sources, "_RULES", rules)
+        yield texts
 
 
 @st.composite
@@ -1214,7 +1263,7 @@ class TestBulkRows:
                 return
             expected = _read_back(sources._csv_fields(iter([block]), positions, n_fields))
             assert _read_back(rows) == expected
-            if isinstance(rows[1][0], sources._FixedColumn):
+            if isinstance(rows[1][0].starts, range):
                 # The same lines, ended by a line break, read in the split layout.
                 twin = _bulk(block.removesuffix(b"\n") + b"\n", (positions, n_fields), False)
                 assert twin is not None and _read_back(twin) == expected
@@ -1517,7 +1566,7 @@ class TestGenerateWorkingSet:
 class TestIngestWorkingSet:
     """An ingest at 10^6 trials holds each column once, whatever its line ends.
 
-    These ingests peak at 6.7 MB (sub-runs, LF), 7.1 MB (sub-runs,
+    These ingests peak at 6.7 MB (sub-runs, LF), 6.8 MB (sub-runs,
     CR-only) and 5.5 MB (counterfactual), their results included.  Keeping
     each column as blocks to concatenate peaks at 9.0, 9.0 and 8.2 MB, and
     cutting blocks at LF alone reads the CR-only file as one block (198 MB).
