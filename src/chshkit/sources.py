@@ -368,19 +368,6 @@ def _csv_fields(blocks: Iterator[bytes], positions: list[int], n_fields: int) ->
     return stop, columns, failure or error
 
 
-def _tokenize(blocks: Iterator[bytes], positions: list[int], n_fields: int) -> Iterator[tuple]:
-    """Each block's data rows, as :func:`_columns` gives them.
-
-    csv.reader reads each block that :func:`_bulk_rows` cannot, and the
-    blocks a record still open at its end runs into.  The block after
-    those is read in bulk again.
-    """
-    for block in blocks:
-        yield _bulk_rows(block, positions, n_fields) or _csv_fields(
-            itertools.chain([block], blocks), positions, n_fields
-        )
-
-
 #: Code of a cell its column's table does not decide: a text its rule
 #: rejects, or one of 8 bytes or more.
 _UNDECIDED = -128
@@ -465,20 +452,11 @@ def _parse_index(text: str, column: str) -> int:
 
 #: Each trial CSV kind's columns, in the order a row's cells are checked,
 #: each with the rule that parses one cell text or raises CsvFormatError.
+#: A kind's first column names it in a header, tried in this order.
 _RULES = {
     "subruns": {"pair": _parse_label, "outcome_a": _parse_outcome, "outcome_b": _parse_outcome},
     "counterfactual": {"j": _parse_index, **dict.fromkeys("adbc", _parse_outcome)},
 }
-
-
-def _csv_kind(header: list[str]) -> str:
-    """The kind of trial CSV whose header row is ``header``."""
-    names = {name.strip() for name in header}
-    if "pair" in names:
-        return "subruns"
-    if "j" in names:
-        return "counterfactual"
-    raise CsvFormatError("unrecognized trial CSV header: no 'pair' or 'j' column")
 
 
 def _ingest(source, kind: str | None) -> tuple[str, list[np.ndarray]]:
@@ -502,7 +480,11 @@ def _ingest(source, kind: str | None) -> tuple[str, list[np.ndarray]]:
         # A header that runs past its line holds a line break in a name, which
         # the column checks reject: no row the batch read after it is data.
         header = rows[0] if rows else []
-        kind = kind or _csv_kind(header)
+        if not kind:  # names are stripped to pick the kind, and only for that
+            names = {name.strip() for name in header}
+            kind = next((k for k, columns in _RULES.items() if next(iter(columns)) in names), None)
+            if not kind:
+                raise CsvFormatError("unrecognized trial CSV header: no 'pair' or 'j' column")
         rules = _RULES[kind]
         if missing := [name for name in rules if name not in header]:
             raise CsvFormatError(f"missing column(s): {', '.join(missing)}")
@@ -518,8 +500,13 @@ def _ingest(source, kind: str | None) -> tuple[str, list[np.ndarray]]:
         # digit strings, valid for int(), are accepted in bulk.
         tables = {name: _Table(name, rule) for name, rule in rules.items() if rule is not _parse_index}
         parts = {name: bytearray() for name in tables}
-        done = 0
-        for stop, columns, failure in _tokenize(blocks, positions, len(header)):
+        done, n = 0, len(header)
+        for block in blocks:
+            # csv.reader reads a block that _bulk_rows cannot, with the blocks a record still open
+            # at its end runs into; the block after those is read in bulk again.
+            stop, columns, failure = _bulk_rows(block, positions, n) or _csv_fields(
+                itertools.chain([block], blocks), positions, n
+            )
             for (name, rule), column in zip(rules.items(), columns):
                 if name in tables:
                     found = tables[name].codes_of(column)

@@ -334,6 +334,21 @@ class TestEstimate:
         assert err == "error: unrecognized trial CSV header: no 'pair' or 'j' column\n"
         assert len(err.encode()) < 100
 
+    @pytest.mark.parametrize(
+        "header, err",
+        [
+            # A `pair` column makes a sub-run file, even with a `j` column before it.
+            ("j,pair,outcome_a,outcome_b", "error: unexpected column(s): j\n"),
+            # Names are stripped to pick the kind, and only for that.
+            (" j ,a,d,b,c", "error: missing column(s): j\n"),
+        ],
+    )
+    def test_kind_rule(self, tmp_path, capsys, header, err):
+        path = tmp_path / "kind.csv"
+        path.write_text(header + "\n")
+        assert main(["estimate", "--in", str(path)]) == 1
+        assert capsys.readouterr().err == err
+
 
 class TestSplit:
     def test_pipeline_preserves_trial_count(self, cf_csv, tmp_path, capsys):

@@ -1008,7 +1008,8 @@ class TestFixedLayoutBlocks:
         block = "ab,+1,-1\nab,\xe9,-1\n".encode()  # equal lines with no quote, but not ASCII
         with pytest.MonkeyPatch.context() as mp:
             read = TestSubrunCsv._counting_csv_reader(mp)
-            (stop, columns, failure), = sources._tokenize(iter([block]), *SUBRUN_LAYOUT)
+            assert sources._bulk_rows(block, *SUBRUN_LAYOUT) is None
+            stop, columns, failure = sources._csv_fields(iter([block]), *SUBRUN_LAYOUT)
         assert read == [block]
         assert (stop, failure, columns[1].text(1)) == (2, None, "\xe9")
 
