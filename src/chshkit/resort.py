@@ -36,7 +36,7 @@ import numpy as np
 
 from .core import OutcomeSequence, SubRunDataset, SubRunPairs, _is_count
 from .estimators import gamma_subruns
-from .rng import RngSpec, _DRAW_BLOCK
+from .rng import RngSpec, _DRAW_BLOCK, _derived_generators
 
 __all__ = [
     "ResortPolicy",
@@ -158,10 +158,10 @@ def resort_cascade(data: SubRunDataset, policy: ResortPolicy = STABLE) -> Resort
     # Each step as (aligned side, dragged side), in cascade order: ac on
     # its a-side, dc on its c-side (to the dragged-along c), db on its
     # d-side (to the dragged-along d).  The dragged side, moved with its
-    # pairs, is the next step's target.
+    # pairs, is the next step's target.  Random step i draws on rng.derive(i).
     target, deficits, dragged = a1, [], []
-    for index, (aligned, drag) in enumerate((ac, dc[::-1], db)):
-        g = None if policy.rng is None else policy.rng.derive(index).generator()
+    streams = (None,) * 3 if policy.rng is None else _derived_generators(policy.rng)
+    for (aligned, drag), g in zip((ac, dc[::-1], db), streams):
         target, deficit = _class_matching(target, aligned, drag, g)
         deficits.append(deficit)
         dragged.append(target)

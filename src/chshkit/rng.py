@@ -4,7 +4,9 @@ Randomness flows through :class:`RngSpec`, a (seed, stream id) pair backed
 by numpy's counter-based Philox generator.  The pair fully determines the
 output, so results never depend on thread count or call interleaving;
 independent sub-tasks (the four sub-run generators, per-seed Monte Carlo
-repetitions, per-step shuffles) each get their own derived stream.
+repetitions, per-step shuffles) each get their own derived stream.  A call
+that draws several builds one generator and re-keys it for each stream;
+no generator outlives or leaves its call.
 """
 
 from __future__ import annotations
@@ -102,3 +104,18 @@ class RngSpec:
         # _splitmix64 reduces its argument mod 2**64, and with it the index.
         object.__setattr__(child, "stream", _splitmix64(_splitmix64(self.stream) ^ int(index)))
         return child
+
+
+
+def _derived_generators(spec: RngSpec):
+    """Yields what ``spec.derive(i).generator()`` draws, for i = 0, 1, ...:
+    one generator re-keyed in place at counter 0 with an empty buffer.  It
+    must not leave the caller's call (its ``seed_seq`` names child 0)."""
+    g, index, mixed = spec.derive(0).generator(), 0, _splitmix64(spec.stream)
+    state = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0)}, "buffer": (0, 0, 0, 0),
+             "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    while True:
+        yield g
+        index += 1
+        state["state"]["key"] = (spec.seed, _splitmix64(mixed ^ index))  # derive's child id
+        g.bit_generator.state = state

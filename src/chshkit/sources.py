@@ -45,7 +45,7 @@ from .core import (
     _PAIR_ARMS,
     _is_count,
 )
-from .rng import RngSpec, _DRAW_BLOCK
+from .rng import RngSpec, _DRAW_BLOCK, _derived_generators
 
 __all__ = [
     "CorrelationLaw",
@@ -131,10 +131,15 @@ def qm_generate(
     Both marginals are uniform by construction; the correlation enters
     only through the probability that the two arms agree.
     """
+    return _qm_pairs(alpha, beta, law, n, rng.generator().bit_generator)
+
+
+def _qm_pairs(alpha: Angle, beta: Angle, law: CorrelationLaw, n: int, bits) -> SubRunPairs:
+    """``qm_generate``'s pairs, drawn from the bit generator ``bits``."""
     if not _is_count(n) or n < 1:
         raise ValueError(f"trial count must be an integer >= 1, got {n}")
     e = law.pair_correlation(alpha, beta)
-    raw = rng.generator().bit_generator.random_raw
+    raw = bits.random_raw
     # The signs g.integers(0, 2, n, np.int8) draws: it takes the bytes of
     # ceil(n / 8) words in little-endian order, and for a range of 2
     # Lemire's rule never rejects and keeps each byte's top bit.
@@ -153,12 +158,12 @@ def generate_subruns(
 ) -> SubRunDataset:
     """Four independent fixed-setting experiments of n_per trials each.
 
-    Each setting pair runs on its own derived stream, so the four lists
-    are statistically independent even under one seed.
+    List i runs on its own derived stream, ``rng.derive(i)``, so the
+    four lists are statistically independent even under one seed.
     """
     arms = settings.angles
-    lists = [qm_generate(arms[x], arms[y], law, n_per, rng.derive(i))
-             for i, (x, y) in enumerate(_PAIR_ARMS)]
+    lists = [_qm_pairs(arms[x], arms[y], law, n_per, g.bit_generator)
+             for (x, y), g in zip(_PAIR_ARMS, _derived_generators(rng))]
     return SubRunDataset(*lists, settings=settings)
 
 
@@ -561,17 +566,24 @@ def ingest_counterfactual_csv(source) -> CounterfactualDataset:
 def _output(dest) -> Iterator[IO[str]]:
     """A text stream to ``dest``, a path or an open stream.
 
-    A new path or a regular file (after following symlinks) is written as
-    a temporary file beside it that replaces it only once complete: a
-    failed write leaves any earlier file untouched.  Any other existing
-    target, such as a FIFO or ``/dev/stdout``, is written in place.
+    The file open on fd 1 or 2, as ``/dev/stdout`` names it, is written
+    through that fd, at its offset.  A new path or another regular file
+    (after following symlinks) is written as a temporary file beside it
+    that replaces it only once complete: a failed write leaves any earlier
+    file untouched.  Any other existing target, such as a FIFO, is
+    written in place.
     """
     if not isinstance(dest, (str, Path)):
         yield dest
         return
     path = Path(dest)
-    if path.exists() and not path.is_file():
-        with open(path, "w", encoding="utf-8", newline="") as stream:
+    try:
+        fd = next((fd for fd in (1, 2) if os.path.samestat(path.stat(), os.fstat(fd))), None)
+    except OSError:  # no such path, or a closed fd
+        fd = None
+    if fd is not None or path.exists() and not path.is_file():
+        with open(path if fd is None else fd, "w", encoding="utf-8", newline="",
+                  closefd=fd is None) as stream:
             yield stream
         return
     path = path.resolve()

@@ -288,6 +288,28 @@ class TestEstimate:
         assert lines[0] == "pair,outcome_a,outcome_b"
         assert len(lines) == 9
 
+    @pytest.mark.parametrize("fd, dev", [(1, "/dev/stdout"), (2, "/dev/stderr")])
+    @pytest.mark.parametrize("append", [False, True])
+    def test_out_dev_stdout_writes_at_a_redirected_file_offset(self, tmp_path, fd, dev, append):
+        # `{ echo before; chshkit ... --out /dev/stdout; echo after; } > log`, and the same
+        # with `>> log`: the output lands between the lines, and the file is not replaced.
+        args = ["simulate", "--mode", "qm", "--n-per", "10", "--seed", "1", "--out"]
+        assert run_proc(*args, str(tmp_path / "plain.csv")).returncode == 0
+        log = tmp_path / "log"
+        log.write_bytes(b"prior\n")
+        out = os.open(log, os.O_WRONLY | (os.O_APPEND if append else os.O_TRUNC))
+        streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE}
+        streams["stdout" if fd == 1 else "stderr"] = out
+        try:
+            os.write(out, b"before\n")
+            proc = subprocess.run([sys.executable, "-m", "chshkit", *args, dev], **streams)
+            os.write(out, b"after\n")
+        finally:
+            os.close(out)
+        assert proc.returncode == 0, proc.stderr
+        prior = b"prior\n" if append else b""
+        assert log.read_bytes() == prior + b"before\n" + (tmp_path / "plain.csv").read_bytes() + b"after\n"
+
     def test_in_dev_stdin_reads_the_pipe(self, qm_csv):
         piped = subprocess.run(
             [sys.executable, "-m", "chshkit", "estimate", "--in", "/dev/stdin"],

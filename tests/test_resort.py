@@ -5,8 +5,10 @@ import dataclasses
 import itertools
 import json
 import math
+import sys
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -313,6 +315,22 @@ class TestResortCascade:
         assert all(type(v) is bool for v in d["feasible"])
         assert all(type(v) is int for v in d["count_deficits"])
         assert all(type(d[k]) is float for k in ("gamma_subruns", "gamma_resorted"))
+
+    def test_threads_give_the_sequential_reports(self):
+        # Each call re-keys a generator of its own: two threads running the
+        # same uniform-random cascades, switching often, see no other's keys.
+        cases = [(feasible_dataset(RngSpec(600 + i), 2 + i % 39),
+                  ResortPolicy.uniform_random(RngSpec(700 + i))) for i in range(200)]
+        expected = [resort_cascade(data, policy) for data, policy in cases]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(2) as pool:
+                runs = [pool.submit(lambda: [resort_cascade(d, p) for d, p in cases]) for _ in range(2)]
+                reports = [run.result(timeout=120) for run in runs]
+        finally:
+            sys.setswitchinterval(interval)
+        assert reports == [expected, expected]
 
 
 def hand_report(count_deficits, hamming_b) -> ResortReport:

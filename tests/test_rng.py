@@ -1,5 +1,6 @@
 """Reproducible stream contract."""
 
+import contextlib
 import os
 import pickle
 import subprocess
@@ -11,8 +12,9 @@ import pytest
 from hypothesis import example, given, settings as hyp_settings, strategies as st
 
 import chshkit
-from chshkit import RngSpec
-from helpers import reference_generator
+from chshkit import PHOTON_OPTIMAL_QUAD, CorrelationLaw, ResortPolicy, RngSpec, cli
+from chshkit import generate_subruns, resort_cascade, rng
+from helpers import feasible_dataset, reference_generator
 
 U64 = st.integers(0, 2**64 - 1)
 
@@ -124,6 +126,95 @@ def test_generator_matches_the_philox_key_construction(seed, stream, n):
     assert np.array_equal(x, y)
     assert np.array_equal(got.permutation(n), ref.permutation(n))
     assert repr(got.bit_generator.state) == repr(ref.bit_generator.state)
+
+
+def _unmix(z: int) -> int:
+    """The inverse of ``rng._splitmix64``: each xorshift and odd multiply undone."""
+    def unshift(y, k):
+        x = y
+        for _ in range(64 // k):
+            x = y ^ (x >> k)
+        return x
+
+    z = unshift(z, 31) * pow(0x94D049BB133111EB, -1, 2**64) % 2**64
+    z = unshift(z, 27) * pow(0xBF58476D1CE4E5B9, -1, 2**64) % 2**64
+    return (unshift(z, 30) - 0x9E3779B97F4A7C15) % 2**64
+
+
+@hyp_settings(max_examples=100, deadline=None)
+@given(seed=U64, stream=U64, index=st.integers(1, 4), words=st.integers(0, 7),
+       halves=st.integers(0, 4), n=st.integers(0, 40))
+@example(seed=0, stream=0, index=1, words=0, halves=0, n=40)
+@example(seed=2**64 - 1, stream=2**64 - 1, index=2, words=3, halves=1, n=40)
+def test_rekeyed_stream_draws_as_a_fresh_one(seed, stream, index, words, halves, n):
+    # The parent whose child ``index`` is keyed [seed, stream].
+    parent = RngSpec(seed, _unmix(_unmix(stream) ^ index))
+    assert parent.derive(index) == RngSpec(seed, stream)
+    children = rng._derived_generators(parent)
+    for _ in range(index):
+        # Leave each earlier child half-consumed: a partial word buffer, and
+        # a half word from an odd number of 32-bit draws.
+        g = next(children)
+        g.bit_generator.random_raw(words)
+        g.integers(0, 2**32, size=2 * halves + 1, dtype=np.uint32)
+        if g.bit_generator.state["buffer_pos"] == 4:
+            g.bit_generator.random_raw(1)
+        state = g.bit_generator.state
+        assert state["has_uint32"] == 1 and state["buffer_pos"] < 4
+    got, ref = next(children), RngSpec(seed, stream).generator()
+    assert got is g
+    assert repr(got.bit_generator.state) == repr(ref.bit_generator.state)
+    assert np.array_equal(got.integers(0, 2, size=n, dtype=np.int8),
+                          ref.integers(0, 2, size=n, dtype=np.int8))
+    assert np.array_equal(got.bit_generator.random_raw(n), ref.bit_generator.random_raw(n))
+    assert np.array_equal(got.random(n), ref.random(n))
+    x, y = np.arange(2 * n, dtype=np.int64), np.arange(2 * n, dtype=np.int64)
+    for part in (slice(0, n), slice(n, None)):
+        got.shuffle(x[part])
+        ref.shuffle(y[part])
+    assert np.array_equal(x, y)
+    assert repr(got.bit_generator.state) == repr(ref.bit_generator.state)
+
+
+@contextlib.contextmanager
+def _builds():
+    """The generators built in the block, counted by their seed sources."""
+    built, key_sequence = [], rng._key_sequence
+
+    def counted(seed, stream):
+        built.append((seed, stream))
+        return key_sequence(seed, stream)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rng, "_key_sequence", counted)
+        yield built
+
+
+class TestGeneratorBuilds:
+    """Each call builds one generator however many streams it draws."""
+
+    def test_uniform_random_cascade_builds_one(self):
+        data, policy = feasible_dataset(RngSpec(1), 20), ResortPolicy.uniform_random(RngSpec(2))
+        with _builds() as built:
+            resort_cascade(data, policy)
+        assert built == [(2, RngSpec(2).derive(0).stream)]
+
+    def test_stable_cascade_builds_none(self):
+        data = feasible_dataset(RngSpec(1), 20)
+        with _builds() as built:
+            resort_cascade(data)
+        assert built == []
+
+    def test_generate_subruns_builds_one(self):
+        with _builds() as built:
+            generate_subruns(PHOTON_OPTIMAL_QUAD, CorrelationLaw.PHOTON_MALUS, 5, RngSpec(3))
+        assert built == [(3, RngSpec(3).derive(0).stream)]
+
+    def test_sweep_builds_one_per_row(self, tmp_path):
+        with _builds() as built:
+            assert cli.main(["sweep", "--steps", "16", "--n-per", "2", "--seed", "4",
+                             "--out", str(tmp_path / "sweep.csv")]) == 0
+        assert len(built) == 17
 
 
 def _python_with_src(code: str, stdin: bytes = b"") -> str:
