@@ -106,7 +106,6 @@ class RngSpec:
         return child
 
 
-
 def _derived_generators(spec: RngSpec):
     """Yields what ``spec.derive(i).generator()`` draws, for i = 0, 1, ...:
     one generator re-keyed in place at counter 0 with an empty buffer.  It
