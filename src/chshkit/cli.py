@@ -145,24 +145,23 @@ def cmd_estimate(args: argparse.Namespace) -> dict:
     return _estimate_dict(*_read_trials(args.in_path))
 
 
-def _build_policy(args: argparse.Namespace) -> ResortPolicy:
-    return ResortPolicy(RngSpec(args.seed) if args.policy == "uniform-random" else None)
-
-
-def _equal_subruns(dataset, trim: bool):
-    gamma_subruns(dataset)  # names an empty list, which no trimming can mend
-    if len(set(dataset.counts)) != 1:
-        if not trim:
+def _cascade(args: argparse.Namespace):
+    """The loaded sub-runs, the lists the cascade ran on, and its report."""
+    loaded = dataset = ingest_csv(args.in_path)
+    gamma_subruns(loaded)  # names an empty list, which no trimming can mend
+    if len(set(loaded.counts)) != 1:
+        if not args.trim:
             raise ValueError(
-                f"cascade requires equal sub-run lengths, got {dataset.counts} "
+                f"cascade requires equal sub-run lengths, got {loaded.counts} "
                 "(pass --trim to truncate all lists to the shortest; lossy)"
             )
         print(
-            f"note: trimming sub-run lists {dataset.counts} to {min(dataset.counts)} trials each",
+            f"note: trimming sub-run lists {loaded.counts} to {min(loaded.counts)} trials each",
             file=sys.stderr,
         )
-        dataset = trim_to_shortest(dataset)
-    return dataset
+        dataset = trim_to_shortest(loaded)
+    policy = ResortPolicy(RngSpec(args.seed) if args.policy == "uniform-random" else None)
+    return loaded, dataset, resort_cascade(dataset, policy)
 
 
 def _report_dict(report) -> dict:
@@ -177,8 +176,7 @@ def _report_dict(report) -> dict:
 
 
 def cmd_resort(args: argparse.Namespace) -> dict:
-    dataset = _equal_subruns(ingest_csv(args.in_path), args.trim)
-    return _report_dict(resort_cascade(dataset, _build_policy(args)))
+    return _report_dict(_cascade(args)[2])
 
 
 def _sweep_rows(args: argparse.Namespace) -> Iterator[tuple[float, SettingsQuad]]:
@@ -209,11 +207,9 @@ def cmd_sweep(args: argparse.Namespace) -> str:
 
 
 def cmd_audit(args: argparse.Namespace) -> dict:
-    loaded = ingest_csv(args.in_path)
-    dataset = _equal_subruns(loaded, args.trim)
+    loaded, dataset, report = _cascade(args)
     # The estimate covers every loaded trial, before any trimming.
     estimate = _estimate_dict("subruns", loaded)
-    report = resort_cascade(dataset, _build_policy(args))
 
     n = len(dataset.ab)
     k_b1 = dataset.ab.b.plus_count()

@@ -27,7 +27,8 @@ import io
 import itertools
 import math
 import os
-from contextlib import contextmanager
+import stat
+from contextlib import contextmanager, suppress
 from enum import Enum
 from pathlib import Path
 from typing import IO, Callable, Iterator, NamedTuple
@@ -198,10 +199,12 @@ def _blocks(read: Callable[[int], bytes]) -> Iterator[bytes]:
     """The input's first line, which holds the header, as a block of its
     own; then blocks that end after their last line break.
 
-    Only the last block may lack one.  However the source splits its reads,
-    they are gathered to ``_BLOCK_BYTES`` bytes or more, then cut after the
-    last line break.  A UTF-8 byte-order mark that starts the input is dropped.
+    Only the last block may lack one, and a block cut from a later line
+    that no valid row fits.  However the source splits its reads, they are
+    gathered to ``_BLOCK_BYTES`` bytes or more, then cut after the last line
+    break.  A UTF-8 byte-order mark that starts the input is dropped.
     """
+    cap = math.inf  # the header's line has no bound
     def cut() -> Iterator[bytes]:
         pieces, fresh, end = [b""], 0, 0  # the rest of the last cut, then new reads
         while chunk := read(_BLOCK_BYTES):
@@ -209,8 +212,11 @@ def _blocks(read: Callable[[int], bytes]) -> Iterator[bytes]:
                 end = len(pieces[0]) + fresh + at + 1
             pieces.append(chunk)
             fresh += len(chunk)
-            if end and fresh >= _BLOCK_BYTES:
+            if end and fresh >= _BLOCK_BYTES or not end and len(pieces[0]) + fresh > cap:
                 block = b"".join(pieces)
+                if len(block) > cap and block.find(b"\n", 0, cap) == block.find(b"\r", 0, cap) == -1:
+                    # a first line no valid row fits: cut its first cap bytes, where a character starts
+                    end = cap - next((k for k in range(1, 5) if block[cap - k] & 0xC0 != 0x80), 0)
                 yield block[:end]
                 pieces, fresh, end = [block[end:]], 0, 0
         if rest := b"".join(pieces):
@@ -219,6 +225,9 @@ def _blocks(read: Callable[[int], bytes]) -> Iterator[bytes]:
     blocks = cut()
     head = next(blocks, b"").removeprefix(b"\xef\xbb\xbf")
     at = len(head.partition(b"\n")[0].partition(b"\r")[0]) + 1  # after the first LF or CR
+    # A field has at most the limit's characters, each of 4 UTF-8 bytes at most, two quotes and
+    # a delimiter, and a cut steps back 4 bytes at most; a comma in a quoted name only adds one.
+    cap = (head[:at].count(b",") + 1) * (4 * csv.field_size_limit() + 3) + 4
     yield from filter(None, (head[:at], head[at:]))
     yield from blocks
 
@@ -363,11 +372,12 @@ def _csv_fields(blocks: Iterator[bytes], positions: list[int], n_fields: int) ->
     ends the batch is the failure of the row after the rows read, unless
     one of those has the wrong field count."""
     rows, error = _csv_rows(blocks)
-    cells = [cell.encode("utf-8") for row in rows for cell in row]
-    lengths = np.fromiter(map(len, cells), np.intp, len(cells))
-    ends = np.cumsum(lengths + 1) - 1
     width = np.fromiter(map(len, rows), np.intp, len(rows))
-    buf = np.frombuffer(b"".join(cell + b"," for cell in cells) + _SPARE, np.uint8)
+    cells = list(itertools.chain.from_iterable(rows))
+    lengths = np.fromiter((len(cell.encode("utf-8")) for cell in cells), np.intp, len(cells))
+    ends = np.cumsum(lengths + 1) - 1
+    # One text encoded once: bytes.join would hold a buffer of 80 bytes for each cell.
+    buf = np.frombuffer((",".join(cells) + ",").encode("utf-8") + _SPARE, np.uint8)
     first = np.cumsum(width) - width
     stop, columns, failure = _columns(buf, ends - lengths, ends, first, width, positions, n_fields)
     return stop, columns, failure or error
@@ -567,9 +577,10 @@ def _output(dest) -> Iterator[IO[str]]:
     """A text stream to ``dest``, a path or an open stream.
 
     The file open on fd 1 or 2, as ``/dev/stdout`` names it, is written
-    through that fd, at its offset.  A new path or another regular file
-    (after following symlinks) is written as a temporary file beside it
-    that replaces it only once complete: a failed write leaves any earlier
+    through that fd, at its offset; a closed fd matches no file.  A new
+    path or another regular file (after following symlinks) is written as
+    a temporary file beside it that replaces it only once complete, with
+    the replaced file's permission bits: a failed write leaves any earlier
     file untouched.  Any other existing target, such as a FIFO, is
     written in place.
     """
@@ -578,10 +589,15 @@ def _output(dest) -> Iterator[IO[str]]:
         return
     path = Path(dest)
     try:
-        fd = next((fd for fd in (1, 2) if os.path.samestat(path.stat(), os.fstat(fd))), None)
-    except OSError:  # no such path, or a closed fd
-        fd = None
-    if fd is not None or path.exists() and not path.is_file():
+        target = path.stat()
+    except OSError:  # no such path
+        target = None
+    fd = None
+    for open_fd in (1, 2) if target is not None else ():
+        with suppress(OSError):  # a closed fd
+            if fd is None and os.path.samestat(target, os.fstat(open_fd)):
+                fd = open_fd
+    if fd is not None or target is not None and not stat.S_ISREG(target.st_mode):
         with open(path if fd is None else fd, "w", encoding="utf-8", newline="",
                   closefd=fd is None) as stream:
             yield stream
@@ -594,6 +610,8 @@ def _output(dest) -> Iterator[IO[str]]:
         except OSError as exc:  # name the path as given, not the temporary file
             raise type(exc)(exc.errno, exc.strerror, str(dest)) from None
         with stream:
+            if target is not None:  # before any data is written
+                os.chmod(stream.fileno(), stat.S_IMODE(target.st_mode))
             yield stream
         os.replace(tmp, path)
     finally:

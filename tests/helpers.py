@@ -391,17 +391,18 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 """
 
 
-def spawn_peak_rss_mb(argv: list[str]) -> float:
+def spawn_peak_rss_mb(argv: list[str], exit_code: int = 0) -> float:
     """Peak RSS in MB (2**20 bytes) of ``argv`` run to completion, its stdout discarded.
 
     ``argv[0]`` is the program's path.  The figure is the ``ru_maxrss``
     that ``os.wait4`` returns for the child (Linux counts it in KiB).
-    Raises ``subprocess.CalledProcessError`` if the command fails.
+    Raises ``subprocess.CalledProcessError`` if the command exits with
+    another code than ``exit_code``.
     """
     launched = subprocess.run([sys.executable, "-S", "-c", _RSS_LAUNCHER, *argv],
                               capture_output=True, text=True, check=True)
     code, kib = map(int, launched.stdout.split())
-    if code != 0:
+    if code != exit_code:
         raise subprocess.CalledProcessError(code, argv, stderr=launched.stderr)
     return kib / 1024
 

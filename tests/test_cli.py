@@ -5,6 +5,7 @@ import gc
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 import time
@@ -14,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chshkit import ResortPolicy, RngSpec, ingest_csv, resort_cascade, write_subrun_csv
+from chshkit import ResortPolicy, RngSpec, ingest_csv, resort_cascade, trim_to_shortest, write_subrun_csv
 from chshkit import cli, sources
 from chshkit.cli import main
 from helpers import (
@@ -310,6 +311,46 @@ class TestEstimate:
         prior = b"prior\n" if append else b""
         assert log.read_bytes() == prior + b"before\n" + (tmp_path / "plain.csv").read_bytes() + b"after\n"
 
+    def test_out_dev_stderr_with_stdout_closed(self, tmp_path):
+        # `{ echo before >&2; chshkit ... --out /dev/stderr; echo after >&2; } 2> log >&-`:
+        # a closed fd 1 matches no file, so fd 2 is still found and written at its offset.
+        args = ["simulate", "--mode", "qm", "--n-per", "2", "--seed", "1", "--out"]
+        assert run_proc(*args, str(tmp_path / "plain.csv")).returncode == 0
+        log = tmp_path / "log"
+        err = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_TRUNC)
+        closing = "import os, sys; os.close(1); os.execv(sys.executable, sys.argv[1:])"
+        try:
+            os.write(err, b"before\n")
+            proc = subprocess.run([sys.executable, "-c", closing, sys.executable, "-m", "chshkit",
+                                   *args, "/dev/stderr"], stderr=err)
+            os.write(err, b"after\n")
+        finally:
+            os.close(err)
+        assert proc.returncode == 0
+        assert log.read_bytes() == b"before\n" + (tmp_path / "plain.csv").read_bytes() + b"after\n"
+
+    @pytest.mark.parametrize("via_symlink", [False, True], ids=["file", "symlink"])
+    def test_out_keeps_the_replaced_file_mode(self, tmp_path, via_symlink):
+        # A private file stays private; a new file gets the umask's mode.
+        args = ["simulate", "--mode", "qm", "--n-per", "2", "--seed", "1", "--out"]
+        private, new = tmp_path / "private.csv", tmp_path / "new.csv"
+        private.write_text("earlier\n")
+        private.chmod(0o600)
+        dest = private
+        if via_symlink:
+            dest = tmp_path / "link.csv"
+            dest.symlink_to(private)
+        umask = os.umask(0o022)
+        try:
+            assert main([*args, str(dest)]) == 0
+            assert main([*args, str(new)]) == 0
+        finally:
+            os.umask(umask)
+        assert private.read_text().startswith("pair,")
+        assert dest.is_symlink() is via_symlink
+        assert stat.S_IMODE(private.stat().st_mode) == 0o600
+        assert stat.S_IMODE(new.stat().st_mode) == 0o644
+
     def test_in_dev_stdin_reads_the_pipe(self, qm_csv):
         piped = subprocess.run(
             [sys.executable, "-m", "chshkit", "estimate", "--in", "/dev/stdin"],
@@ -570,6 +611,51 @@ class TestAudit:
         assert report["verdict"] == "not re-sortable; Bell bound inapplicable"
         assert report["resort"]["count_deficits"] == [0, -1, -1]
         assert report["resort"]["gamma_resorted"] is None
+
+
+class TestOneCascadePath:
+    """`resort` and `audit` ingest, check, trim and run the cascade alike."""
+
+    @pytest.fixture
+    def uneven_csv(self, tmp_path):
+        # Shared-origin lists of 40 trials without the last 3 ab and 1 dc rows: 37, 40, 40 and
+        # 39.  Trimmed, every step stays feasible, so the uniform policy's draws show in the report.
+        shared = tmp_path / "shared.csv"
+        write_subrun_csv(shared_run_dataset(random_counterfactual(RngSpec(13), 40)), shared)
+        header, *rows = shared.read_text().splitlines()
+        lists = {label: [row for row in rows if row.startswith(label)] for label in ("ab", "ac", "db", "dc")}
+        kept = lists["ab"][:37] + lists["ac"] + lists["db"] + lists["dc"][:39]
+        path = tmp_path / "uneven.csv"
+        path.write_text("\n".join([header, *kept]) + "\n")
+        return path
+
+    @pytest.mark.parametrize("policy", [["--policy", "stable"], ["--policy", "uniform-random", "--seed", "7"]],
+                             ids=["stable", "uniform-random"])
+    @pytest.mark.parametrize("trim", [[], ["--trim"]], ids=["untrimmed", "trimmed"])
+    def test_audit_resort_part_is_the_resort_report(self, uneven_csv, capsys, policy, trim):
+        args = ["--in", str(uneven_csv), *policy, *trim]
+        resort_code = main(["resort", *args])
+        resort = capsys.readouterr()
+        audit_code = main(["audit", *args])
+        audit = capsys.readouterr()
+        assert resort.err == audit.err
+        if not trim:
+            assert resort_code == audit_code == 1
+            assert resort.err == (
+                "error: cascade requires equal sub-run lengths, got (37, 40, 40, 39) "
+                "(pass --trim to truncate all lists to the shortest; lossy)\n"
+            )
+            return
+        assert resort_code == audit_code == 0
+        assert resort.err == "note: trimming sub-run lists (37, 40, 40, 39) to 37 trials each\n"
+        report = json.loads(audit.out)
+        assert report["resort"] == json.loads(resort.out)
+        # The estimate covers every loaded trial; the cascade and its odds, the trimmed lists.
+        assert report["estimate"]["n_used"] == [37, 40, 40, 39]
+        assert report["closure_context"]["n"] == 37
+        seed = RngSpec(int(policy[-1])) if "--seed" in policy else None
+        expected = resort_cascade(trim_to_shortest(ingest_csv(uneven_csv)), ResortPolicy(seed))
+        assert report["resort"] == cli._report_dict(expected)
 
 
 class TestMalformedInput:

@@ -1584,3 +1584,114 @@ class TestIngestWorkingSet:
         path = tmp_path / "counterfactual.csv"
         write_counterfactual_csv(random_counterfactual(RngSpec(34), 1_000_000), path)
         assert traced_peak(ingest_counterfactual_csv, path) <= 7_000_000
+
+
+
+def _longest_valid_line(header: bytes) -> int:
+    """The bytes a data row under ``header`` may have at most, and the 4 a cut may step back."""
+    return (header.count(b",") + 1) * (4 * csv.field_size_limit() + 3) + 4
+
+
+#: Hostile shapes of sub-run data, each built when its case runs, with its
+#: error (None: it ingests).  The long lines follow 1,000 good rows and
+#: hold 10 MB; the densest fields (a comma a byte, read by csv.reader)
+#: cost the most per byte held.
+HOSTILE_SHAPES = {
+    "long-line": (lambda: b"ab,+1,-1\n" * 1000 + b"ab," * 3_333_333, "wrong number of fields at row 1001"),
+    "long-line-in-a-quoted-field": (
+        lambda: b"ab,+1,-1\n" * 1000 + b'ab,+1,"' + b"-1" * 5_000_000 + b'"\n',
+        "field larger than field limit ({limit}) at row 1001",
+    ),
+    "densest-fields": (lambda: b'"",' + b"," * 2_000_000, "wrong number of fields at row 1"),
+    "cr-only": (lambda: b"ab,+1,-1\r" * 600_000, None),
+    "one-quote-per-block": (
+        lambda: (b'"ab",+1,-1\n' + b"ab,+1,-1\n" * (sources._BLOCK_BYTES // 9)) * 6, None
+    ),
+    "padded-cells": (lambda: b"ab      ,+1      ,-1      \n" * 20_000, None),
+}
+
+
+class TestIngestHostileShapes:
+    """Beyond 8 bytes a row for the columns it builds and returns, an ingest
+    holds at most 64 times the larger of ``_BLOCK_BYTES`` and the longest
+    line a valid row can have.
+
+    A block whose first line has no line break within the longest valid
+    row is cut there, so the 10 MB lines cost what their first 1.57 MB do:
+    the sub-run header's three fields at the default field limit of 131,072.
+    """
+
+    @pytest.mark.parametrize("limit", [None, 1_000], ids=["default-limit", "limit-1000"])
+    @pytest.mark.parametrize("shape", list(HOSTILE_SHAPES))
+    def test_working_set(self, tmp_path, shape, limit):
+        header = b"pair,outcome_a,outcome_b\n"
+        build, error = HOSTILE_SHAPES[shape]
+        data = build()
+        path = tmp_path / f"{shape}.csv"
+        path.write_bytes(header + data)
+        rows = data.count(b"\n") + data.count(b"\r")
+        with _field_limit(limit or csv.field_size_limit()):
+            bound = 64 * max(sources._BLOCK_BYTES, _longest_valid_line(header)) + 8 * rows
+            if error is None:
+                assert traced_peak(ingest_csv, path) <= bound
+            else:
+                message = re.escape(error.format(limit=csv.field_size_limit()))
+                with pytest.raises(CsvFormatError, match=f"^{message}$"):
+                    ingest_csv(path)
+                assert traced_peak(_ingest_error, path) <= bound
+
+
+def _ingest_error(path) -> None:
+    with pytest.raises(CsvFormatError):
+        ingest_csv(path)
+
+
+@contextlib.contextmanager
+def _field_limit(limit: int):
+    old = csv.field_size_limit(limit)
+    try:
+        yield
+    finally:
+        csv.field_size_limit(old)
+
+
+class TestLongLineCut:
+    """A line is cut where no valid row could still be going on, at a
+    character's start, so it fails as the whole line does.  At a field
+    limit of 10 a sub-run row has at most 3 * (4 * 10 + 3) - 1 = 128 bytes;
+    64-byte blocks put the line past the first block, where the cut applies."""
+
+    @staticmethod
+    def _ingest(line: str, header: str = "pair,outcome_a,outcome_b", row: str = "ab,+1,-1", rows: int = 20):
+        text = f"{header}\n" + f"{row}\n" * rows + line
+        with _field_limit(10), pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sources, "_BLOCK_BYTES", 64)
+            return ingest_csv(text.encode())
+
+    @pytest.mark.parametrize("char", ["é", "€", "😀"])
+    @pytest.mark.parametrize("pad", range(4))
+    def test_cut_falls_where_a_character_starts(self, char, pad):
+        with pytest.raises(CsvFormatError, match=r"^field larger than field limit \(10\) at row 21$"):
+            self._ingest("ab,+1," + "x" * pad + char * 200)
+
+    def test_a_longest_row_and_more_fails_as_one_line(self):
+        # Three quoted fields of 10 four-byte characters, 128 bytes, then 2 more: the third
+        # field has 12 characters.  A cut at 128 bytes would leave a row of three fields.
+        cell = '"' + "😀" * 10 + '"'
+        assert len(f"{cell},{cell},{cell}".encode()) == 128
+        with pytest.raises(CsvFormatError, match=r"^field larger than field limit \(10\) at row 21$"):
+            self._ingest(f"{cell},{cell},{cell}xx\n")
+
+    @pytest.mark.parametrize("rows", range(20, 28))
+    def test_a_fault_past_the_cut_is_not_looked_for(self, rows):
+        # 44 cells of `ab` end 132 bytes in, then a field of 11 characters: the cut names the
+        # line by its first bytes, however the reads fall; the whole line has a field too long.
+        with pytest.raises(CsvFormatError, match=f"^wrong number of fields at row {rows + 1}$"):
+            self._ingest("ab," * 44 + "x" * 11 + "\n", rows=rows)
+
+    def test_a_repeated_name_lengthens_the_longest_row(self):
+        # A repeated name resolves to its last column; the others are never checked, so
+        # their cells may be as long as the limit lets them be: a 377-byte valid row.
+        cell = "😀" * 10
+        data = self._ingest(f"{cell}," * 9 + "ab,+1,-1\n", "pair," * 10 + "outcome_a,outcome_b", "," * 9 + "ab,+1,-1")
+        assert data.counts == (21, 0, 0, 0)
