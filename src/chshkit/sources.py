@@ -374,7 +374,7 @@ def _csv_fields(blocks: Iterator[bytes], positions: list[int], n_fields: int) ->
     rows, error = _csv_rows(blocks)
     width = np.fromiter(map(len, rows), np.intp, len(rows))
     cells = list(itertools.chain.from_iterable(rows))
-    lengths = np.fromiter((len(cell.encode("utf-8")) for cell in cells), np.intp, len(cells))
+    lengths = np.fromiter(map(len, map(str.encode, cells)), np.intp, len(cells))
     ends = np.cumsum(lengths + 1) - 1
     # One text encoded once: bytes.join would hold a buffer of 80 bytes for each cell.
     buf = np.frombuffer((",".join(cells) + ",").encode("utf-8") + _SPARE, np.uint8)

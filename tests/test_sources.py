@@ -1586,7 +1586,6 @@ class TestIngestWorkingSet:
         assert traced_peak(ingest_counterfactual_csv, path) <= 7_000_000
 
 
-
 def _longest_valid_line(header: bytes) -> int:
     """The bytes a data row under ``header`` may have at most, and the 4 a cut may step back."""
     return (header.count(b",") + 1) * (4 * csv.field_size_limit() + 3) + 4
