@@ -22,6 +22,7 @@ CSV formats (UTF-8, header required):
 
 from __future__ import annotations
 
+import collections
 import csv
 import io
 import itertools
@@ -293,9 +294,9 @@ def _columns(buf, starts, ends, first, width, positions: list[int], n_fields: in
 
 
 def _bulk_rows(block: bytes, positions: list[int], n_fields: int) -> tuple | None:
-    """The block's rows (see :func:`_columns`) as csv.reader reads them, or
-    None if only csv.reader can: the block holds a quote, non-ASCII text or
-    a field over ``csv.field_size_limit()``.
+    """The block's rows (see :func:`_columns`) as csv.reader reads them, with
+    no lines handed back (``b""``), or None if only csv.reader can: the block
+    holds a quote, non-ASCII text or a field over ``csv.field_size_limit()``.
 
     Quoted fields cannot be split by byte (``a"b`` is a literal quote and
     ``"ab"x`` reads ``abx``), and csv.reader alone decodes UTF-8 and applies
@@ -328,50 +329,49 @@ def _bulk_rows(block: bytes, positions: list[int], n_fields: int) -> tuple | Non
         return None
     if fixed:  # each line's fields at the first line's offsets
         return count, [_Column(buf, range(starts[k], len(block), line), range(ends[k], len(block), line))
-                       for k in positions], None
+                       for k in positions], None, b""
     last = np.flatnonzero(data[ends] != ord(","))  # each line's last field
     first = np.concatenate(([0], last[:-1] + 1))
     width = last - first + 1
     width[(width == 1) & (starts[last] == ends[last])] = 0  # a blank line
-    return _columns(buf, starts, ends, first, width, positions, n_fields)
+    return *_columns(buf, starts, ends, first, width, positions, n_fields), b""
 
 
-def _csv_rows(blocks: Iterator[bytes]) -> tuple[list[list[str]], str | None]:
-    """Read with csv.reader, as one batch of rows, the first block and each
-    further block that a record still open at a block's end runs into.
+def _csv_rows(block: bytes, blocks: Iterator[bytes]) -> tuple[list[list[str]], str | None, bytes]:
+    """Read the block's lines with csv.reader, as one batch of rows, and
+    while the record open at their end goes on, the next blocks' lines to
+    that record's end; return the rows, and the lines after that record.
 
     A quoted field may span lines and blocks.  A line that is not UTF-8,
     or a csv error, ends the batch; it is returned after the rows read.
     """
-    totals: list[int] = []  # lines handed to the reader up to each block's end
+    lines = collections.deque(block.splitlines(keepends=True))
+    count = len(lines)  # the block's lines: a record that ends at or past the last ends the batch
 
-    def lines() -> Iterator[str]:
-        for block in blocks:
-            block_lines = block.splitlines(keepends=True)
-            totals.append((totals[-1] if totals else 0) + len(block_lines))
-            for line in block_lines:
-                yield line.decode("utf-8")
+    def feed() -> Iterator[str]:  # once the lines run out, the next block's, split when asked for
+        while lines or lines.extend(next(blocks, b"").splitlines(keepends=True)) or lines:
+            yield lines.popleft().decode("utf-8")
 
-    reader = csv.reader(lines())
+    reader = csv.reader(feed())
     rows: list[list[str]] = []
     error = None  # the csv.reader failure that ends the batch
     try:
         for row in reader:
             rows.append(row)
-            if reader.line_num == totals[-1]:
+            if reader.line_num >= count:
                 break
     except UnicodeDecodeError:
         error = "invalid UTF-8"
     except csv.Error as exc:
         error = str(exc)
-    return rows, error
+    return rows, error, b"".join(lines)
 
 
-def _csv_fields(blocks: Iterator[bytes], positions: list[int], n_fields: int) -> tuple:
-    """A :func:`_csv_rows` batch as :func:`_columns` gives it: the error that
-    ends the batch is the failure of the row after the rows read, unless
-    one of those has the wrong field count."""
-    rows, error = _csv_rows(blocks)
+def _csv_fields(block: bytes, blocks: Iterator[bytes], positions: list[int], n_fields: int) -> tuple:
+    """A :func:`_csv_rows` batch as :func:`_columns` gives it, then the lines
+    after it: the error that ends the batch is the failure of the row after
+    the rows read, unless one of those has the wrong field count."""
+    rows, error, rest = _csv_rows(block, blocks)
     width = np.fromiter(map(len, rows), np.intp, len(rows))
     cells = list(itertools.chain.from_iterable(rows))
     lengths = np.fromiter(map(len, map(str.encode, cells)), np.intp, len(cells))
@@ -380,7 +380,7 @@ def _csv_fields(blocks: Iterator[bytes], positions: list[int], n_fields: int) ->
     buf = np.frombuffer((",".join(cells) + ",").encode("utf-8") + _SPARE, np.uint8)
     first = np.cumsum(width) - width
     stop, columns, failure = _columns(buf, ends - lengths, ends, first, width, positions, n_fields)
-    return stop, columns, failure or error
+    return stop, columns, failure or error, rest
 
 
 #: Code of a cell its column's table does not decide: a text its rule
@@ -489,11 +489,9 @@ def _ingest(source, kind: str | None) -> tuple[str, list[np.ndarray]]:
     """
     with _reader(source) as read:
         blocks = _blocks(read)
-        rows, error = _csv_rows(blocks)
-        if error and not rows:
+        rows, error, block = _csv_rows(next(blocks, b""), blocks)
+        if error:
             raise CsvFormatError(f"{error} in the header")
-        # A header that runs past its line holds a line break in a name, which
-        # the column checks reject: no row the batch read after it is data.
         header = rows[0] if rows else []
         if not kind:  # names are stripped to pick the kind, and only for that
             names = {name.strip() for name in header}
@@ -516,11 +514,11 @@ def _ingest(source, kind: str | None) -> tuple[str, list[np.ndarray]]:
         tables = {name: _Table(name, rule) for name, rule in rules.items() if rule is not _parse_index}
         parts = {name: bytearray() for name in tables}
         done, n = 0, len(header)
-        for block in blocks:
-            # csv.reader reads a block that _bulk_rows cannot, with the blocks a record still open
-            # at its end runs into; the block after those is read in bulk again.
-            stop, columns, failure = _bulk_rows(block, positions, n) or _csv_fields(
-                itertools.chain([block], blocks), positions, n
+        while block := block or next(blocks, b""):
+            # csv.reader reads a block that _bulk_rows cannot, to the end of the record open at its
+            # end; the lines after that record are read next, in bulk wherever they can be.
+            stop, columns, failure, block = _bulk_rows(block, positions, n) or _csv_fields(
+                block, blocks, positions, n
             )
             for (name, rule), column in zip(rules.items(), columns):
                 if name in tables:

@@ -502,16 +502,17 @@ class TestSubrunCsv:
 
     @staticmethod
     def _counting_csv_reader(mp) -> list[bytes]:
-        """Patch ``_csv_rows`` to record each block csv.reader reads."""
+        """Patch ``_csv_rows`` to record each block csv.reader reads from."""
         read, csv_rows = [], sources._csv_rows
 
-        def counting(blocks):
+        def counting(block, blocks):
             def counted():
-                for block in blocks:
-                    read.append(block)
-                    yield block
+                for more in blocks:
+                    read.append(more)
+                    yield more
 
-            return csv_rows(counted())
+            read.append(block)
+            return csv_rows(block, counted())
 
         mp.setattr(sources, "_csv_rows", counting)
         return read
@@ -566,8 +567,12 @@ class TestSubrunCsv:
             mp.setattr(sources, "_BLOCK_BYTES", len(blocks[0] + blocks[1]))
             assert _blocks_of(text.encode()) == blocks
             read = self._counting_csv_reader(mp)
+            bulk, bulk_rows = [], sources._bulk_rows
+            mp.setattr(sources, "_bulk_rows", lambda block, *layout: bulk.append(block) or bulk_rows(block, *layout))
             got = _subrun_columns(text)
-        assert read == blocks[:3]  # the last block starts with a record, and is split in bulk
+        assert read == blocks[:3]  # csv.reader reads on into the third block, to its record's end
+        # The rest of the third block is handed back and split in bulk, as is the last block.
+        assert bulk == [blocks[1], blocks[2].removeprefix(b'",-1\n'), blocks[3]]
         assert got == reference_ingest_subruns(text)
 
     @pytest.mark.parametrize("header_end, row_end", [("\n", "\n"), ("\r", "\r"), ("\r", "\n"), ("\n", "\r")])
@@ -593,8 +598,9 @@ class TestSubrunCsv:
 
     @pytest.mark.parametrize("row", [b"x,ab,+1,-1\n", b"x,ab,+1,\xff1\n"])
     def test_header_that_runs_on_is_rejected_before_the_rows_of_its_batch(self, row):
-        # The batch that reads the header reads on into the next block, and
-        # may fail there; the header's own line break is the error.
+        # The header's record runs on into the next block, and its batch ends
+        # there: the row after it is never read, and the header's own line
+        # break is the error.
         text = b'"ex\ntra",pair,outcome_a,outcome_b\n' + row
         with pytest.raises(CsvFormatError, match="^unexpected column\\(s\\): ex\ntra$"):
             ingest_csv(text)
@@ -728,6 +734,16 @@ class TestOutputTargets:
         assert real.read_bytes() == expected
         assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "real.csv"]
 
+    def test_hard_link_keeps_the_replaced_bytes(self, tmp_path):
+        # The target's name gets a new file; another name for the old one still holds it.
+        data, expected = self._dataset_and_bytes()
+        target, other = tmp_path / "a.csv", tmp_path / "b.csv"
+        target.write_bytes(b"old\n")
+        os.link(target, other)
+        write_subrun_csv(data, target)
+        assert (target.read_bytes(), other.read_bytes()) == (expected, b"old\n")
+        assert target.stat().st_nlink == other.stat().st_nlink == 1
+
     def test_fifo_is_written_in_place(self, tmp_path):
         data, expected = self._dataset_and_bytes()
         fifo = tmp_path / "pipe"
@@ -752,9 +768,12 @@ class TestOutputTargets:
         assert list(null.parent.glob(f".{null.name}.*.tmp")) == []
 
 
-OUTCOME_TEXTS = st.sampled_from(["+1", "-1", "1", " -1", "+01", "\t+1", "-1\xa0", "0_1", "\u0661"])
+# A text with a line break is always written quoted, so its record spans lines.
+OUTCOME_TEXTS = st.sampled_from(
+    ["+1", "-1", "1", " -1", "+01", "\t+1", "-1\xa0", "0_1", "\u0661", "-1\n", "\r\n+1"]
+)
 GOOD_TEXTS = {
-    "pair": st.sampled_from(["ab", "ac", "db", "dc", " db", "ac ", "\tdc", "ab\xa0"]),
+    "pair": st.sampled_from(["ab", "ac", "db", "dc", " db", "ac ", "\tdc", "ab\xa0", "ab\n", "\rdc"]),
     # int() reads at most 4,300 digits.
     "j": st.integers(0, 10**6).map(str)
     | st.sampled_from([" 7", "+01", "0_1", "\u0661", "1" * 19, "1" * 4300, "1" * 4301]),
@@ -784,7 +803,7 @@ def trial_csv_text(draw, columns: tuple[str, ...]) -> str:
     In fixed-layout mode every data line has the same length with its
     commas in the same columns, and every edit keeps it so.  The header
     may be quoted, and may hold a quoted line break or a name over
-    ``FIELD_LIMIT``.
+    ``FIELD_LIMIT``; outside that mode a good cell may hold a quoted one.
     """
     fixed = draw(st.booleans())
     newline = "\n" if fixed else draw(st.sampled_from(["\n", "\r\n", "\r"]))
@@ -840,7 +859,9 @@ def trial_csv_text(draw, columns: tuple[str, ...]) -> str:
         if number == 0 and quote_header:
             return ",".join(f'"{c}"' for c in cells)
         quote = quote_from is not None and number >= quote_from
-        return ",".join(f'"{c}"' if quote and draw(st.booleans()) else c for c in cells)
+        return ",".join(
+            f'"{c}"' if quote and draw(st.booleans()) or "\n" in c or "\r" in c else c for c in cells
+        )
 
     lead = newline if not fixed and draw(st.integers(0, 9)) == 0 else ""  # a blank first line
     tail = newline if fixed or draw(st.booleans()) else ""
@@ -1009,9 +1030,9 @@ class TestFixedLayoutBlocks:
         with pytest.MonkeyPatch.context() as mp:
             read = TestSubrunCsv._counting_csv_reader(mp)
             assert sources._bulk_rows(block, *SUBRUN_LAYOUT) is None
-            stop, columns, failure = sources._csv_fields(iter([block]), *SUBRUN_LAYOUT)
+            stop, columns, failure, rest = sources._csv_fields(block, iter(()), *SUBRUN_LAYOUT)
         assert read == [block]
-        assert (stop, failure, columns[1].text(1)) == (2, None, "\xe9")
+        assert (stop, failure, columns[1].text(1), rest) == (2, None, "\xe9", b"")
 
     def test_field_over_the_csv_limit_is_not_fixed(self):
         limit = csv.field_size_limit(1)
@@ -1076,7 +1097,7 @@ class TestFixedLayoutBlocks:
             got = _columns_or_error(_counterfactual_columns, text)
         assert blocks[:2] == [f"{CF_HEADER}\n".encode(), (good * 4).encode()]
         assert blocks[2].startswith(empty.encode())
-        stop, columns, failure = _bulk(blocks[2], CF_LAYOUT, True)
+        stop, columns, failure, _ = _bulk(blocks[2], CF_LAYOUT, True)
         assert columns[0].starts == columns[0].ends and failure is None
         assert columns[0].not_plain_digits().tolist() == list(range(stop))
         assert got == _columns_or_error(reference_ingest_counterfactual, text)
@@ -1177,7 +1198,7 @@ class TestFixedLayoutBlocks:
             return st.lists(st.text(chars, min_size=size[0], max_size=size[1]), min_size=1, max_size=8)
 
         for drawn, fixed in ((data.draw(texts((width, width))), True), (data.draw(texts((0, 20))), False)):
-            stop, columns, failure = _bulk("".join(f"{t},\n" for t in drawn).encode(), ([0], 2), fixed)
+            stop, columns, failure, _ = _bulk("".join(f"{t},\n" for t in drawn).encode(), ([0], 2), fixed)
             left_out = set(range(stop)) - set(columns[0].not_plain_digits().tolist())
             for i in left_out:
                 int(drawn[i].strip())
@@ -1232,9 +1253,9 @@ def bulk_blocks(draw) -> tuple[bytes, int]:
 
 
 def _read_back(rows: tuple) -> tuple:
-    """A tokenizer's ``(stop, columns, failure)`` with each column's texts."""
-    stop, columns, failure = rows
-    return stop, [[column.text(i) for i in range(stop)] for column in columns], failure
+    """A tokenizer's ``(stop, columns, failure, rest)`` with each column's texts."""
+    stop, columns, failure, rest = rows
+    return stop, [[column.text(i) for i in range(stop)] for column in columns], failure, rest
 
 
 class TestBulkRows:
@@ -1262,7 +1283,7 @@ class TestBulkRows:
             assert (rows is None) is declined
             if rows is None:
                 return
-            expected = _read_back(sources._csv_fields(iter([block]), positions, n_fields))
+            expected = _read_back(sources._csv_fields(block, iter(()), positions, n_fields))
             assert _read_back(rows) == expected
             if isinstance(rows[1][0].starts, range):
                 # The same lines, ended by a line break, read in the split layout.
@@ -1278,7 +1299,7 @@ OUTCOME_SPELLINGS = ["+1", "-1", "1", "01", "+01", "-01", " 1", "1 ", " -1", "0_
 
 def _column(texts: list[str]) -> sources._Column:
     """The first column of rows ``text,``, as a block of them is split."""
-    stop, columns, failure = _bulk("".join(f"{t},\n" for t in texts).encode(), ([0], 2), False)
+    stop, columns, failure, _ = _bulk("".join(f"{t},\n" for t in texts).encode(), ([0], 2), False)
     assert stop == len(texts) and failure is None
     return columns[0]
 
@@ -1607,6 +1628,8 @@ HOSTILE_SHAPES = {
         lambda: (b'"ab",+1,-1\n' + b"ab,+1,-1\n" * (sources._BLOCK_BYTES // 9)) * 6, None
     ),
     "padded-cells": (lambda: b"ab      ,+1      ,-1      \n" * 20_000, None),
+    # After the 25-byte header every 128 KiB read ends 7 bytes into a row, just after its quoted LF.
+    "quoted-line-break-at-every-block-end": (lambda: b'"ab\n",+1,    -1\n' * 262_144, None),
 }
 
 
