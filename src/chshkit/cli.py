@@ -19,7 +19,6 @@ a failed closure) are report content, never process errors.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from collections.abc import Iterator
@@ -129,12 +128,13 @@ def cmd_split(args: argparse.Namespace) -> None:
 def _estimate_dict(kind: str, dataset) -> dict:
     counterfactual = kind == "counterfactual"
     result = (gamma_pooled if counterfactual else gamma_subruns)(dataset)
+    numerator, denominator = result._ratio()  # |Gamma| <= 2, exactly: no Fraction needed
     report = {
         "kind": kind,
         "gamma": _round6(result.value),
         "per_term": [_round6(t) for t in result.per_term],
         "n_used": list(result.n_used),
-        "bound_satisfied": abs(result.exact) <= 2,
+        "bound_satisfied": abs(numerator) <= 2 * denominator,
     }
     if counterfactual:
         report["per_trial_max_abs"] = float(np.abs(termwise_bound_check(dataset)).max())
@@ -323,8 +323,12 @@ def main(argv: list[str] | None = None) -> int:
         # A report's findings (an open cascade, a violated bound) are its
         # content, not errors: a command that returns exits 0.
         if output is not None:
+            if not isinstance(output, str):
+                import json  # loaded only for a report: simulate, split and sweep skip it
+
+                output = json.dumps(output, indent=2) + "\n"
             with _output(sys.stdout if args.out_path is None else args.out_path) as stream:
-                stream.write(output if isinstance(output, str) else json.dumps(output, indent=2) + "\n")
+                stream.write(output)
         return 0
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

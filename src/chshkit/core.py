@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,20 +59,55 @@ def _as_outcome_array(values) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class Angle:
+class _Record:
+    """An immutable value made of the fields its ``__slots__`` names, in order.
+
+    Each record's own ``__init__`` validates and sets the fields through
+    ``object.__setattr__``; after that, assignment and deletion raise.
+    Equality and hash go by the fields, within one class; copies and
+    pickles are rebuilt through the constructor, and so validated again.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class Angle(_Record):
     """An analyzer orientation in radians, normalized to [0, pi).
 
     Polarizer orientations are pi-periodic, so two angles differing by a
     multiple of pi are the same setting and normalize to the same value.
     """
 
-    radians: float
+    __slots__ = ("radians",)
 
-    def __post_init__(self) -> None:
-        r = float(self.radians)
+    def __init__(self, radians: float) -> None:
+        r = float(radians)
         if not math.isfinite(r):
-            raise ValueError(f"angle must be finite, got {self.radians!r}")
+            raise ValueError(f"angle must be finite, got {radians!r}")
         r %= math.pi
         # A tiny negative angle rounds up to exactly pi, which is 0 again.
         object.__setattr__(self, "radians", 0.0 if r == math.pi else r)
@@ -87,24 +121,24 @@ class Angle:
         return math.degrees(self.radians)
 
 
-@dataclass(frozen=True)
-class SettingsQuad:
+class SettingsQuad(_Record):
     """The four analyzer angles: a, d on arm A; b, c on arm B.
 
     The two settings on each arm must be distinct (after normalization),
     otherwise there are not four distinct experiment combinations.
     """
 
-    a: Angle
-    d: Angle
-    b: Angle
-    c: Angle
+    __slots__ = ("a", "d", "b", "c")
 
-    def __post_init__(self) -> None:
-        if self.a.radians == self.d.radians:
+    def __init__(self, a: Angle, d: Angle, b: Angle, c: Angle) -> None:
+        if a.radians == d.radians:
             raise ValueError("arm A settings must differ: a == d")
-        if self.b.radians == self.c.radians:
+        if b.radians == c.radians:
             raise ValueError("arm B settings must differ: b == c")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
 
     @classmethod
     def from_degrees(cls, a: float, d: float, b: float, c: float) -> SettingsQuad:
@@ -121,14 +155,13 @@ class SettingsQuad:
         return (self.a, self.d, self.b, self.c)
 
 
-@dataclass(frozen=True, eq=False)
-class OutcomeSequence:
+class OutcomeSequence(_Record):
     """An ordered, immutable list of +1/-1 detector outcomes for one arm."""
 
-    values: np.ndarray
+    __slots__ = ("values",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _as_outcome_array(self.values))
+    def __init__(self, values: np.ndarray) -> None:
+        object.__setattr__(self, "values", _as_outcome_array(values))
 
     @classmethod
     def _of(cls, values: np.ndarray) -> OutcomeSequence:
@@ -156,8 +189,7 @@ class OutcomeSequence:
         return int(np.count_nonzero(self.values == 1))
 
 
-@dataclass(frozen=True)
-class SubRunPairs:
+class SubRunPairs(_Record):
     """Ordered outcome pairs from one fixed-setting sub-run.
 
     The pairing within a trial is physical and immutable: any reordering
@@ -165,14 +197,13 @@ class SubRunPairs:
     side through the class order of its aligned side.
     """
 
-    a: OutcomeSequence
-    b: OutcomeSequence
+    __slots__ = ("a", "b")
 
-    def __post_init__(self) -> None:
-        if len(self.a) != len(self.b):
-            raise ValueError(
-                f"paired sequences must have equal length: {len(self.a)} != {len(self.b)}"
-            )
+    def __init__(self, a: OutcomeSequence, b: OutcomeSequence) -> None:
+        if len(a) != len(b):
+            raise ValueError(f"paired sequences must have equal length: {len(a)} != {len(b)}")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     def __len__(self) -> int:
         return self.a.values.size
@@ -182,8 +213,7 @@ class SubRunPairs:
         return len(self) - 2 * int(np.count_nonzero(self.a.values != self.b.values))
 
 
-@dataclass(frozen=True)
-class CounterfactualDataset:
+class CounterfactualDataset(_Record):
     """N trials each carrying outcomes for all four settings a, d, b, c.
 
     A local-hidden-variable construct: the four sequences share a single
@@ -192,15 +222,17 @@ class CounterfactualDataset:
     setting".  Feasible experiments can never record this.
     """
 
-    a_seq: OutcomeSequence
-    d_seq: OutcomeSequence
-    b_seq: OutcomeSequence
-    c_seq: OutcomeSequence
-    settings: SettingsQuad | None = None
+    __slots__ = ("a_seq", "d_seq", "b_seq", "c_seq", "settings")
 
-    def __post_init__(self) -> None:
-        if len({len(s) for s in self.sequences}) != 1:
+    def __init__(self, a_seq: OutcomeSequence, d_seq: OutcomeSequence, b_seq: OutcomeSequence,
+                 c_seq: OutcomeSequence, settings: SettingsQuad | None = None) -> None:
+        if len({len(a_seq), len(d_seq), len(b_seq), len(c_seq)}) != 1:
             raise ValueError("all four outcome sequences must have equal length")
+        object.__setattr__(self, "a_seq", a_seq)
+        object.__setattr__(self, "d_seq", d_seq)
+        object.__setattr__(self, "b_seq", b_seq)
+        object.__setattr__(self, "c_seq", c_seq)
+        object.__setattr__(self, "settings", settings)
 
     @property
     def sequences(self) -> tuple[OutcomeSequence, ...]:
@@ -212,8 +244,7 @@ class CounterfactualDataset:
         return len(self.a_seq)
 
 
-@dataclass(frozen=True)
-class SubRunDataset:
+class SubRunDataset(_Record):
     """Four disjoint fixed-setting experiments: ab, ac, db, dc.
 
     The lists may have different lengths; estimation requires each to be
@@ -221,11 +252,15 @@ class SubRunDataset:
     leave a list empty).
     """
 
-    ab: SubRunPairs
-    ac: SubRunPairs
-    db: SubRunPairs
-    dc: SubRunPairs
-    settings: SettingsQuad | None = None
+    __slots__ = ("ab", "ac", "db", "dc", "settings")
+
+    def __init__(self, ab: SubRunPairs, ac: SubRunPairs, db: SubRunPairs, dc: SubRunPairs,
+                 settings: SettingsQuad | None = None) -> None:
+        object.__setattr__(self, "ab", ab)
+        object.__setattr__(self, "ac", ac)
+        object.__setattr__(self, "db", db)
+        object.__setattr__(self, "dc", dc)
+        object.__setattr__(self, "settings", settings)
 
     @property
     def lists(self) -> tuple[SubRunPairs, ...]:

@@ -21,8 +21,6 @@ All sums are accumulated in integer arithmetic and divided once, so the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -33,6 +31,7 @@ from .core import (
     SubRunDataset,
     SubRunPairs,
     _PAIR_ARMS,
+    _Record,
 )
 from .rng import RngSpec, _DRAW_BLOCK
 from .sources import CorrelationLaw
@@ -47,16 +46,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GammaResult:
+class GammaResult(_Record):
     """A Gamma estimate from the integer sum of products behind each term.
 
     ``n_used`` is the trial count and ``product_sums`` the sum of a(j)b(j)
     behind each of the four correlation terms (ab, ac, db, dc).
     """
 
-    n_used: tuple[int, int, int, int]
-    product_sums: tuple[int, int, int, int]
+    __slots__ = ("n_used", "product_sums")
+
+    def __init__(self, n_used: tuple[int, int, int, int],
+                 product_sums: tuple[int, int, int, int]) -> None:
+        object.__setattr__(self, "n_used", n_used)
+        object.__setattr__(self, "product_sums", product_sums)
 
     @property
     def per_term(self) -> tuple[float, ...]:
@@ -80,8 +82,10 @@ class GammaResult:
         """Gamma as a rational number, which bound checks compare.
 
         ``value`` is this number correctly rounded, so a Gamma just above
-        2 can still read ``2.0``.
+        2 can still read ``2.0``.  ``fractions`` loads on the first call.
         """
+        from fractions import Fraction
+
         return Fraction(*self._ratio())
 
 

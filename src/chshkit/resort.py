@@ -30,11 +30,10 @@ every step was feasible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import OutcomeSequence, SubRunDataset, SubRunPairs, _is_count
+from .core import OutcomeSequence, SubRunDataset, SubRunPairs, _Record, _is_count
 from .estimators import gamma_subruns
 from .rng import RngSpec, _DRAW_BLOCK, _derived_generators
 
@@ -48,8 +47,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ResortPolicy:
+class ResortPolicy(_Record):
     """How to choose among the many valid re-sortings.
 
     Without an ``rng`` the policy is stable (:data:`STABLE`): it preserves
@@ -58,11 +56,12 @@ class ResortPolicy:
     within-class bijection uniformly from ``rng``.
     """
 
-    rng: RngSpec | None = None
+    __slots__ = ("rng",)
 
-    def __post_init__(self) -> None:
-        if self.rng is not None and not isinstance(self.rng, RngSpec):
-            raise TypeError(f"resort policy rng must be an RngSpec or None, got {self.rng!r}")
+    def __init__(self, rng: RngSpec | None = None) -> None:
+        if rng is not None and not isinstance(rng, RngSpec):
+            raise TypeError(f"resort policy rng must be an RngSpec or None, got {rng!r}")
+        object.__setattr__(self, "rng", rng)
 
     @classmethod
     def uniform_random(cls, rng: RngSpec) -> ResortPolicy:
@@ -109,8 +108,7 @@ def _class_matching(
     return moved, t_plus - s_plus
 
 
-@dataclass(frozen=True)
-class ResortReport:
+class ResortReport(_Record):
     """Everything the cascade found.
 
     Step order is the cascade order: the re-sorted terms are ac, dc, db
@@ -123,10 +121,14 @@ class ResortReport:
     unless every step was feasible.
     """
 
-    count_deficits: tuple[int, int, int]
-    hamming_b: int
-    gamma_subruns: float
-    gamma_resorted: float | None
+    __slots__ = ("count_deficits", "hamming_b", "gamma_subruns", "gamma_resorted")
+
+    def __init__(self, count_deficits: tuple[int, int, int], hamming_b: int,
+                 gamma_subruns: float, gamma_resorted: float | None) -> None:
+        object.__setattr__(self, "count_deficits", count_deficits)
+        object.__setattr__(self, "hamming_b", hamming_b)
+        object.__setattr__(self, "gamma_subruns", gamma_subruns)
+        object.__setattr__(self, "gamma_resorted", gamma_resorted)
 
     @property
     def feasible(self) -> tuple[bool, bool, bool]:

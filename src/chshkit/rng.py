@@ -11,11 +11,9 @@ no generator outlives or leaves its call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import _is_count
+from .core import _Record, _is_count
 
 __all__ = ["RngSpec"]
 
@@ -65,8 +63,7 @@ def _splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-@dataclass(frozen=True)
-class RngSpec:
+class RngSpec(_Record):
     """A named random stream: equal (seed, stream) means equal output.
 
     ``seed`` and ``stream`` must be integers (numpy's included, bools
@@ -74,16 +71,13 @@ class RngSpec:
     ``RngSpec(2**64 - 1)`` and ``RngSpec(2**64 + 5)`` is ``RngSpec(5)``.
     """
 
-    seed: int
-    stream: int = 0
+    __slots__ = ("seed", "stream")
 
-    def __post_init__(self) -> None:
-        if not (_is_count(self.seed) and _is_count(self.stream)):
-            raise ValueError(
-                f"seed and stream must be integers, got {self.seed!r} and {self.stream!r}"
-            )
-        object.__setattr__(self, "seed", int(self.seed) & _MASK64)
-        object.__setattr__(self, "stream", int(self.stream) & _MASK64)
+    def __init__(self, seed: int, stream: int = 0) -> None:
+        if not (_is_count(seed) and _is_count(stream)):
+            raise ValueError(f"seed and stream must be integers, got {seed!r} and {stream!r}")
+        object.__setattr__(self, "seed", int(seed) & _MASK64)
+        object.__setattr__(self, "stream", int(stream) & _MASK64)
 
     def generator(self) -> np.random.Generator:
         """A fresh generator; repeated calls restart the same stream."""
@@ -99,7 +93,7 @@ class RngSpec:
         if not _is_count(index):
             raise ValueError(f"index must be an integer, got {index!r}")
         child = object.__new__(RngSpec)
-        # Both values are already reduced to 64 bits: skip __post_init__.
+        # Both values are already reduced to 64 bits: skip __init__.
         object.__setattr__(child, "seed", self.seed)
         # _splitmix64 reduces its argument mod 2**64, and with it the index.
         object.__setattr__(child, "stream", _splitmix64(_splitmix64(self.stream) ^ int(index)))

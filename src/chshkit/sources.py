@@ -32,7 +32,7 @@ import stat
 from contextlib import contextmanager, suppress
 from enum import Enum
 from pathlib import Path
-from typing import IO, Callable, Iterator, NamedTuple
+from typing import IO, Callable, Iterator
 
 import numpy as np
 
@@ -237,16 +237,17 @@ def _blocks(read: Callable[[int], bytes]) -> Iterator[bytes]:
 _SPARE = bytes(16)
 
 
-class _Column(NamedTuple):
+class _Column:
     """One field of each row: field ``i`` is ``buf[starts[i]:ends[i]]``.
 
     ``starts`` and ``ends`` are index arrays, or ranges for equal lines.  A
     delimiter byte follows each field, and ``buf`` ends in ``_SPARE``.
     """
 
-    buf: np.ndarray
-    starts: np.ndarray | range
-    ends: np.ndarray | range
+    __slots__ = ("buf", "starts", "ends")
+
+    def __init__(self, buf: np.ndarray, starts: np.ndarray | range, ends: np.ndarray | range) -> None:
+        self.buf, self.starts, self.ends = buf, starts, ends
 
     def text(self, i) -> str:
         return self.buf[self.starts[i] : self.ends[i]].tobytes().decode("utf-8")

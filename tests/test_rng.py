@@ -247,6 +247,22 @@ def test_import_leaves_numpy_random_unloaded():
     assert after == "False"
 
 
+def test_cli_import_leaves_unused_stdlib_unloaded():
+    # Records are plain classes, Fraction and json load on demand: a CLI
+    # process that needs none of them pays for none of them.
+    unused = ("dataclasses", "fractions", "decimal", "json")
+    out = _python_with_src(
+        "import sys, numpy\n"
+        f"unused = [m for m in {unused!r} if m not in sys.modules]\n"
+        "import chshkit.cli\n"
+        "print(len(unused), *[m for m in unused if m in sys.modules])"
+    )
+    checked, *loaded = out.split()
+    if checked == "0":
+        pytest.skip("this numpy loads every module the test checks")
+    assert loaded == []
+
+
 def test_spec_is_a_value():
     assert RngSpec(3, 4) == RngSpec(3, 4)
     assert RngSpec(3, 4) != RngSpec(3, 5)
