@@ -21,6 +21,7 @@ All sums are accumulated in integer arithmetic and divided once, so the
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -35,6 +36,9 @@ from .core import (
 )
 from .rng import RngSpec, _DRAW_BLOCK
 from .sources import CorrelationLaw
+
+if TYPE_CHECKING:  # GammaResult.exact loads fractions when it is called
+    from fractions import Fraction
 
 __all__ = [
     "GammaResult",

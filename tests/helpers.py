@@ -64,15 +64,16 @@ def exact_two_dataset() -> SubRunDataset:
     return SubRunDataset(_agreeing(24, 22), _agreeing(20, 14), _agreeing(10, 8), _agreeing(24, 10))
 
 
-def just_above_two_dataset() -> SubRunDataset:
+def just_above_two_dataset(sign: int = 1) -> SubRunDataset:
     """Sub-runs whose Gamma is 2 + 2/812702998307594909, which rounds to 2.0.
 
     Counts (30011, 30013, 30029, 30047), whose least common multiple is
     812702998307594909; the product sums (26167, 6455, 5503, -21927)
-    solve Gamma = 2 + 2/lcm by the Chinese remainder theorem.
+    solve Gamma = 2 + 2/lcm by the Chinese remainder theorem.  With
+    ``sign=-1`` every sum is negated, and so is Gamma.
     """
     counts, sums = (30011, 30013, 30029, 30047), (26167, 6455, 5503, -21927)
-    return SubRunDataset(*map(_agreeing, counts, sums))
+    return SubRunDataset(*(_agreeing(n, sign * s) for n, s in zip(counts, sums)))
 
 
 def switch_pattern(s: OutcomeSequence) -> list[int]:

@@ -260,6 +260,15 @@ class TestEstimate:
         assert report["gamma"] == 2.0
         assert report["bound_satisfied"] is False
 
+    def test_bound_flag_reads_the_exact_gamma_below_minus_2(self, tmp_path, capsys):
+        # Exact gamma is -(2 + 2/812702998307594909); its float is -2.0.
+        path = tmp_path / "below2.csv"
+        write_subrun_csv(just_above_two_dataset(sign=-1), path)
+        assert main(["estimate", "--in", str(path)]) == 0
+        report = read_json(capsys)
+        assert report["gamma"] == -2.0
+        assert report["bound_satisfied"] is False
+
     def test_failed_report_write_keeps_the_earlier_file(self, tmp_path):
         out = tmp_path / "report.json"
         out.write_bytes(b"earlier report\n")
